@@ -8,6 +8,7 @@ values and witness constructions, and reports them as a pass/fail suite.
 """
 
 from ._kernel import backend_name
+from .catalog import FormulaId, formula_value
 from .families import (
     FamilySpec,
     GraphSpecError,
@@ -15,6 +16,7 @@ from .families import (
     generate,
     mycielskian,
     parse_graph_spec,
+    wheel_graph,
 )
 from .graphs import (
     UNREACHABLE,
@@ -41,7 +43,6 @@ from .report import (
     Report,
     corpus_graphs,
     run_verification_suite,
-    wheel_graph,
 )
 from .solver import (
     ENUMERATION_CAP,
@@ -67,11 +68,9 @@ from .visibility import (
     true_twin_extend,
 )
 from .witnesses import (
-    FormulaId,
     balloon_double_witness,
     fixed_witness,
     format_witness_set,
-    formula_value,
     load_witness_file,
     parse_witness_set,
     save_witness_file,

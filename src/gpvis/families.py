@@ -138,6 +138,16 @@ def mycielskian(g: Graph) -> Graph:
     return Graph(2 * n + 1, tuple(adj), roles)
 
 
+def wheel_graph(n: int) -> Graph:
+    """W_n: a hub (v1) adjacent to every vertex of a C_n rim.  Not part of
+    the spec grammar; used by the suite for the universal-vertex checks."""
+    if n < 3:
+        raise ValueError("wheel needs rim length >= 3")
+    edges = [(0, i) for i in range(1, n + 1)]
+    edges += [(i, i % n + 1) for i in range(1, n + 1)]
+    return build_graph(n + 1, edges)
+
+
 class GraphSpecError(ValueError):
     """Spec-string syntax or domain error, with a character position."""
 

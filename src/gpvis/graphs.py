@@ -8,7 +8,7 @@ Adjacency rows are integer bitmasks, which keeps neighborhood operations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from ._kernel import get_kernel
@@ -54,11 +54,13 @@ def apex_role() -> Role:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with bitmask adjacency rows and vertex roles."""
+    """Simple undirected graph with bitmask adjacency rows and vertex roles.
+    ``_distances`` keeps the graph's matrix once it is computed."""
 
     n: int
     adj: tuple[int, ...]
     roles: tuple[Role, ...]
+    _distances: DistanceMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
@@ -229,7 +231,10 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], roles=None) -> Graph:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; bitmask frontiers, one row per source."""
+    """BFS from every vertex; bitmask frontiers, one row per source.
+    Runs once per graph object, which keeps the matrix for later calls."""
+    if g._distances is not None:
+        return g._distances
     n = g.n
     data = [UNREACHABLE] * (n * n)
     connected = True
@@ -249,12 +254,21 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
             dist += 1
         if seen != (1 << n) - 1:
             connected = False
-    return DistanceMatrix(n, tuple(data), connected)
+    d = DistanceMatrix(n, tuple(data), connected)
+    object.__setattr__(g, "_distances", d)
+    return d
 
 
 def require_connected(d: DistanceMatrix) -> None:
     if not d.connected:
         raise ValueError("operation requires a connected graph")
+
+
+def require_own_distances(g: Graph, d: DistanceMatrix) -> None:
+    """Reject a matrix that is not the graph's own: the kept matrix passes
+    on identity alone, any other must equal it value for value."""
+    if d is not g._distances and d != all_pairs_distances(g):
+        raise ValueError("distance matrix does not belong to this graph")
 
 
 def lies_between(d: DistanceMatrix, x: int, u: int, v: int) -> bool:
@@ -274,6 +288,7 @@ def exists_avoiding_geodesic(
     shortest-path DAG from u toward v level by level, keeping only
     non-blocked interior vertices, and checks that v stays reachable.
     """
+    require_own_distances(g, d)
     require_connected(d)
     if u == v:
         raise ValueError("visibility is defined for distinct vertices")

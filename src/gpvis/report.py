@@ -18,7 +18,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, TextIO
 
-from .families import FamilySpec, double_graph, generate, mycielskian, parse_graph_spec
+from .catalog import FormulaId
+from .families import (
+    FamilySpec,
+    double_graph,
+    generate,
+    mycielskian,
+    parse_graph_spec,
+    wheel_graph,
+)
 from .graphs import Graph, VertexSet, all_pairs_distances, build_graph
 from .solver import enumerate_maximum_sets, max_property_set
 from .visibility import (
@@ -178,16 +186,7 @@ def corpus_graphs(
     """Seeded random connected graphs: order uniform in [n_lo, n_hi], each
     edge present with probability p, disconnected samples rejected."""
     rng = random.Random(f"gpvis-corpus:{seed}")
-    out: list[Graph] = []
-    while len(out) < count:
-        n = rng.randint(n_lo, n_hi)
-        edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-        ]
-        g = build_graph(n, edges)
-        if all_pairs_distances(g).connected:
-            out.append(g)
-    return out
+    return [random_connected_graph(rng, n_lo, n_hi, p) for _ in range(count)]
 
 
 def random_connected_graph(rng: random.Random, n_lo: int, n_hi: int, p: float = 0.4) -> Graph:
@@ -274,68 +273,30 @@ class _Suite:
 
     # scope sections
 
+    def run_catalog(self, scope: str) -> None:
+        """One value check per catalog parameter, in table order."""
+        for row in FormulaId:
+            if row.scope != scope:
+                continue
+            for fam in row.families:
+                for params in fam.params:
+                    value = row.at(params)
+                    self.value_check(
+                        fam.name.format(**params), fam.spec.format(**params), row.kind,
+                        Expected(row.op, value),
+                        graph=None if fam.graph is None else fam.graph(params),
+                        target=value if row.op == ">=" else None,
+                    )
+
     def run_double(self) -> None:
-        for n in (7, 8, 9, 10):
-            self.value_check(f"mu_D_C{n}", f"double(cycle:{n})", PropertyKind.MV, exactly(n))
-        for n, want in ((4, 6), (5, 6), (6, 7)):
-            self.value_check(f"mu_D_C{n}", f"double(cycle:{n})", PropertyKind.MV, exactly(want))
-        for n in range(3, 9):
-            self.value_check(f"mu_D_P{n}", f"double(path:{n})", PropertyKind.MV, exactly(n + 2))
-        for n in range(3, 9):
-            self.value_check(f"gp_D_P{n}", f"double(path:{n})", PropertyKind.GP, exactly(4))
-        for n in range(6, 11):
-            self.value_check(f"gp_D_C{n}", f"double(cycle:{n})", PropertyKind.GP, exactly(6))
-        for n in range(2, 8):
-            self.value_check(f"gp_D_K{n}", f"double(complete:{n})", PropertyKind.GP, exactly(n))
-        for n in range(5, 9):
-            self.value_check(
-                f"gp_D_Kminus{n}", f"double(kminus:{n})", PropertyKind.GP, exactly(n)
-            )
-        for m in range(2, 6):
-            self.value_check(
-                f"mu_D_K1_{m}", f"double(star:{m + 1})", PropertyKind.MV,
-                exactly(2 * (m + 1) - 1),
-            )
-        for n in range(4, 7):
-            self.value_check(
-                f"mu_D_W{n}", f"W{n} (hub plus C{n}, built inline)", PropertyKind.MV,
-                exactly(2 * (n + 1) - 1), graph=double_graph(wheel_graph(n)),
-            )
-        self.value_check(
-            "mu_D_balloon2_target", "double(balloon:2)", PropertyKind.MV,
-            at_least(12), target=12,
-        )
-        self.value_check("mu_t_balloon2", "balloon:2", PropertyKind.TOTAL, exactly(0))
+        self.run_catalog("double")
         self.aggregate_check(
             "witness_gate_double", "dc4/dc5/dc6, universal, from-total, balloon file",
             PropertyKind.MV, exactly(0), self._witness_failures_double,
         )
 
     def run_myc(self) -> None:
-        self.value_check("mu_M_P4", "myc(path:4)", PropertyKind.MV, exactly(6))
-        for n in range(5, 11):
-            self.value_check(
-                f"mu_M_P{n}", f"myc(path:{n})", PropertyKind.MV,
-                exactly(n + (n + 1) // 4),
-            )
-        for n in range(4, 8):
-            self.value_check(f"mu_M_C{n}", f"myc(cycle:{n})", PropertyKind.MV, exactly(n + 2))
-        for n in (8, 9, 10):
-            self.value_check(
-                f"mu_M_C{n}", f"myc(cycle:{n})", PropertyKind.MV, exactly(n + n // 4)
-            )
-        self.value_check("mu_M_K33", "myc(kbip:3,3)", PropertyKind.MV, exactly(10))
-        self.value_check("mu_M_K43", "myc(kbip:4,3)", PropertyKind.MV, exactly(12))
-        for m in range(2, 6):
-            self.value_check(
-                f"mu_M_K1_{m}", f"myc(star:{m + 1})", PropertyKind.MV,
-                exactly(2 * (m + 1) - 1),
-            )
-        for n in range(4, 7):
-            self.value_check(
-                f"mu_M_W{n}", f"W{n} (hub plus C{n}, built inline)", PropertyKind.MV,
-                exactly(2 * (n + 1) - 1), graph=mycielskian(wheel_graph(n)),
-            )
+        self.run_catalog("mycielskian")
         self.aggregate_check(
             "witness_gate_myc", "myc path/cycle, universal, diam<=3",
             PropertyKind.MV, exactly(0), self._witness_failures_myc,
@@ -404,12 +365,11 @@ class _Suite:
     def _myc_sandwich_violations(self, graphs) -> tuple[int, str]:
         viol = checked = 0
         for g in graphs:
-            d = all_pairs_distances(g)
-            if g.is_complete() or d.diameter() > 3:
+            if g.is_complete() or all_pairs_distances(g).diameter() > 3:
                 continue
             checked += 1
-            mu_o = max_property_set(g, PropertyKind.OUTER, d=d).value
-            mu = max_property_set(g, PropertyKind.MV, d=d).value
+            mu_o = max_property_set(g, PropertyKind.OUTER).value
+            mu = max_property_set(g, PropertyKind.MV).value
             mu_m = max_property_set(mycielskian(g), PropertyKind.MV).value
             if not (g.n + mu_o <= mu_m <= g.n + mu + 1):
                 viol += 1
@@ -442,7 +402,7 @@ class _Suite:
             mask = rng.getrandbits(g.n) | 1 << u
             mask &= ~(1 << v)
             s = VertexSet(g.n, mask)
-            t = false_twin_swap(g, d, s, u, v)
+            t = false_twin_swap(g, s, u, v)
             for kind in (PropertyKind.MV, PropertyKind.GP):
                 if is_property_set(g, d, s, kind) != is_property_set(g, d, t, kind):
                     viol += 1
@@ -465,7 +425,7 @@ class _Suite:
             s = VertexSet(g.n, mask)
             if not is_general_position_set(g, d, s):
                 continue
-            t = true_twin_extend(g, d, s, u, v)
+            t = true_twin_extend(g, s, u, v)
             if not is_general_position_set(g, d, t):
                 viol += 1
         return viol, ""
@@ -476,7 +436,7 @@ class _Suite:
         s = VertexSet.of(4, [0, 1, 2])
         if not is_mutual_visibility_set(g, d, s):
             return 1, "the starting set unexpectedly fails MV"
-        t = true_twin_extend(g, d, s, 2, 3)
+        t = true_twin_extend(g, s, 2, 3)
         # adding the true twin must break mutual visibility here
         return (1 if is_mutual_visibility_set(g, d, t) else 0), ""
 
@@ -503,86 +463,58 @@ class _Suite:
         return viol, f"{checked} graphs with gp(D(G)) = 2 gp(G)"
 
     def _witness_failures_double(self) -> tuple[int, str]:
-        fails = 0
-        notes = []
-        for name in ("dc4", "dc5", "dc6"):
-            try:
-                fixed_witness(name)
-            except Exception as exc:
-                fails += 1
-                notes.append(f"{name}: {exc}")
-        for m in range(2, 6):
-            try:
-                witness_universal(generate(FamilySpec("star", (m + 1,))), 0, "double")
-            except Exception as exc:
-                fails += 1
-                notes.append(f"star {m + 1} double: {exc}")
-        for n in range(4, 7):
-            try:
-                witness_universal(wheel_graph(n), 0, "double")
-            except Exception as exc:
-                fails += 1
-                notes.append(f"wheel {n} double: {exc}")
-        for spec, total in (("path:5", (0, 4)), ("cycle:7", ()), ("cycle:9", ())):
-            try:
-                g = parse_graph_spec(spec)
-                witness_double_from_total(g, VertexSet.of(g.n, total))
-            except Exception as exc:
-                fails += 1
-                notes.append(f"from-total {spec}: {exc}")
-        try:
-            balloon_double_witness(2)
-        except Exception as exc:
-            fails += 1
-            notes.append(f"balloon file: {exc}")
-        return fails, "; ".join(notes)
+        rows = [(name, lambda name=name: fixed_witness(name)) for name in ("dc4", "dc5", "dc6")]
+        rows += _universal_witness_rows("double")
+        rows += [
+            (f"from-total {spec}", lambda spec=spec, total=total: _from_total_witness(spec, total))
+            for spec, total in (("path:5", (0, 4)), ("cycle:7", ()), ("cycle:9", ()))
+        ]
+        rows.append(("balloon file", lambda: balloon_double_witness(2)))
+        return _failures(rows)
 
     def _witness_failures_myc(self) -> tuple[int, str]:
-        fails = 0
-        notes = []
-        for n in range(5, 13):
-            try:
-                witness_myc_path(n)
-            except Exception as exc:
-                fails += 1
-                notes.append(f"path {n}: {exc}")
-        for n in range(8, 13):
-            try:
-                witness_myc_cycle(n)
-            except Exception as exc:
-                fails += 1
-                notes.append(f"cycle {n}: {exc}")
-        for m in range(2, 6):
-            try:
-                witness_universal(generate(FamilySpec("star", (m + 1,))), 0, "myc")
-            except Exception as exc:
-                fails += 1
-                notes.append(f"star {m + 1} myc: {exc}")
-        for n in range(4, 7):
-            try:
-                witness_universal(wheel_graph(n), 0, "myc")
-            except Exception as exc:
-                fails += 1
-                notes.append(f"wheel {n} myc: {exc}")
-        for spec in ("cycle:5", "kbip:3,3", "path:4"):
-            try:
-                g = parse_graph_spec(spec)
-                outer = max_property_set(g, PropertyKind.OUTER).witness
-                witness_diam3(g, outer)
-            except Exception as exc:
-                fails += 1
-                notes.append(f"diam3 {spec}: {exc}")
-        return fails, "; ".join(notes)
+        rows = [(f"path {n}", lambda n=n: witness_myc_path(n)) for n in range(5, 13)]
+        rows += [(f"cycle {n}", lambda n=n: witness_myc_cycle(n)) for n in range(8, 13)]
+        rows += _universal_witness_rows("myc")
+        rows += [
+            (f"diam3 {spec}", lambda spec=spec: _diam3_witness(spec))
+            for spec in ("cycle:5", "kbip:3,3", "path:4")
+        ]
+        return _failures(rows)
 
 
-def wheel_graph(n: int) -> Graph:
-    """W_n: a hub (v1) adjacent to every vertex of a C_n rim.  Not part of
-    the spec grammar; used by the suite for the universal-vertex checks."""
-    if n < 3:
-        raise ValueError("wheel needs rim length >= 3")
-    edges = [(0, i) for i in range(1, n + 1)]
-    edges += [(i, i % n + 1) for i in range(1, n + 1)]
-    return build_graph(n + 1, edges)
+def _failures(rows) -> tuple[int, str]:
+    """Run each (label, thunk) row; count the ones that raise, with notes."""
+    notes = []
+    for label, thunk in rows:
+        try:
+            thunk()
+        except Exception as exc:
+            notes.append(f"{label}: {exc}")
+    return len(notes), "; ".join(notes)
+
+
+def _universal_witness_rows(operator: str) -> list:
+    rows = [
+        (f"star {m + 1} {operator}",
+         lambda m=m: witness_universal(generate(FamilySpec("star", (m + 1,))), 0, operator))
+        for m in range(2, 6)
+    ]
+    rows += [
+        (f"wheel {n} {operator}", lambda n=n: witness_universal(wheel_graph(n), 0, operator))
+        for n in range(4, 7)
+    ]
+    return rows
+
+
+def _from_total_witness(spec: str, total: tuple[int, ...]) -> VertexSet:
+    g = parse_graph_spec(spec)
+    return witness_double_from_total(g, VertexSet.of(g.n, total))
+
+
+def _diam3_witness(spec: str) -> VertexSet:
+    g = parse_graph_spec(spec)
+    return witness_diam3(g, max_property_set(g, PropertyKind.OUTER).witness)
 
 
 def run_verification_suite(

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from ._kernel import get_kernel, pure
-from .graphs import DistanceMatrix, Graph, VertexSet, all_pairs_distances, require_connected
+from .graphs import Graph, VertexSet, all_pairs_distances, require_connected
 from .visibility import PropertyKind, is_property_set
 
 HARD_CAP = 26
@@ -52,7 +52,6 @@ def max_property_set(
     *,
     target: int | None = None,
     time_limit: float | None = None,
-    d: DistanceMatrix | None = None,
 ) -> InvariantResult:
     """Maximum set of the given kind; exact unless target/time stop early.
 
@@ -62,8 +61,7 @@ def max_property_set(
     """
     if g.n > HARD_CAP:
         raise ValueError(f"order {g.n} exceeds the solver cap of {HARD_CAP}")
-    if d is None:
-        d = all_pairs_distances(g)
+    d = all_pairs_distances(g)
     require_connected(d)
     kernel = get_kernel(g.n)
     start = time.perf_counter()
@@ -84,17 +82,14 @@ def max_property_set(
     return InvariantResult(kind, size, witness, nodes, elapsed, status, stopped_by)
 
 
-def invariant(g: Graph, kind: PropertyKind, *, d: DistanceMatrix | None = None) -> int:
+def invariant(g: Graph, kind: PropertyKind) -> int:
     """The exact invariant value (mu, mu_o, mu_t, or gp)."""
-    return max_property_set(g, kind, d=d).value
+    return max_property_set(g, kind).value
 
 
-def greedy_lower_bound(
-    g: Graph, kind: PropertyKind, *, d: DistanceMatrix | None = None
-) -> VertexSet:
+def greedy_lower_bound(g: Graph, kind: PropertyKind) -> VertexSet:
     """Deterministic greedy set; the branch-and-bound's initial incumbent."""
-    if d is None:
-        d = all_pairs_distances(g)
+    d = all_pairs_distances(g)
     require_connected(d)
     kernel = get_kernel(g.n)
     mask = kernel.greedy_set(g.n, g.adj, d.data, kind.code)
@@ -104,9 +99,7 @@ def greedy_lower_bound(
     return s
 
 
-def enumerate_maximum_sets(
-    g: Graph, kind: PropertyKind, *, d: DistanceMatrix | None = None
-) -> list[VertexSet]:
+def enumerate_maximum_sets(g: Graph, kind: PropertyKind) -> list[VertexSet]:
     """All maximum sets of the kind, sorted lexicographically by members.
 
     Exhaustive regime only: orders above ENUMERATION_CAP are rejected.
@@ -115,9 +108,8 @@ def enumerate_maximum_sets(
         raise ValueError(
             f"enumeration is capped at order {ENUMERATION_CAP}, got {g.n}"
         )
-    if d is None:
-        d = all_pairs_distances(g)
-    best = max_property_set(g, kind, d=d)
+    best = max_property_set(g, kind)
+    d = all_pairs_distances(g)
     masks = pure.enumerate_exact(g.n, g.adj, d.data, kind.code, best.value)
     sets = [VertexSet(g.n, m) for m in masks]
     for s in sets:

@@ -10,6 +10,9 @@ S; endpoints never block their own pair.  The four properties:
 - GP: no three members of S lie on a common geodesic (distance test only).
 
 All four are hereditary, and TotalMV implies OuterMV implies MV.
+
+The verifiers take the graph's distance matrix ``d`` and raise
+ValueError when it is not the one ``all_pairs_distances(g)`` gives.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._kernel import get_kernel, pure
-from .graphs import DistanceMatrix, Graph, VertexSet, require_connected
+from .graphs import DistanceMatrix, Graph, VertexSet, require_connected, require_own_distances
 
 
 class PropertyKind(Enum):
@@ -52,6 +55,7 @@ def is_property_set(
     g: Graph, d: DistanceMatrix, s: VertexSet, kind: PropertyKind
 ) -> bool:
     """Full verification of ``s`` for ``kind`` on a connected graph."""
+    require_own_distances(g, d)
     require_connected(d)
     if s.n != g.n:
         raise ValueError("vertex set does not match the graph order")
@@ -90,6 +94,7 @@ def is_general_position_set_via_characterization(
     whose blocks form a distance-constant partition with no block distance
     equal to the sum through a third block (in-transitivity, taken over
     pairwise-distinct block triples)."""
+    require_own_distances(g, d)
     require_connected(d)
     members = s.members()
     blocks = _induced_components(g, members)
@@ -167,9 +172,7 @@ def find_true_twins(g: Graph) -> list[tuple[int, int]]:
     ]
 
 
-def false_twin_swap(
-    g: Graph, d: DistanceMatrix, s: VertexSet, u: int, v: int
-) -> VertexSet:
+def false_twin_swap(g: Graph, s: VertexSet, u: int, v: int) -> VertexSet:
     """Replace u by its false twin v; preserves MV and GP in both directions."""
     if g.adj[u] != g.adj[v] or u == v:
         raise ValueError(f"vertices {u} and {v} are not false twins")
@@ -180,9 +183,7 @@ def false_twin_swap(
     return s.without_vertex(u).with_vertex(v)
 
 
-def true_twin_extend(
-    g: Graph, d: DistanceMatrix, s: VertexSet, u: int, v: int
-) -> VertexSet:
+def true_twin_extend(g: Graph, s: VertexSet, u: int, v: int) -> VertexSet:
     """Add the true twin v of a member u; preserves GP but not MV in general."""
     if u == v or (g.adj[u] | 1 << u) != (g.adj[v] | 1 << v):
         raise ValueError(f"vertices {u} and {v} are not true twins")

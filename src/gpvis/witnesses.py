@@ -1,10 +1,9 @@
-"""Closed-form invariant values and constructive witness sets.
+"""Constructive witness sets for the catalog's closed forms.
 
-Each formula id carries its documented parameter domain; out-of-domain
-parameters raise.  Every witness constructor re-verifies its output with
-the corresponding verifier before returning, so a construction that
-stopped matching its intended property would fail loudly here rather
-than silently feeding a bad set downstream.
+Every witness constructor re-verifies its output with the corresponding
+verifier before returning, so a construction that stopped matching its
+intended property would fail loudly here rather than silently feeding a
+bad set downstream.
 
 The balloon witness is not hard-coded: it is produced by the solver in
 target mode and cached as a golden file (see data/), then re-verified on
@@ -13,9 +12,9 @@ every load.
 
 from __future__ import annotations
 
-from enum import Enum
 from importlib import resources
 
+from .catalog import FormulaId, formula_value
 from .families import FamilySpec, double_graph, generate, mycielskian
 from .graphs import Graph, VertexSet, all_pairs_distances
 from .visibility import (
@@ -23,70 +22,6 @@ from .visibility import (
     is_outer_mutual_visibility_set,
     is_total_mutual_visibility_set,
 )
-
-
-class FormulaId(Enum):
-    MU_DOUBLE_CYCLE = "mu_double_cycle"
-    MU_DOUBLE_CYCLE_SMALL = "mu_double_cycle_small"
-    GP_DOUBLE_PATH = "gp_double_path"
-    GP_DOUBLE_CYCLE = "gp_double_cycle"
-    GP_DOUBLE_COMPLETE = "gp_double_complete"
-    GP_DOUBLE_KMINUS = "gp_double_kminus"
-    MU_MYC_PATH = "mu_myc_path"
-    MU_MYC_CYCLE = "mu_myc_cycle"
-    MU_MYC_CYCLE_SMALL = "mu_myc_cycle_small"
-    MU_UNIVERSAL_DOUBLE = "mu_universal_double"
-    MU_UNIVERSAL_MYC = "mu_universal_myc"
-    MU_MYC_KBIP = "mu_myc_kbip"
-
-
-def formula_value(formula: FormulaId, n: int | None = None,
-                  r1: int | None = None, r2: int | None = None) -> int:
-    """The closed-form value for the formula on in-domain parameters."""
-    if formula is FormulaId.MU_MYC_KBIP:
-        if r1 is None or r2 is None:
-            raise ValueError("mu_myc_kbip takes parameters r1 and r2")
-        if min(r1, r2) < 3:
-            raise ValueError("mu_myc_kbip needs r1, r2 >= 3")
-        return 2 * (r1 + r2) - 2
-    if n is None:
-        raise ValueError(f"{formula.value} takes parameter n")
-    if formula is FormulaId.MU_DOUBLE_CYCLE:
-        _require(n >= 7, "mu_double_cycle needs n >= 7")
-        return n
-    if formula is FormulaId.MU_DOUBLE_CYCLE_SMALL:
-        _require(4 <= n <= 6, "mu_double_cycle_small covers 4 <= n <= 6")
-        return {4: 6, 5: 6, 6: 7}[n]
-    if formula is FormulaId.GP_DOUBLE_PATH:
-        _require(n >= 3, "gp_double_path needs n >= 3")
-        return 4
-    if formula is FormulaId.GP_DOUBLE_CYCLE:
-        _require(n >= 6, "gp_double_cycle needs n >= 6")
-        return 6
-    if formula is FormulaId.GP_DOUBLE_COMPLETE:
-        _require(n >= 2, "gp_double_complete needs n >= 2")
-        return n
-    if formula is FormulaId.GP_DOUBLE_KMINUS:
-        _require(n >= 5, "gp_double_kminus needs n >= 5")
-        return n
-    if formula is FormulaId.MU_MYC_PATH:
-        _require(n >= 5, "mu_myc_path needs n >= 5")
-        return n + (n + 1) // 4
-    if formula is FormulaId.MU_MYC_CYCLE:
-        _require(n >= 8, "mu_myc_cycle needs n >= 8")
-        return n + n // 4
-    if formula is FormulaId.MU_MYC_CYCLE_SMALL:
-        _require(4 <= n <= 7, "mu_myc_cycle_small covers 4 <= n <= 7")
-        return n + 2
-    if formula in (FormulaId.MU_UNIVERSAL_DOUBLE, FormulaId.MU_UNIVERSAL_MYC):
-        _require(n >= 2, f"{formula.value} needs n >= 2")
-        return 2 * n - 1
-    raise ValueError(f"unknown formula {formula!r}")
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
 
 
 def _checked_mv(g: Graph, mask: int, what: str) -> VertexSet:
@@ -109,11 +44,10 @@ def witness_double_from_total(g: Graph, total_set: VertexSet) -> VertexSet:
 
 
 def witness_myc_path(n: int) -> VertexSet:
-    """MV set of M(P_n) of size n + floor((n+1)/4): the odd base vertices
-    plus all copies except a small blocking pattern v'_{4l+2} (one extra
-    copy removed when the base part has odd size)."""
-    if n < 5:
-        raise ValueError("witness_myc_path needs n >= 5")
+    """MV set of M(P_n) of the size ``MU_MYC_PATH`` gives: the odd base
+    vertices plus all copies except a small blocking pattern v'_{4l+2}
+    (one extra copy removed when the base part has odd size)."""
+    size = formula_value(FormulaId.MU_MYC_PATH, n=n)
     k = n if n % 2 == 1 else n - 1
     r = list(range(1, k + 1, 2))
     rprime = [4 * l + 2 for l in range((n - 3) // 4 + 1)]
@@ -127,16 +61,15 @@ def witness_myc_path(n: int) -> VertexSet:
             mask |= 1 << (n + j - 1)
     s = _checked_mv(mycielskian(generate(FamilySpec("path", (n,)))), mask,
                     f"mycielskian path witness (n={n})")
-    assert len(s) == n + (n + 1) // 4
+    assert len(s) == size
     return s
 
 
 def witness_myc_cycle(n: int) -> VertexSet:
-    """MV set of M(C_n) of size n + floor(n/4): a maximum independent set
-    of odd base vertices plus all copies except the dominating pattern
-    R' = {v'_{4l+2}}."""
-    if n < 8:
-        raise ValueError("witness_myc_cycle needs n >= 8")
+    """MV set of M(C_n) of the size ``MU_MYC_CYCLE`` gives: a maximum
+    independent set of odd base vertices plus all copies except the
+    dominating pattern R' = {v'_{4l+2}}."""
+    size = formula_value(FormulaId.MU_MYC_CYCLE, n=n)
     m = n // 2
     r = list(range(1, 2 * m, 2))
     rprime = [4 * l + 2 for l in range((m + 1) // 2)]
@@ -155,13 +88,13 @@ def witness_myc_cycle(n: int) -> VertexSet:
             mask |= 1 << (n + j - 1)
     s = _checked_mv(mycielskian(generate(FamilySpec("cycle", (n,)))), mask,
                     f"mycielskian cycle witness (n={n})")
-    assert len(s) == n + n // 4
+    assert len(s) == size
     return s
 
 
 def witness_universal(g: Graph, v: int, operator: str) -> VertexSet:
-    """MV set of size 2n-1 when v is universal: the closed neighborhood of
-    v in D(G), or (V(G) minus v) plus all copies in M(G)."""
+    """MV set sized by ``MU_UNIVERSAL_*`` when v is universal: the closed
+    neighborhood of v in D(G), or (V(G) minus v) plus all copies in M(G)."""
     n = g.n
     if n < 2:
         raise ValueError("witness_universal needs order >= 2")
@@ -238,8 +171,8 @@ def load_witness_file(path: str, g: Graph) -> list[VertexSet]:
 
 
 def balloon_double_witness(k: int = 2) -> VertexSet:
-    """The cached solver-found MV set of size 6k in the double of the
-    balloon graph G_k; re-verified on load.  Only k=2 is cached."""
+    """The cached solver-found MV set, at least ``MU_DOUBLE_BALLOON`` in size,
+    in the double of the balloon graph G_k; re-verified on load (k=2 only)."""
     if k != 2:
         raise ValueError("only the k=2 balloon witness is cached")
     text = resources.files("gpvis").joinpath("data/balloon_double_k2.txt").read_text(
@@ -248,6 +181,6 @@ def balloon_double_witness(k: int = 2) -> VertexSet:
     g = double_graph(generate(FamilySpec("balloon", (k,))))
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     s = parse_witness_set(g, lines[0])
-    if len(s) < 6 * k:
-        raise AssertionError("cached balloon witness is smaller than 6k")
+    if len(s) < formula_value(FormulaId.MU_DOUBLE_BALLOON, n=k):
+        raise AssertionError("cached balloon witness is smaller than its bound")
     return _checked_mv(g, s.mask, "balloon double witness")

@@ -160,6 +160,16 @@ def test_lies_between_matches_geodesic_membership(small_corpus, small_corpus_dis
                 assert lies_between(d, x, u, v) == (x in on_some)
 
 
+def test_distances_are_computed_once_per_graph():
+    g = parse_graph_spec("cycle:6")
+    d = all_pairs_distances(g)
+    assert all_pairs_distances(g) is d
+    # The kept matrix is not part of the graph's value.
+    h = parse_graph_spec("cycle:6")
+    assert g == h and hash(g) == hash(h)
+    assert all_pairs_distances(h) is not d
+
+
 def test_exists_avoiding_geodesic_simple():
     # C_4 as 0-1-2-3-0: both 0..2 geodesics pass through 1 or 3.
     c4 = parse_graph_spec("cycle:4")

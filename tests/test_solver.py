@@ -27,7 +27,7 @@ ALL_KINDS = list(PropertyKind)
 def test_solver_matches_brute_force_on_corpus(small_corpus, small_corpus_dists):
     for g, d in zip(small_corpus, small_corpus_dists):
         for kind in ALL_KINDS:
-            res = max_property_set(g, kind, d=d)
+            res = max_property_set(g, kind)
             assert res.exact
             assert res.status == "exact"
             assert res.stopped_by is None
@@ -45,7 +45,7 @@ def test_solver_matches_brute_force_on_operators():
         g = parse_graph_spec(spec)
         d = all_pairs_distances(g)
         for kind in ALL_KINDS:
-            res = max_property_set(g, kind, d=d)
+            res = max_property_set(g, kind)
             assert res.value == oracle_max_size(g, d, kind), (spec, kind)
 
 
@@ -75,7 +75,7 @@ def test_invariant_shorthand_matches_result():
 def test_witness_is_reported_and_valid():
     g = parse_graph_spec("double(cycle:5)")
     d = all_pairs_distances(g)
-    res = max_property_set(g, PropertyKind.MV, d=d)
+    res = max_property_set(g, PropertyKind.MV)
     assert res.value == 6
     assert is_property_set(g, d, res.witness, PropertyKind.MV)
     assert res.nodes_explored > 0
@@ -85,13 +85,13 @@ def test_witness_is_reported_and_valid():
 def test_target_mode_stops_early():
     g = parse_graph_spec("double(cycle:8)")
     d = all_pairs_distances(g)
-    res = max_property_set(g, PropertyKind.MV, target=6, d=d)
+    res = max_property_set(g, PropertyKind.MV, target=6)
     assert res.value >= 6
     assert res.status == "lower_bound"
     assert res.stopped_by == "target"
     assert is_property_set(g, d, res.witness, PropertyKind.MV)
     # An unreachable target degrades to a completed exact search.
-    res2 = max_property_set(g, PropertyKind.MV, target=g.n + 1, d=d)
+    res2 = max_property_set(g, PropertyKind.MV, target=g.n + 1)
     assert res2.exact
     assert res2.value == 8
 
@@ -99,7 +99,7 @@ def test_target_mode_stops_early():
 def test_time_limit_mode():
     g = parse_graph_spec("double(cycle:10)")
     d = all_pairs_distances(g)
-    res = max_property_set(g, PropertyKind.MV, time_limit=1e-9, d=d)
+    res = max_property_set(g, PropertyKind.MV, time_limit=1e-9)
     assert res.status == "lower_bound"
     assert res.stopped_by == "time"
     # The greedy incumbent still gives a verified set.
@@ -117,7 +117,7 @@ def test_generous_time_limit_stays_exact():
 def test_greedy_lower_bound_verified_and_bounded(small_corpus, small_corpus_dists):
     for g, d in zip(small_corpus, small_corpus_dists):
         for kind in ALL_KINDS:
-            s = greedy_lower_bound(g, kind, d=d)
+            s = greedy_lower_bound(g, kind)
             assert is_property_set(g, d, s, kind)
             assert len(s) <= oracle_max_size(g, d, kind)
 
@@ -146,7 +146,7 @@ def test_enumerate_matches_brute_force():
     ]:
         g = parse_graph_spec(spec)
         d = all_pairs_distances(g)
-        got = [s.members() for s in enumerate_maximum_sets(g, kind, d=d)]
+        got = [s.members() for s in enumerate_maximum_sets(g, kind)]
         want = oracle_max_sets(g, d, kind)
         assert got == sorted(want), (spec, kind)
 

@@ -14,6 +14,7 @@ from gpvis import (
     all_pairs_distances,
     build_graph,
     double_graph,
+    exists_avoiding_geodesic,
     false_twin_swap,
     find_false_twins,
     find_true_twins,
@@ -201,16 +202,15 @@ def test_find_true_twins():
 
 def test_false_twin_swap_validation():
     g = parse_graph_spec("kminus:4")
-    d = all_pairs_distances(g)
     s = VertexSet.of(4, [0, 2])
-    swapped = false_twin_swap(g, d, s, 0, 1)
+    swapped = false_twin_swap(g, s, 0, 1)
     assert swapped.members() == (1, 2)
     with pytest.raises(ValueError):
-        false_twin_swap(g, d, s, 2, 3)  # true twins, not false twins
+        false_twin_swap(g, s, 2, 3)  # true twins, not false twins
     with pytest.raises(ValueError):
-        false_twin_swap(g, d, s, 1, 0)  # u not in the set
+        false_twin_swap(g, s, 1, 0)  # u not in the set
     with pytest.raises(ValueError):
-        false_twin_swap(g, d, VertexSet.of(4, [0, 1]), 0, 1)  # v already in
+        false_twin_swap(g, VertexSet.of(4, [0, 1]), 0, 1)  # v already in
 
 
 def test_false_twin_swap_preserves_mv_and_gp(small_corpus, small_corpus_dists):
@@ -225,7 +225,7 @@ def test_false_twin_swap_preserves_mv_and_gp(small_corpus, small_corpus_dists):
             v = u + g.n
             members = sorted((set(members) | {u}) - {v})
             s = VertexSet.of(dg.n, members)
-            t = false_twin_swap(dg, dd, s, u, v)
+            t = false_twin_swap(dg, s, u, v)
             for kind in (PropertyKind.MV, PropertyKind.GP):
                 assert is_property_set(dg, dd, s, kind) == is_property_set(
                     dg, dd, t, kind
@@ -258,7 +258,7 @@ def test_true_twin_extend_preserves_gp():
         s = VertexSet.of(n + 1, members)
         if not is_general_position_set(g, d, s):
             continue
-        t = true_twin_extend(g, d, s, u, v)
+        t = true_twin_extend(g, s, u, v)
         assert is_general_position_set(g, d, t)
 
 
@@ -269,18 +269,17 @@ def test_true_twin_extend_does_not_preserve_mv():
     d = all_pairs_distances(g)
     s = VertexSet.of(4, [0, 1, 2])
     assert is_mutual_visibility_set(g, d, s)
-    t = true_twin_extend(g, d, s, 2, 3)
+    t = true_twin_extend(g, s, 2, 3)
     assert t.members() == (0, 1, 2, 3)
     assert not is_mutual_visibility_set(g, d, t)
 
 
 def test_true_twin_extend_validation():
     g = parse_graph_spec("kminus:4")
-    d = all_pairs_distances(g)
     with pytest.raises(ValueError):
-        true_twin_extend(g, d, VertexSet.of(4, [0, 2]), 0, 1)  # false twins
+        true_twin_extend(g, VertexSet.of(4, [0, 2]), 0, 1)  # false twins
     with pytest.raises(ValueError):
-        true_twin_extend(g, d, VertexSet.of(4, [0]), 2, 3)  # u not in set
+        true_twin_extend(g, VertexSet.of(4, [0]), 2, 3)  # u not in set
 
 
 def test_is_property_set_rejects_mismatched_set():
@@ -288,3 +287,29 @@ def test_is_property_set_rejects_mismatched_set():
     d = all_pairs_distances(g)
     with pytest.raises(ValueError):
         is_property_set(g, d, VertexSet.of(5, [0]), PropertyKind.MV)
+
+
+def test_verifiers_reject_another_graphs_distances():
+    # path:6 is cycle:6 minus an edge; its matrix gives cycle:6 the wrong
+    # geodesics, so a verifier must refuse it rather than answer.
+    g = parse_graph_spec("cycle:6")
+    wrong = all_pairs_distances(parse_graph_spec("path:6"))
+    s = VertexSet.of(6, [0, 2, 4])
+    with pytest.raises(ValueError):
+        is_property_set(g, wrong, s, PropertyKind.MV)
+    with pytest.raises(ValueError):
+        is_general_position_set_via_characterization(g, wrong, s)
+    with pytest.raises(ValueError):
+        exists_avoiding_geodesic(g, wrong, 0, 3, s)
+
+
+def test_verifiers_accept_an_identical_graphs_distances():
+    g = parse_graph_spec("cycle:6")
+    same = all_pairs_distances(parse_graph_spec("cycle:6"))
+    assert same is not all_pairs_distances(g)
+    s = VertexSet.of(6, [0, 2, 4])
+    assert is_property_set(g, same, s, PropertyKind.MV)
+    assert is_general_position_set_via_characterization(g, same, s)[0]
+    assert exists_avoiding_geodesic(g, same, 0, 3, s) == exists_avoiding_geodesic(
+        g, all_pairs_distances(g), 0, 3, s
+    )

@@ -53,6 +53,10 @@ from gpvis import (
         (FormulaId.MU_MYC_CYCLE_SMALL, 7, 9),
         (FormulaId.MU_UNIVERSAL_DOUBLE, 4, 7),
         (FormulaId.MU_UNIVERSAL_MYC, 6, 11),
+        (FormulaId.MU_DOUBLE_PATH, 5, 7),
+        (FormulaId.MU_DOUBLE_BALLOON, 2, 12),
+        (FormulaId.MU_TOTAL_BALLOON, 2, 0),
+        (FormulaId.MU_MYC_PATH_SMALL, 4, 6),
     ],
 )
 def test_formula_values(formula, n, value):
@@ -78,6 +82,7 @@ def test_formula_kbip():
         (FormulaId.MU_MYC_CYCLE_SMALL, 8),
         (FormulaId.GP_DOUBLE_CYCLE, 5),
         (FormulaId.GP_DOUBLE_KMINUS, 4),
+        (FormulaId.MU_MYC_PATH_SMALL, 5),
     ],
 )
 def test_formula_domains(formula, n):
