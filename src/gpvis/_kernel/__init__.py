@@ -11,6 +11,7 @@ to force a backend.  Orders above 64 always use the pure kernel.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 from . import pure
 
@@ -22,8 +23,11 @@ except ImportError:  # pragma: no cover - build environment dependent
 _FAST_MAX_N = 64
 
 
-def _forced() -> str | None:
-    value = os.environ.get("GPVIS_KERNEL", "").strip().lower()
+@lru_cache(maxsize=8)
+def _forced(raw: str) -> str | None:
+    """The backend that a raw GPVIS_KERNEL value forces; each distinct
+    value is checked once."""
+    value = raw.strip().lower()
     if not value:
         return None
     if value not in ("pure", "fast"):
@@ -38,7 +42,7 @@ def _forced() -> str | None:
 
 def get_kernel(n: int | None = None):
     """Return the backend module to use for a graph of order ``n``."""
-    choice = _forced()
+    choice = _forced(os.environ.get("GPVIS_KERNEL", ""))
     if choice == "pure":
         return pure
     if n is not None and n > _FAST_MAX_N:

@@ -18,6 +18,7 @@ outside every u,v-geodesic cannot change the u,v test.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 
 NAME = "pure"
 
@@ -34,16 +35,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _ball_row(n, dist, u, maxd):
-    row = [0] * (maxd + 2)
-    base = u * n
-    for x in range(n):
-        d = dist[base + x]
-        if 0 <= d <= maxd + 1:
-            row[d] |= 1 << x
-    return row
 
 
 def _pv_balls(n, adj, dist, balls, u, v, blocked):
@@ -71,16 +62,25 @@ def _pv_balls(n, adj, dist, balls, u, v, blocked):
 
 def pair_visible(n, adj, dist, u, v, blocked):
     """Some u,v-geodesic avoids ``blocked`` internally; endpoints exempt."""
-    duv = dist[u * n + v]
-    if duv <= 1:
-        return True
-    balls = {u: _ball_row(n, dist, u, duv), v: _ball_row(n, dist, v, duv)}
-    return _pv_balls(n, adj, dist, balls, u, v, blocked)
+    return _pv_balls(n, adj, dist, _all_balls(n, tuple(dist)), u, v, blocked)
 
 
+@lru_cache(maxsize=64)
 def _all_balls(n, dist):
+    """balls[u][t]: the vertices at distance t from u, for every u.  Kept
+    for the most recent distance tables; rows are tuples, so callers that
+    share them cannot change them."""
     maxd = max(dist) if dist else 0
-    return [_ball_row(n, dist, u, maxd) for u in range(n)]
+    balls = []
+    for u in range(n):
+        row = [0] * (maxd + 1)
+        base = u * n
+        for x in range(n):
+            d = dist[base + x]
+            if d >= 0:
+                row[d] |= 1 << x
+        balls.append(tuple(row))
+    return tuple(balls)
 
 
 def _between_masks(n, dist):
@@ -138,7 +138,7 @@ def set_ok(n, adj, dist, mask, kind):
                     if dux + dxv == duv or duv + dxv == dux or dux + duv == dxv:
                         return False
         return True
-    balls = _all_balls(n, dist)
+    balls = _all_balls(n, tuple(dist))
     if kind == MV:
         pairs = [(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
     elif kind == OUTER:
@@ -160,7 +160,7 @@ class _Ctx:
         self.adj = adj
         self.dist = dist
         self.kind = kind
-        self.balls = _all_balls(n, dist) if kind != GP else None
+        self.balls = _all_balls(n, tuple(dist)) if kind != GP else None
         self.btw = _between_masks(n, dist) if kind != GP else None
         self.pairbad = _gp_pairbad(n, dist) if kind == GP else None
 

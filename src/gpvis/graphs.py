@@ -9,6 +9,7 @@ Adjacency rows are integer bitmasks, which keeps neighborhood operations
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from ._kernel import get_kernel
@@ -231,11 +232,17 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], roles=None) -> Graph:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; bitmask frontiers, one row per source.
-    Runs once per graph object, which keeps the matrix for later calls."""
-    if g._distances is not None:
-        return g._distances
-    n = g.n
+    """The graph's own distance matrix, kept on ``g`` after the first call.
+    Equal graphs share one BFS and one distance tuple, each in its own matrix."""
+    if g._distances is None:
+        data, connected = _bfs_distances(g.n, tuple(g.adj))
+        object.__setattr__(g, "_distances", DistanceMatrix(g.n, data, connected))
+    return g._distances
+
+
+@lru_cache(maxsize=256)
+def _bfs_distances(n: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+    """BFS from every vertex; bitmask frontiers, one row per source."""
     data = [UNREACHABLE] * (n * n)
     connected = True
     for s in range(n):
@@ -248,15 +255,13 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
                 data[row_base + v] = dist
             nxt = 0
             for v in _bits(frontier):
-                nxt |= g.adj[v]
+                nxt |= adj[v]
             frontier = nxt & ~seen
             seen |= frontier
             dist += 1
         if seen != (1 << n) - 1:
             connected = False
-    d = DistanceMatrix(n, tuple(data), connected)
-    object.__setattr__(g, "_distances", d)
-    return d
+    return tuple(data), connected
 
 
 def require_connected(d: DistanceMatrix) -> None:

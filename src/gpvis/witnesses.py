@@ -61,7 +61,8 @@ def witness_myc_path(n: int) -> VertexSet:
             mask |= 1 << (n + j - 1)
     s = _checked_mv(mycielskian(generate(FamilySpec("path", (n,)))), mask,
                     f"mycielskian path witness (n={n})")
-    assert len(s) == size
+    if len(s) != size:
+        raise AssertionError(f"mycielskian path witness (n={n}) has size {len(s)}, not {size}")
     return s
 
 
@@ -88,7 +89,8 @@ def witness_myc_cycle(n: int) -> VertexSet:
             mask |= 1 << (n + j - 1)
     s = _checked_mv(mycielskian(generate(FamilySpec("cycle", (n,)))), mask,
                     f"mycielskian cycle witness (n={n})")
-    assert len(s) == size
+    if len(s) != size:
+        raise AssertionError(f"mycielskian cycle witness (n={n}) has size {len(s)}, not {size}")
     return s
 
 

@@ -10,6 +10,17 @@ from gpvis import (
     corpus_graphs,
     run_verification_suite,
 )
+from gpvis._kernel import backend_name, fast
+
+
+def pytest_report_header(config):
+    """Name the kernel the tests run on: the parity tests skip without ``_fast``."""
+    built = "imported" if fast is not None else "not built (kernel parity tests skip)"
+    try:
+        active = backend_name()
+    except (ValueError, ImportError) as exc:  # a bad GPVIS_KERNEL
+        active = f"none ({exc})"
+    return f"gpvis kernel: {active}; compiled _fast: {built}"
 
 
 @pytest.fixture(scope="session")

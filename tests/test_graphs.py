@@ -24,6 +24,7 @@ from gpvis import (
     read_edge_list_file,
     require_connected,
 )
+from gpvis.report import corpus_graphs
 
 from oracles import all_geodesics
 
@@ -168,6 +169,33 @@ def test_distances_are_computed_once_per_graph():
     h = parse_graph_spec("cycle:6")
     assert g == h and hash(g) == hash(h)
     assert all_pairs_distances(h) is not d
+
+
+def test_equal_graphs_share_one_bfs():
+    g = parse_graph_spec("double(cycle:5)")
+    h = parse_graph_spec("double(cycle:5)")
+    assert g is not h
+    dg, dh = all_pairs_distances(g), all_pairs_distances(h)
+    # One distance tuple for both, each graph with a matrix of its own.
+    assert dg.data is dh.data
+    assert dg is not dh and dg == dh
+
+
+def test_bfs_cache_stays_bounded_and_correct():
+    from gpvis.graphs import _bfs_distances
+
+    _bfs_distances.cache_clear()
+    limit = _bfs_distances.cache_info().maxsize
+    graphs = corpus_graphs(17, count=limit + 80, n_lo=5, n_hi=9)
+    others = [g for g in graphs[1:] if g != graphs[0]]
+    assert len(set(others)) >= limit
+    first = all_pairs_distances(graphs[0])
+    for g in others:
+        all_pairs_distances(g)
+    assert _bfs_distances.cache_info().currsize <= limit
+    # The first graph's tuple has been evicted; a fresh BFS gives the same matrix.
+    again = all_pairs_distances(build_graph(graphs[0].n, graphs[0].edges()))
+    assert again.data is not first.data and again == first
 
 
 def test_exists_avoiding_geodesic_simple():

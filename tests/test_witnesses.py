@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import gpvis
 
 from gpvis import (
     FormulaId,
@@ -118,6 +125,22 @@ def test_witness_myc_cycle(n):
     assert s.n == g.n
     assert len(s) == n + n // 4
     assert is_mutual_visibility_set(g, all_pairs_distances(g), s)
+
+
+@pytest.mark.parametrize("name, n", [("witness_myc_path", 5), ("witness_myc_cycle", 8)])
+def test_witness_size_check_survives_optimize_flag(name, n):
+    # The size self-check must raise under ``python -O`` too, where a bare
+    # assert is stripped: make the catalog report a wrong size.
+    script = (
+        "import gpvis.witnesses as w\n"
+        "w.formula_value = lambda formula, n: n * 100\n"
+        f"w.{name}({n})\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gpvis.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode != 0
+    assert "AssertionError" in run.stderr and "witness" in run.stderr
 
 
 def test_witness_myc_path_is_optimal_small():
