@@ -1,13 +1,15 @@
 """Build script: compiles the optional Cython kernel when possible.
 
-The compiled extension is an accelerator only.  If Cython or a C compiler
-is unavailable the build proceeds without it and the package falls back
-to the pure-Python kernel at import time.
+The compiled extension is an accelerator only.  It is built from
+``_fast.pyx`` when Cython is installed and otherwise from the committed
+``_fast.c`` that Cython generated from it.  If no C compiler is available
+the build proceeds without it and the package falls back to the
+pure-Python kernel at import time.
 """
 
 import sys
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -39,7 +41,7 @@ def extensions():
     try:
         from Cython.Build import cythonize
     except ImportError:  # pragma: no cover - build environment dependent
-        return []
+        return [Extension("gpvis._kernel._fast", ["src/gpvis/_kernel/_fast.c"])]
     return cythonize(
         ["src/gpvis/_kernel/_fast.pyx"],
         compiler_directives={

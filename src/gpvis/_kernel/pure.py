@@ -7,12 +7,31 @@ Property kinds are the integer codes MV, OUTER, TOTAL, GP below.
 
 Search notes.  All four properties are hereditary (every subset of a good
 set is good), so the solver explores subsets along a fixed vertex order,
-filters candidates by single-vertex extension feasibility, and prunes on
-``|current| + |candidates| <= incumbent``.  Extending a visibility-kind
-set can invalidate geodesics used by previously verified pairs, so those
-pairs are re-verified; the re-check is restricted to pairs whose geodesic
-interval contains the new vertex, which is exact because a new blocker
-outside every u,v-geodesic cannot change the u,v test.
+keeps at each node only the candidates that extend the current set, and
+prunes on ``|current| + |candidates| <= incumbent``.
+
+A node's candidates are filtered once per child from two facts the search
+already holds: S ∪ {w} has the property (w was a candidate of S), and so
+has S ∪ {x} for every remaining candidate x.  Whether u and v see each
+other depends only on which vertices of their geodesic interval (the
+vertices strictly inside some u,v-geodesic) are blocked.  So a pair that
+S ∪ {w, x} requires is settled without a test when S ∪ {w} required it
+and x lies outside its interval: its blocked part is the one S ∪ {w}
+already passed.  The same holds with w and x swapped.  Only the pairs
+that neither side settles are tested, which makes the filter exact:
+
+- GP: the triples {s, w, x}, s in S: x must avoid pairbad[w][s].  No
+  mask of S's own forbidden vertices is carried, since every candidate
+  already avoids it.
+- MV: (w, x); (s, w) when x is in its interval; (s, x) when w is in its
+  interval; (s, t) in S when both are.
+- OUTER: (s, y), y in S or outside S ∪ {w, x}, when both w and x are in
+  its interval; (w, z) when x is, and (x, z) when w is, for z outside.
+  (s, w), (s, x) and (w, x) keep their blocked part on both sides.
+- TOTAL: the pairs whose interval holds both w and x.
+
+The one-vertex ``extend_ok`` (greedy seed, roots, public one-shot) uses
+the same interval rule from one side only.
 """
 
 from __future__ import annotations
@@ -83,8 +102,10 @@ def _all_balls(n, dist):
     return tuple(balls)
 
 
+@lru_cache(maxsize=64)
 def _between_masks(n, dist):
-    """btw[u][v]: vertices strictly inside some u,v-geodesic."""
+    """btw[u][v]: vertices strictly inside some u,v-geodesic.  Cached and
+    read-only like ``_all_balls``."""
     btw = [[0] * n for _ in range(n)]
     for u in range(n):
         du = u * n
@@ -97,11 +118,13 @@ def _between_masks(n, dist):
                     m |= 1 << x
             btw[u][v] = m
             btw[v][u] = m
-    return btw
+    return tuple(map(tuple, btw))
 
 
+@lru_cache(maxsize=64)
 def _gp_pairbad(n, dist):
-    """pairbad[u][v]: third vertices completing a geodesic triple with u,v."""
+    """pairbad[u][v]: third vertices completing a geodesic triple with u,v.
+    Cached and read-only like ``_all_balls``."""
     bad = [[0] * n for _ in range(n)]
     for u in range(n):
         du = u * n
@@ -118,7 +141,7 @@ def _gp_pairbad(n, dist):
                     m |= 1 << x
             bad[u][v] = m
             bad[v][u] = m
-    return bad
+    return tuple(map(tuple, bad))
 
 
 def set_ok(n, adj, dist, mask, kind):
@@ -160,9 +183,10 @@ class _Ctx:
         self.adj = adj
         self.dist = dist
         self.kind = kind
-        self.balls = _all_balls(n, tuple(dist)) if kind != GP else None
-        self.btw = _between_masks(n, dist) if kind != GP else None
-        self.pairbad = _gp_pairbad(n, dist) if kind == GP else None
+        key = tuple(dist)
+        self.balls = _all_balls(n, key) if kind != GP else None
+        self.btw = _between_masks(n, key) if kind != GP else None
+        self.pairbad = _gp_pairbad(n, key) if kind == GP else None
 
     def extend_ok(self, smask, w):
         """Does smask ∪ {w} keep the property, given smask already has it?"""
@@ -222,6 +246,76 @@ class _Ctx:
                         return False
             return True
         raise ValueError(f"unknown property kind code {kind}")
+
+    def extensions(self, smask, w, cands):
+        """The x in ``cands`` for which smask ∪ {w, x} keeps the property,
+        given that smask ∪ {w} and every smask ∪ {x} already have it.
+        Only the pairs that neither of those two sets settles are
+        re-checked (see the module notes)."""
+        if not cands:
+            return []
+        kind = self.kind
+        if kind == GP:
+            bad = self.pairbad[w]
+            forbid = 0
+            while smask:
+                low = smask & -smask
+                forbid |= bad[low.bit_length() - 1]
+                smask ^= low
+            return [x for x in cands if not forbid >> x & 1]
+        n, adj, dist, balls, btw = self.n, self.adj, self.dist, self.balls, self.btw
+        new = smask | 1 << w
+        wbit = 1 << w
+        bw = btw[w]
+        members = list(_bits(smask))
+        # watch: pairs that smask ∪ {x} does not settle, re-checked when
+        # x lies in their interval.  partners: the y for which (x, y) is
+        # re-checked when w lies in its interval.
+        if kind == MV:
+            watch = [(s, w, bw[s]) for s in members]
+            watch += [
+                (s, t, btw[s][t])
+                for i, s in enumerate(members)
+                for t in members[i + 1 :]
+                if btw[s][t] & wbit
+            ]
+            partners = members
+        elif kind == OUTER:
+            partners = [z for z in range(n) if not new >> z & 1]
+            watch = [(w, z, bw[z]) for z in partners]
+            watch += [
+                (s, y, btw[s][y])
+                for i, s in enumerate(members)
+                for y in members[i + 1 :] + partners
+                if btw[s][y] & wbit
+            ]
+        elif kind == TOTAL:
+            watch = [
+                (u, v, m)
+                for u in range(n)
+                for v, m in enumerate(btw[u])
+                if v > u and m & wbit
+            ]
+            partners = ()
+        else:
+            raise ValueError(f"unknown property kind code {kind}")
+        out = []
+        for x in cands:
+            xbit = 1 << x
+            blocked = new | xbit
+            if kind == MV and not _pv_balls(n, adj, dist, balls, w, x, blocked):
+                continue
+            bx = btw[x]
+            for y in partners:
+                if bx[y] & wbit and not _pv_balls(n, adj, dist, balls, x, y, blocked):
+                    break
+            else:
+                for u, v, m in watch:
+                    if m & xbit and not _pv_balls(n, adj, dist, balls, u, v, blocked):
+                        break
+                else:
+                    out.append(x)
+        return out
 
 
 def extend_ok(n, adj, dist, smask, w, kind):
@@ -284,7 +378,7 @@ class _Search:
                 break
             new = smask | 1 << w
             self._improve(new, size + 1)
-            rest = [x for x in cands[i + 1 :] if ctx.extend_ok(new, x)]
+            rest = ctx.extensions(smask, w, cands[i + 1 :])
             if rest:
                 self.run(new, size + 1, rest)
 
@@ -330,7 +424,7 @@ def enumerate_exact(n, adj, dist, kind, size):
             if cur + 1 == size:
                 out.append(new)
             else:
-                rest = [x for x in cands[i + 1 :] if ctx.extend_ok(new, x)]
+                rest = ctx.extensions(smask, w, cands[i + 1 :])
                 if cur + 1 + len(rest) >= size:
                     rec(new, cur + 1, rest)
 

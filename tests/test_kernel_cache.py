@@ -1,5 +1,6 @@
-"""The pure kernel's cached ball tables: bounded, read-only, and without
-effect on any result; and the backend choice, validated once per value
+"""The pure kernel's cached tables (balls, geodesic intervals, geodesic
+triples): bounded, read-only, built once per solve and without effect on
+any result; and the backend choice, validated once per value
 but read on every call.  Pure kernel only, so these never skip."""
 
 from __future__ import annotations
@@ -74,6 +75,21 @@ def test_cached_ball_rows_are_tuples():
     for u in range(g.n):
         for t, layer in enumerate(balls[u]):
             assert layer == sum(1 << x for x in range(g.n) if dist[u * g.n + x] == t)
+
+
+def test_a_solve_builds_its_table_once():
+    tables = {pure.MV: pure._between_masks, pure.GP: pure._gp_pairbad}
+    for g in graphs_under_test():
+        dist = all_pairs_distances(g).data
+        for kind, table in tables.items():
+            table.cache_clear()
+            cold = pure.solve_max(g.n, g.adj, dist, kind)
+            # solve_max and the greedy_set it calls share one build
+            assert table.cache_info().misses == 1
+            assert pure.solve_max(g.n, g.adj, dist, kind) == cold
+            assert table.cache_info().misses == 1
+            rows = table(g.n, dist)
+            assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
 
 
 def test_a_list_distance_table_is_accepted():

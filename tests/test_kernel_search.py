@@ -1,0 +1,134 @@
+"""The pure kernel's search: the per-child candidate filter and pinned
+search trees.  Pure kernel only, so these never skip."""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from collections import Counter
+
+import pytest
+
+from gpvis import all_pairs_distances, parse_graph_spec
+from gpvis._kernel import pure
+from gpvis.report import corpus_graphs
+
+KINDS = (pure.MV, pure.OUTER, pure.TOTAL, pure.GP)
+
+# The pair roles whose re-check is each visibility kind's own branch of
+# the filter: ``s`` is a member of S, ``z`` a vertex outside S ∪ {w, x}.
+BRANCHES = {
+    pure.MV: {("w", "x"), ("s", "w"), ("s", "x"), ("s", "s")},
+    pure.OUTER: {("s", "s"), ("s", "z"), ("w", "z"), ("x", "z")},
+    pure.TOTAL: {("s", "z"), ("z", "z")},
+}
+
+
+def graphs_under_test():
+    specs = [
+        "double(cycle:5)",
+        "double(cycle:6)",
+        "double(path:5)",
+        "double(kminus:5)",
+        "double(star:4)",
+        "myc(cycle:5)",
+        "myc(cycle:6)",
+        "myc(path:5)",
+        "myc(kbip:3,3)",
+    ]
+    return [parse_graph_spec(s) for s in specs] + corpus_graphs(31, count=10, n_lo=5, n_hi=10)
+
+
+def search_states(g, dist, kind, rng, count):
+    """Random (S, w, cands) as the search meets them: S ∪ {w} and every
+    S ∪ {x}, x in cands, have the property; cands in a random order."""
+    for _ in range(count):
+        smask = 0
+        for v in rng.sample(range(g.n), rng.randrange(g.n)):
+            if pure.set_ok(g.n, g.adj, dist, smask | 1 << v, kind):
+                smask |= 1 << v
+        fits = [
+            v
+            for v in range(g.n)
+            if not smask >> v & 1 and pure.set_ok(g.n, g.adj, dist, smask | 1 << v, kind)
+        ]
+        if len(fits) < 2:
+            continue
+        w = rng.choice(fits)
+        cands = [x for x in fits if x != w]
+        rng.shuffle(cands)
+        yield smask, w, cands
+
+
+def failing_roles(g, dist, kind, smask, w, x):
+    """The role pairs of the required pairs that fail under S ∪ {w, x}."""
+    full = smask | 1 << w | 1 << x
+
+    def role(v):
+        return "w" if v == w else "x" if v == x else "s" if smask >> v & 1 else "z"
+
+    roles = set()
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            inside = (full >> u & 1) + (full >> v & 1)
+            required = {pure.MV: inside == 2, pure.OUTER: inside >= 1, pure.TOTAL: True}[kind]
+            if required and not pure.pair_visible(g.n, g.adj, dist, u, v, full):
+                roles.add(tuple(sorted((role(u), role(v)))))
+    return roles
+
+
+def test_filter_equals_one_candidate_at_a_time():
+    rng = random.Random(2011)
+    sole_causes = {kind: Counter() for kind in KINDS}
+    for g in graphs_under_test():
+        dist = all_pairs_distances(g).data
+        for kind in KINDS:
+            ctx = pure._Ctx(g.n, g.adj, dist, kind)
+            for smask, w, cands in search_states(g, dist, kind, rng, 12):
+                new = smask | 1 << w
+                want = [x for x in cands if ctx.extend_ok(new, x)]
+                assert ctx.extensions(smask, w, cands) == want, (g.adj, kind, smask, w)
+                assert want == [
+                    x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)
+                ]
+                for x in set(cands) - set(want):
+                    if kind == pure.GP:
+                        sole_causes[kind]["triple"] += 1
+                        continue
+                    roles = failing_roles(g, dist, kind, smask, w, x)
+                    if len(roles) == 1:
+                        sole_causes[kind][roles.pop()] += 1
+    # Every re-check branch rejects some candidate on its own.
+    for kind, branches in BRANCHES.items():
+        assert branches <= set(sole_causes[kind]), (kind, sole_causes[kind])
+    assert sole_causes[pure.GP]["triple"] > 0
+
+
+def digest(masks):
+    return hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest()[:16]
+
+
+# spec, kind: solve_max (size, mask, nodes, status), the node count of a
+# search that stops at the optimum as its target, and the number and
+# digest (in DFS order) of the sets one smaller than the optimum.
+PINNED = [
+    ("double(cycle:7)", pure.MV, (7, 127, 577, 0), 0, 938, "6a414acd412c54bd"),
+    ("myc(cycle:7)", pure.MV, (9, 15253, 218, 0), 154, 168, "b41f4b079bd01713"),
+    ("myc(kbip:3,3)", pure.OUTER, (8, 1755, 160, 0), 11, 342, "10726e1ec2db19dd"),
+    ("myc(cycle:7)", pure.OUTER, (7, 16256, 54, 0), 54, 7, "6b82d46ec24d2476"),
+    ("myc(kbip:3,3)", pure.TOTAL, (8, 1755, 150, 0), 0, 324, "98dc976c78f995a2"),
+    ("double(balloon:1)", pure.TOTAL, (7, 2111, 40, 0), 0, 144, "1c73e91515a8d8da"),
+    ("myc(cycle:7)", pure.GP, (7, 16256, 112, 0), 112, 28, "0a224a21c286f145"),
+    ("double(kminus:6)", pure.GP, (5, 61, 80, 0), 0, 145, "d14595ce6921a58f"),
+]
+
+
+@pytest.mark.parametrize("spec,kind,solved,target_nodes,count,sets", PINNED)
+def test_search_trees_are_pinned(spec, kind, solved, target_nodes, count, sets):
+    g = parse_graph_spec(spec)
+    dist = all_pairs_distances(g).data
+    assert pure.solve_max(g.n, g.adj, dist, kind) == solved
+    size = solved[0]
+    assert pure.solve_max(g.n, g.adj, dist, kind, size)[2:] == (target_nodes, 1)
+    masks = pure.enumerate_exact(g.n, g.adj, dist, kind, size - 1)
+    assert (len(masks), digest(masks)) == (count, sets)
