@@ -102,10 +102,11 @@ def _all_balls(n, dist):
     return tuple(balls)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _between_masks(n, dist):
-    """btw[u][v]: vertices strictly inside some u,v-geodesic.  Cached and
-    read-only like ``_all_balls``."""
+    """btw[u][v]: vertices strictly inside some u,v-geodesic.  Only the
+    latest table is kept, so a solve and the greedy seed it calls share
+    one build; callers read it and never change it."""
     btw = [[0] * n for _ in range(n)]
     for u in range(n):
         du = u * n
@@ -118,13 +119,13 @@ def _between_masks(n, dist):
                     m |= 1 << x
             btw[u][v] = m
             btw[v][u] = m
-    return tuple(map(tuple, btw))
+    return btw
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _gp_pairbad(n, dist):
     """pairbad[u][v]: third vertices completing a geodesic triple with u,v.
-    Cached and read-only like ``_all_balls``."""
+    Kept for the latest table only and read-only, like ``_between_masks``."""
     bad = [[0] * n for _ in range(n)]
     for u in range(n):
         du = u * n
@@ -141,7 +142,7 @@ def _gp_pairbad(n, dist):
                     m |= 1 << x
             bad[u][v] = m
             bad[v][u] = m
-    return tuple(map(tuple, bad))
+    return bad
 
 
 def set_ok(n, adj, dist, mask, kind):

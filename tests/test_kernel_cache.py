@@ -88,8 +88,9 @@ def test_a_solve_builds_its_table_once():
             assert table.cache_info().misses == 1
             assert pure.solve_max(g.n, g.adj, dist, kind) == cold
             assert table.cache_info().misses == 1
-            rows = table(g.n, dist)
-            assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+            # only the latest table is kept, and solving leaves it as built
+            assert table.cache_info().currsize == 1
+            assert table(g.n, dist) == table.__wrapped__(g.n, dist)
 
 
 def test_a_list_distance_table_is_accepted():
