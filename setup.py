@@ -1,10 +1,9 @@
-"""Build script: compiles the optional Cython kernel when possible.
+"""Build script: compiles the optional C kernel when possible.
 
-The compiled extension is an accelerator only.  It is built from
-``_fast.pyx`` when Cython is installed and otherwise from the committed
-``_fast.c`` that Cython generated from it.  If no C compiler is available
-the build proceeds without it and the package falls back to the
-pure-Python kernel at import time.
+The compiled extension ``gpvis._kernel._fast`` is an accelerator only,
+built from the hand-written ``src/gpvis/_kernel/_fast.c``.  If no C
+compiler is available the build proceeds without it and the package
+falls back to the pure-Python kernel at import time.
 """
 
 import sys
@@ -37,23 +36,7 @@ class OptionalBuildExt(build_ext):
         )
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:  # pragma: no cover - build environment dependent
-        return [Extension("gpvis._kernel._fast", ["src/gpvis/_kernel/_fast.c"])]
-    return cythonize(
-        ["src/gpvis/_kernel/_fast.pyx"],
-        compiler_directives={
-            "language_level": 3,
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-
-
 setup(
-    ext_modules=extensions(),
+    ext_modules=[Extension("gpvis._kernel._fast", ["src/gpvis/_kernel/_fast.c"])],
     cmdclass={"build_ext": OptionalBuildExt},
 )

@@ -2,10 +2,11 @@
 
 Two interchangeable engines implement the hot primitives (pair visibility,
 set verification, branch-and-bound maximum-set search): ``pure`` uses
-Python integers as bitsets and works for any order, ``fast`` is a compiled
-Cython twin restricted to order <= 64.  The compiled kernel is preferred
-when it imported successfully; set GPVIS_KERNEL=pure or GPVIS_KERNEL=fast
-to force a backend.  Orders above 64 always use the pure kernel.
+Python integers as bitsets and works for any order, ``fast`` is a
+hand-written C mirror of it (``_fast.c``) restricted to order <= 64.
+The compiled kernel is preferred when it imported successfully; set
+GPVIS_KERNEL=pure or GPVIS_KERNEL=fast to force a backend.  Orders above
+64 always use the pure kernel.
 """
 
 from __future__ import annotations

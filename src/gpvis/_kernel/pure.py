@@ -32,6 +32,18 @@ that neither side settles are tested, which makes the filter exact:
 
 The one-vertex ``extend_ok`` (greedy seed, roots, public one-shot) uses
 the same interval rule from one side only.
+
+Twin classes.  Vertices with equal ``adj`` rows (false twins: every v
+and its copy v' in a double graph) form a class, ordered along the
+search order, and pred[v] is the vertex before v in its class.  Swapping
+two false twins is an automorphism, so it maps good sets onto good sets
+of the same size, and in-class permutations turn any good set into one
+whose members form a prefix of each class.  ``_Search.run`` looks only
+for such prefix sets: a child w is skipped when pred[w] is not in S, and
+its candidate list keeps x only when pred[x] is in S ∪ {w} or kept
+earlier in that list.  The rule only drops candidates, so the filter
+above stays exact, and the optimum is kept.  ``enumerate_exact`` must
+list every maximum set and walks the full tree.
 """
 
 from __future__ import annotations
@@ -346,10 +358,21 @@ class _TimeUp(Exception):
     pass
 
 
+def _twin_preds(n, adj, order):
+    """pred[v]: the vertex before v in its twin class (the vertices whose
+    ``adj`` rows equal v's) along ``order``, or -1 when v comes first."""
+    pred = [-1] * n
+    last = {}
+    for v in order:
+        pred[v] = last.get(adj[v], -1)
+        last[adj[v]] = v
+    return pred
+
+
 class _Search:
-    def __init__(self, ctx, order, target, deadline):
+    def __init__(self, ctx, pred, target, deadline):
         self.ctx = ctx
-        self.order = order
+        self.pred = pred
         self.target = target
         self.deadline = deadline
         self.nodes = 0
@@ -373,13 +396,22 @@ class _Search:
         self._tick()
         if size + len(cands) <= self.best:
             return
-        ctx = self.ctx
+        ctx, pred = self.ctx, self.pred
         for i, w in enumerate(cands):
             if size + len(cands) - i <= self.best:
                 break
+            p = pred[w]
+            if p >= 0 and not smask >> p & 1:
+                continue
             new = smask | 1 << w
             self._improve(new, size + 1)
-            rest = ctx.extensions(smask, w, cands[i + 1 :])
+            rest = []
+            have = new
+            for x in ctx.extensions(smask, w, cands[i + 1 :]):
+                p = pred[x]
+                if p < 0 or have >> p & 1:
+                    rest.append(x)
+                    have |= 1 << x
             if rest:
                 self.run(new, size + 1, rest)
 
@@ -393,7 +425,7 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0):
     ctx = _Ctx(n, adj, dist, kind)
     order = _default_order(n, adj)
     deadline = time.monotonic() + time_limit if time_limit else 0.0
-    search = _Search(ctx, order, target, deadline)
+    search = _Search(ctx, _twin_preds(n, adj, order), target, deadline)
     seed = greedy_set(n, adj, dist, kind)
     search.best = seed.bit_count()
     search.best_mask = seed

@@ -5,8 +5,10 @@ degree, ties by index).  Hereditarity of all four properties justifies
 the pruning: once a single-vertex extension fails, no superset through
 that vertex is revisited, and a node is cut when the current set plus
 all remaining candidates cannot beat the incumbent.  The incumbent is
-seeded by the deterministic greedy sweep.  Results are deterministic;
-the default mode is single-worker.
+seeded by the deterministic greedy sweep.  Sets that a swap of twin
+vertices (equal neighbourhoods) maps onto each other are searched once;
+enumeration still lists them all.  Results are deterministic; the
+default mode is single-worker.
 """
 
 from __future__ import annotations

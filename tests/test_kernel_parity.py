@@ -1,24 +1,39 @@
 """Pure-Python kernel versus the compiled kernel, output for output.
 
-The compiled kernel is optional; when it is absent (no C toolchain at
-install time) these tests skip rather than fail.
+The compiled kernel comes from the ``fast_kernel`` fixture, which builds
+``_fast.c`` into a temporary directory; these tests skip only when no C
+compiler is installed.
 """
 
 from __future__ import annotations
 
 import random
+import signal
+import time
 
 import pytest
 
+import gpvis._kernel as kernels
 from gpvis import all_pairs_distances, parse_graph_spec
-from gpvis._kernel import backend_name, fast, get_kernel, pure
+from gpvis._kernel import backend_name, get_kernel, pure
 from gpvis.report import corpus_graphs
 
-pytestmark = pytest.mark.skipif(
-    fast is None, reason="compiled kernel not built"
-)
-
 KINDS = (pure.MV, pure.OUTER, pure.TOTAL, pure.GP)
+BIT63 = 1 << 63
+
+
+@pytest.fixture
+def fast(fast_kernel):
+    return fast_kernel
+
+
+@pytest.fixture
+def fast_backend(fast_kernel, monkeypatch):
+    """``gpvis._kernel`` with the built compiled kernel in place."""
+    monkeypatch.setattr(kernels, "fast", fast_kernel)
+    kernels._forced.cache_clear()
+    yield fast_kernel
+    kernels._forced.cache_clear()
 
 
 def graphs_under_test():
@@ -33,19 +48,29 @@ def graphs_under_test():
         "double(cycle:6)",
         "myc(path:5)",
         "myc(cycle:5)",
+        # twin classes of 3 or more
+        "double(double(path:3))",
+        "kbip:3,4",
+        "star:6",
     ]
     gs = [parse_graph_spec(s) for s in specs]
     gs += corpus_graphs(31, count=8, n_lo=4, n_hi=8)
     return gs
 
 
-def test_backend_name_reports_fast_for_small_orders():
+def order_64_graphs():
+    """Order 64, so vertex 63 sits at the top bit of a machine word."""
+    return [parse_graph_spec(s) for s in ("double(path:32)", "kbip:32,32", "star:64")]
+
+
+def test_backend_name_reports_fast_for_small_orders(fast_backend):
     assert backend_name(10) == "fast"
     # Bitset rows are capped at one machine word in the compiled kernel.
+    assert backend_name(64) == "fast"
     assert backend_name(65) == "pure"
 
 
-def test_pair_visible_parity():
+def test_pair_visible_parity(fast):
     rng = random.Random(5)
     for g in graphs_under_test():
         d = all_pairs_distances(g)
@@ -60,7 +85,7 @@ def test_pair_visible_parity():
             ) == fast.pair_visible(g.n, g.adj, d.data, u, v, blocked)
 
 
-def test_set_ok_parity():
+def test_set_ok_parity(fast):
     rng = random.Random(6)
     for g in graphs_under_test():
         d = all_pairs_distances(g)
@@ -72,7 +97,7 @@ def test_set_ok_parity():
                 ), (g.n, mask, kind)
 
 
-def test_extend_ok_parity():
+def test_extend_ok_parity(fast):
     rng = random.Random(7)
     for g in graphs_under_test():
         d = all_pairs_distances(g)
@@ -93,7 +118,7 @@ def test_extend_ok_parity():
                 )
 
 
-def test_greedy_parity():
+def test_greedy_parity(fast):
     for g in graphs_under_test():
         d = all_pairs_distances(g)
         for kind in KINDS:
@@ -102,7 +127,7 @@ def test_greedy_parity():
             )
 
 
-def test_solve_max_parity_including_node_counts():
+def test_solve_max_parity_including_node_counts(fast):
     for g in graphs_under_test():
         d = all_pairs_distances(g)
         for kind in KINDS:
@@ -113,7 +138,7 @@ def test_solve_max_parity_including_node_counts():
             assert a == b, (g.n, kind, a, b)
 
 
-def test_solve_max_target_parity():
+def test_solve_max_target_parity(fast):
     g = parse_graph_spec("double(cycle:8)")
     d = all_pairs_distances(g)
     a = pure.solve_max(g.n, g.adj, d.data, pure.MV, 6, 0.0)
@@ -122,11 +147,97 @@ def test_solve_max_target_parity():
     assert a[3] == 1  # stopped by target
 
 
-def test_forced_backend_env(monkeypatch):
+def test_order_64_set_checks_parity(fast):
+    rng = random.Random(64)
+    for g in order_64_graphs():
+        d = all_pairs_distances(g).data
+        for kind in KINDS:
+            greedy = pure.greedy_set(g.n, g.adj, d, kind)
+            assert fast.greedy_set(g.n, g.adj, d, kind) == greedy
+            masks = [greedy, greedy | BIT63, greedy & ~BIT63]
+            masks += [rng.getrandbits(g.n) | BIT63 for _ in range(4)]
+            for mask in masks:
+                assert pure.set_ok(g.n, g.adj, d, mask, kind) == fast.set_ok(
+                    g.n, g.adj, d, mask, kind
+                ), (g.n, mask, kind)
+            base = greedy & ~BIT63
+            for w in [63] + rng.sample(range(g.n), 4):
+                if w != 63:
+                    base &= ~(1 << w)
+                assert pure.extend_ok(g.n, g.adj, d, base, w, kind) == fast.extend_ok(
+                    g.n, g.adj, d, base, w, kind
+                ), (g.n, base, w, kind)
+        for _ in range(20):
+            u = rng.choice([63, rng.randrange(g.n)])
+            v = rng.randrange(g.n)
+            blocked = rng.getrandbits(g.n)
+            assert pure.pair_visible(g.n, g.adj, d, u, v, blocked) == fast.pair_visible(
+                g.n, g.adj, d, u, v, blocked
+            )
+
+
+def test_order_64_solve_parity(fast):
+    g = parse_graph_spec("double(path:32)")
+    d = all_pairs_distances(g).data
+    a = pure.solve_max(g.n, g.adj, d, pure.MV, 33)
+    assert a == fast.solve_max(g.n, g.adj, d, pure.MV, 33)
+    assert a[3] == 1 and a[1] & BIT63  # stopped at its target with vertex 63
+    g = parse_graph_spec("star:64")
+    d = all_pairs_distances(g).data
+    a = pure.solve_max(g.n, g.adj, d, pure.TOTAL)
+    assert a == fast.solve_max(g.n, g.adj, d, pure.TOTAL)
+    assert a[0] == 63 and a[1] & BIT63
+
+
+class _Alarm(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+def test_signal_interrupts_a_compiled_solve(fast):
+    """A signal handler that raises (as Ctrl-C does) stops a long compiled
+    solve within one node tick, and its exception propagates.  M(C22) mv
+    is twin-free and takes seconds to solve in full, so an exception that
+    waited for the solve to end would arrive late."""
+    g = parse_graph_spec("myc(cycle:22)")
+    d = all_pairs_distances(g).data
+
+    def handler(signum, frame):
+        raise _Alarm
+
+    previous = signal.signal(signal.SIGALRM, handler)
+    try:
+        start = time.monotonic()
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        with pytest.raises(_Alarm):
+            fast.solve_max(g.n, g.adj, d, pure.MV)
+        late = time.monotonic() - start - 0.1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert late < 1.0
+
+
+def test_compiled_kernel_rejects_bad_inputs(fast):
+    g = parse_graph_spec("cycle:5")
+    d = all_pairs_distances(g).data
+    with pytest.raises(ValueError):
+        fast.solve_max(g.n, g.adj, d, 7)
+    with pytest.raises(ValueError):
+        fast.set_ok(g.n, g.adj, d, 1 << 5, pure.MV)  # vertex 5 of an order-5 graph
+    with pytest.raises(ValueError):
+        fast.extend_ok(g.n, g.adj, d, 0, 5, pure.MV)
+    with pytest.raises(ValueError):
+        fast.set_ok(g.n, g.adj, d[:-1], 0, pure.MV)
+    with pytest.raises(ValueError):
+        fast.set_ok(65, [0] * 65, [0] * 65 * 65, 0, pure.MV)
+
+
+def test_forced_backend_env(fast_backend, monkeypatch):
     monkeypatch.setenv("GPVIS_KERNEL", "pure")
     assert get_kernel(8) is pure
     monkeypatch.setenv("GPVIS_KERNEL", "fast")
-    assert get_kernel(8) is fast
+    assert get_kernel(8) is fast_backend
     monkeypatch.setenv("GPVIS_KERNEL", "nonsense")
     with pytest.raises(ValueError):
         get_kernel(8)
