@@ -30,8 +30,28 @@ that neither side settles are tested, which makes the filter exact:
   (s, w), (s, x) and (w, x) keep their blocked part on both sides.
 - TOTAL: the pairs whose interval holds both w and x.
 
+A pair (u, v) that S ∪ {w} requires and x must not break (every pair
+above but those with x as an end) is settled for all candidates at once
+by its cut: the interior vertices on every u,v-geodesic that avoids
+S ∪ {w}.  One forward and one backward pass over the geodesic layers
+give the alive vertices of each layer (reached from u and reaching v);
+the cut is the union of the layers with exactly one alive vertex.  This
+is exact: each geodesic meets each layer once, and the pair sees itself
+under S ∪ {w}, so blocking x hides v from u iff x is the only alive
+vertex of its layer.  The cuts are ORed into one mask of forbidden
+candidates, as GP does with pairbad.  Only the pairs with x as an end
+are tested per candidate: (w, x) for MV, and (x, y) for the y whose
+interval holds w.
+
+Each solve keeps a memo on its ``_Ctx``: pair tests and cuts are keyed
+by (u, v, blocked & btw[u][v]) with u < v, since visibility is symmetric
+and depends on nothing else.  The memo lives as long as the context.
+A pair test whose blocked part settles it at sight (all of the interval:
+hidden; none of it, or not all of it at distance 2: seen) is neither
+run nor stored, so small solves do not pay for the memo.
+
 The one-vertex ``extend_ok`` (greedy seed, roots, public one-shot) uses
-the same interval rule from one side only.
+the same interval rule from one side only, with neither cuts nor memo.
 
 Twin classes.  Vertices with equal ``adj`` rows (false twins: every v
 and its copy v' in a double graph) form a class, ordered along the
@@ -89,6 +109,41 @@ def _pv_balls(n, adj, dist, balls, u, v, blocked):
         if not reach:
             return False
     return bool(reach & adj[v])
+
+
+def _pv_cut(n, adj, dist, balls, u, v, blocked):
+    """The interior vertices on every u,v-geodesic that avoids ``blocked``
+    (endpoints exempt): the vertices whose blocking would hide v from u.
+    u and v must see each other."""
+    duv = dist[u * n + v]
+    if duv <= 1:
+        return 0
+    blk = blocked & ~(1 << u) & ~(1 << v)
+    bu, bv = balls[u], balls[v]
+    layers = []
+    reach = 1 << u
+    for t in range(1, duv):
+        acc = 0
+        r = reach
+        while r:
+            low = r & -r
+            acc |= adj[low.bit_length() - 1]
+            r ^= low
+        reach = acc & bu[t] & bv[duv - t] & ~blk
+        layers.append(reach)
+    cut = 0
+    back = 1 << v
+    for reach in reversed(layers):
+        acc = 0
+        r = back
+        while r:
+            low = r & -r
+            acc |= adj[low.bit_length() - 1]
+            r ^= low
+        back = acc & reach
+        if not back & (back - 1):
+            cut |= back
+    return cut
 
 
 def pair_visible(n, adj, dist, u, v, blocked):
@@ -200,6 +255,10 @@ class _Ctx:
         self.balls = _all_balls(n, key) if kind != GP else None
         self.btw = _between_masks(n, key) if kind != GP else None
         self.pairbad = _gp_pairbad(n, key) if kind == GP else None
+        # the search's memo (see the module notes): pair tests and cuts by
+        # (u, v, blocked & btw[u][v]) with u < v
+        self.seen = {}
+        self.cuts = {}
 
     def extend_ok(self, smask, w):
         """Does smask ∪ {w} keep the property, given smask already has it?"""
@@ -283,7 +342,7 @@ class _Ctx:
         members = list(_bits(smask))
         # watch: pairs that smask ∪ {x} does not settle, re-checked when
         # x lies in their interval.  partners: the y for which (x, y) is
-        # re-checked when w lies in its interval.
+        # re-checked, when w lies in its interval or y is w.
         if kind == MV:
             watch = [(s, w, bw[s]) for s in members]
             watch += [
@@ -292,7 +351,7 @@ class _Ctx:
                 for t in members[i + 1 :]
                 if btw[s][t] & wbit
             ]
-            partners = members
+            partners = [w] + members
         elif kind == OUTER:
             partners = [z for z in range(n) if not new >> z & 1]
             watch = [(w, z, bw[z]) for z in partners]
@@ -312,22 +371,48 @@ class _Ctx:
             partners = ()
         else:
             raise ValueError(f"unknown property kind code {kind}")
+        # A watched pair sees itself under smask ∪ {w}, so x breaks it
+        # exactly when x is in its cut: one cut per pair instead of one
+        # test per candidate.
+        cmask = 0
+        for x in cands:
+            cmask |= 1 << x
+        forbid = 0
+        cuts = self.cuts
+        for u, v, m in watch:
+            if m & cmask & ~forbid:
+                if u > v:
+                    u, v = v, u
+                key = (u, v, new & m)
+                cut = cuts.get(key)
+                if cut is None:
+                    cut = cuts[key] = _pv_cut(n, adj, dist, balls, u, v, new)
+                forbid |= cut
+        seen = self.seen
         out = []
         for x in cands:
-            xbit = 1 << x
-            blocked = new | xbit
-            if kind == MV and not _pv_balls(n, adj, dist, balls, w, x, blocked):
+            if forbid >> x & 1:
                 continue
+            blocked = new | 1 << x
             bx = btw[x]
             for y in partners:
-                if bx[y] & wbit and not _pv_balls(n, adj, dist, balls, x, y, blocked):
-                    break
-            else:
-                for u, v, m in watch:
-                    if m & xbit and not _pv_balls(n, adj, dist, balls, u, v, blocked):
+                m = bx[y]
+                if m & wbit or y == w and m:
+                    # b: the blocked part of the interval; a wholly blocked
+                    # interval hides the pair, and an unblocked one, or a
+                    # free middle vertex at distance 2, shows it
+                    b = blocked & m
+                    if b == m:
                         break
-                else:
-                    out.append(x)
+                    if b and dist[x * n + y] > 2:
+                        key = (x, y, b) if x < y else (y, x, b)
+                        ok = seen.get(key)
+                        if ok is None:
+                            ok = seen[key] = _pv_balls(n, adj, dist, balls, x, y, blocked)
+                        if not ok:
+                            break
+            else:
+                out.append(x)
         return out
 
 

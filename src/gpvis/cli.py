@@ -26,7 +26,10 @@ def _parse_set(g, text: str) -> VertexSet:
     labels = [tok for tok in text.split(",") if tok.strip()]
     if not labels:
         raise ValueError("empty vertex set argument")
-    return VertexSet.of(g.n, [g.index(tok) for tok in labels])
+    vertices = [g.index(tok) for tok in labels]
+    if len(set(vertices)) < len(vertices):
+        raise ValueError(f"vertex set names a vertex twice: {text}")
+    return VertexSet.of(g.n, vertices)
 
 
 def _format_set(g, s: VertexSet) -> str:

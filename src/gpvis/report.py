@@ -28,7 +28,7 @@ from .families import (
     wheel_graph,
 )
 from .graphs import Graph, VertexSet, all_pairs_distances, build_graph
-from .solver import enumerate_maximum_sets, max_property_set
+from .solver import check_time_limit, enumerate_maximum_sets, max_property_set
 from .visibility import (
     PropertyKind,
     is_general_position_set,
@@ -534,6 +534,7 @@ def run_verification_suite(
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r} (use one of {', '.join(SCOPES)})")
+    check_time_limit(time_limit)
     suite = _Suite(scope, seed, max_n, time_limit, stream)
     start = time.perf_counter()
     if scope in ("all", "double"):

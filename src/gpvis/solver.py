@@ -13,6 +13,7 @@ default mode is single-worker.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -48,6 +49,12 @@ class InvariantResult:
         return self.status == STATUS_EXACT
 
 
+def check_time_limit(time_limit: float | None) -> None:
+    """Reject a time limit that is not None or a finite number above 0."""
+    if time_limit is not None and not (time_limit > 0 and math.isfinite(time_limit)):
+        raise ValueError(f"time limit must be a finite number of seconds above 0, got {time_limit}")
+
+
 def max_property_set(
     g: Graph,
     kind: PropertyKind,
@@ -59,8 +66,13 @@ def max_property_set(
 
     With ``target`` the search may stop at the first verified set of at
     least that size and report a lower bound; a hit ``time_limit`` (in
-    seconds) likewise downgrades the result to a lower bound.
+    seconds) likewise downgrades the result to a lower bound.  A target
+    below 1 or a time limit that is not a finite number above 0 is
+    rejected.
     """
+    if target is not None and target < 1:
+        raise ValueError(f"target must be at least 1, got {target}")
+    check_time_limit(time_limit)
     if g.n > HARD_CAP:
         raise ValueError(f"order {g.n} exceeds the solver cap of {HARD_CAP}")
     d = all_pairs_distances(g)

@@ -1,5 +1,5 @@
-"""The pure kernel's search: the per-child candidate filter, the
-twin-class prefix rule and pinned search trees.  Pure kernel only, so
+"""The pure kernel's search: the per-child candidate filter, its cuts and
+memo, the twin-class prefix rule and pinned search trees.  Pure kernel only, so
 these never skip."""
 
 from __future__ import annotations
@@ -103,6 +103,60 @@ def test_filter_equals_one_candidate_at_a_time():
     for kind, branches in BRANCHES.items():
         assert branches <= set(sole_causes[kind]), (kind, sole_causes[kind])
     assert sole_causes[pure.GP]["triple"] > 0
+
+
+def test_cut_equals_its_definition():
+    """The cut of a visible pair is the set of interior vertices whose
+    blocking hides the pair."""
+    rng = random.Random(7)
+    far = near = 0
+    for g in graphs_under_test():
+        dist = all_pairs_distances(g).data
+        balls = pure._all_balls(g.n, tuple(dist))
+        btw = pure._between_masks(g.n, tuple(dist))
+        for _ in range(60):
+            u, v = rng.sample(range(g.n), 2)
+            blocked = rng.getrandbits(g.n) & rng.getrandbits(g.n)
+            if not pure.pair_visible(g.n, g.adj, dist, u, v, blocked):
+                continue
+            want = 0
+            for x in range(g.n):
+                if btw[u][v] >> x & 1 and not blocked >> x & 1:
+                    if not pure.pair_visible(g.n, g.adj, dist, u, v, blocked | 1 << x):
+                        want |= 1 << x
+            assert pure._pv_cut(g.n, g.adj, dist, balls, u, v, blocked) == want, (g.adj, u, v)
+            near += dist[u * g.n + v] <= 1
+            far += dist[u * g.n + v] >= 3
+    assert near > 0 and far > 0, (near, far)
+
+
+def test_warm_memo_matches_a_fresh_context():
+    """One context answers many unrelated search states with its memo
+    filling up; each answer equals a fresh context's and set_ok's.  Each
+    state also comes with one member of S dropped (still a search state,
+    as the properties are hereditary): same w and candidates, another
+    blocked set."""
+    rng = random.Random(1234)
+    filled = 0
+    for g in graphs_under_test():
+        dist = all_pairs_distances(g).data
+        for kind in (pure.MV, pure.OUTER, pure.TOTAL):
+            warm = pure._Ctx(g.n, g.adj, dist, kind)
+            states = []
+            for smask, w, cands in search_states(g, dist, kind, rng, 30):
+                states.append((smask, w, cands))
+                if smask:
+                    drop = rng.choice([s for s in range(g.n) if smask >> s & 1])
+                    states.append((smask & ~(1 << drop), w, cands))
+            for smask, w, cands in states + rng.sample(states, len(states)):
+                new = smask | 1 << w
+                got = warm.extensions(smask, w, cands)
+                assert got == pure._Ctx(g.n, g.adj, dist, kind).extensions(smask, w, cands)
+                assert got == [
+                    x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)
+                ], (g.adj, kind, smask, w)
+            filled += len(warm.seen) + len(warm.cuts)
+    assert filled > 0
 
 
 def digest(masks):

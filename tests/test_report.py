@@ -207,6 +207,23 @@ def test_cli_error_handling(capsys):
     assert rc == 2
 
 
+def test_cli_rejects_meaningless_limits(capsys):
+    for flags in (["--target", "-1"], ["--time-limit", "-5"], ["--time-limit", "nan"]):
+        rc = main(["invariant", "myc(cycle:12)", "--kind", "mv", *flags])
+        assert rc == 2, flags
+        assert capsys.readouterr().err.startswith("error:")
+    assert main(["verify-paper", "--scope", "double", "--time-limit", "-5"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_check_set_rejects_duplicate_labels(capsys):
+    rc = main(["check-set", "cycle:6", "--kind", "mv", "--set", "v1,v1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "twice" in captured.err
+
+
 def test_cli_file_round_trip(tmp_path, capsys):
     assert main(["gen", "cycle:5"]) == 0
     text = capsys.readouterr().out

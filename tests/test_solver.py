@@ -115,6 +115,27 @@ def test_generous_time_limit_stays_exact():
     assert res.value == 7
 
 
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"target": -1},
+        {"target": 0},
+        {"time_limit": -5.0},
+        {"time_limit": 0.0},
+        {"time_limit": float("nan")},
+        {"time_limit": float("inf")},
+    ],
+    ids=["target-1", "target0", "time-5", "time0", "time_nan", "time_inf"],
+)
+def test_meaningless_limits_are_rejected(limits):
+    # Rejected before any search: a target below 1 is met by any set, a
+    # time limit of 0 or below is either no limit or no time, NaN never
+    # stops and infinity is no limit.
+    g = parse_graph_spec("myc(cycle:12)")
+    with pytest.raises(ValueError):
+        max_property_set(g, PropertyKind.MV, **limits)
+
+
 def test_greedy_lower_bound_verified_and_bounded(small_corpus, small_corpus_dists):
     for g, d in zip(small_corpus, small_corpus_dists):
         for kind in ALL_KINDS:
