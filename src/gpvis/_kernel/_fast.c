@@ -9,8 +9,9 @@
    masks are uint64_t and the tables are flat arrays built per call.
 
    pure._Ctx.extensions filters a child's candidates from two sides at
-   once; here each candidate is tested on its own with extend_ok.  Both
-   keep exactly the candidates x for which S + w + x has the property, so
+   once; here each candidate is tested on its own with extend_ok, whose
+   definition is pure.extend_ok (set_ok of the grown set).  Both keep
+   exactly the candidates x for which S + w + x has the property, so
    both walk the same tree.
 
    setup.py builds this file as gpvis._kernel._fast; without a C compiler
@@ -218,8 +219,8 @@ static int pv(const Ctx *c, int u, int v, u64 blocked)
 }
 
 /* Does smask + w keep the property, given smask already has it?  Only
-   the pairs whose geodesic interval holds w are re-tested
-   (pure._Ctx.extend_ok). */
+   the pairs whose geodesic interval holds w are re-tested; the answer
+   is its definition, pure.extend_ok: set_ok of smask + w. */
 static int extend_ok(const Ctx *c, int kind, u64 smask, int w)
 {
     int n = c->n, x, y, z;

@@ -50,8 +50,12 @@ A pair test whose blocked part settles it at sight (all of the interval:
 hidden; none of it, or not all of it at distance 2: seen) is neither
 run nor stored, so small solves do not pay for the memo.
 
-The one-vertex ``extend_ok`` (greedy seed, roots, public one-shot) uses
-the same interval rule from one side only, with neither cuts nor memo.
+This filter is the kernel's only one.  The greedy seed is the search
+tree's leftmost path: it takes the first candidate and filters the rest
+against it, and heredity makes that the plain sweep, since a candidate
+dropped once fails every superset.  The roots are the w for which {w}
+has the property: every vertex, but for TOTAL the union of the pair
+cuts under the empty set.
 
 Twin classes.  Vertices with equal ``adj`` rows (false twins: every v
 and its copy v' in a double graph) form a class, ordered along the
@@ -247,6 +251,8 @@ class _Ctx:
     """Precomputed tables shared by one solve/enumerate run."""
 
     def __init__(self, n, adj, dist, kind):
+        if kind not in (MV, OUTER, TOTAL, GP):
+            raise ValueError(f"unknown property kind code {kind}")
         self.n = n
         self.adj = adj
         self.dist = dist
@@ -260,64 +266,17 @@ class _Ctx:
         self.seen = {}
         self.cuts = {}
 
-    def extend_ok(self, smask, w):
-        """Does smask ∪ {w} keep the property, given smask already has it?"""
-        kind = self.kind
-        if kind == GP:
-            bad = self.pairbad[w]
-            for x in _bits(smask):
-                if bad[x] & smask & ~(1 << x):
-                    return False
-            return True
-        n, adj, dist = self.n, self.adj, self.dist
-        balls, btw = self.balls, self.btw
-        new = smask | 1 << w
-        wbit = 1 << w
-        if kind == MV:
-            for x in _bits(smask):
-                if not _pv_balls(n, adj, dist, balls, x, w, new):
-                    return False
-            members = list(_bits(smask))
-            for i, x in enumerate(members):
-                bx = btw[x]
-                for y in members[i + 1 :]:
-                    if bx[y] & wbit and not _pv_balls(n, adj, dist, balls, x, y, new):
-                        return False
-            return True
-        if kind == OUTER:
-            for z in range(n):
-                if z != w and not new >> z & 1:
-                    if not _pv_balls(n, adj, dist, balls, w, z, new):
-                        return False
-            # re-check every pair with an endpoint in smask that w can block;
-            # pairs (x, w) keep their blocked set unchanged and are skipped
-            for x in _bits(smask):
-                bx = btw[x]
-                for y in range(x + 1, n):
-                    if y == w:
-                        continue
-                    if bx[y] & wbit and not _pv_balls(n, adj, dist, balls, x, y, new):
-                        return False
-            for y in _bits(smask):
-                by = btw[y]
-                for x in range(0, y):
-                    if x == w or smask >> x & 1:
-                        continue
-                    if by[x] & wbit and not _pv_balls(n, adj, dist, balls, x, y, new):
-                        return False
-            return True
-        if kind == TOTAL:
-            for x in range(n):
-                if x == w:
-                    continue
-                bx = btw[x]
-                for y in range(x + 1, n):
-                    if y == w:
-                        continue
-                    if bx[y] & wbit and not _pv_balls(n, adj, dist, balls, x, y, new):
-                        return False
-            return True
-        raise ValueError(f"unknown property kind code {kind}")
+    def roots(self, order):
+        """The w in ``order`` for which {w} has the property: all of them,
+        but for TOTAL those that lie on every geodesic of some pair."""
+        if self.kind != TOTAL:
+            return list(order)
+        n, adj, dist, balls = self.n, self.adj, self.dist, self.balls
+        forbid = 0
+        for u in range(n):
+            for v in range(u + 1, n):
+                forbid |= _pv_cut(n, adj, dist, balls, u, v, 0)
+        return [w for w in order if not forbid >> w & 1]
 
     def extensions(self, smask, w, cands):
         """The x in ``cands`` for which smask ∪ {w, x} keeps the property,
@@ -361,7 +320,7 @@ class _Ctx:
                 for y in members[i + 1 :] + partners
                 if btw[s][y] & wbit
             ]
-        elif kind == TOTAL:
+        else:  # TOTAL
             watch = [
                 (u, v, m)
                 for u in range(n)
@@ -369,8 +328,6 @@ class _Ctx:
                 if v > u and m & wbit
             ]
             partners = ()
-        else:
-            raise ValueError(f"unknown property kind code {kind}")
         # A watched pair sees itself under smask ∪ {w}, so x breaks it
         # exactly when x is in its cut: one cut per pair instead of one
         # test per candidate.
@@ -417,8 +374,8 @@ class _Ctx:
 
 
 def extend_ok(n, adj, dist, smask, w, kind):
-    """One-shot extension check; assumes smask already satisfies the kind."""
-    return _Ctx(n, adj, dist, kind).extend_ok(smask, w)
+    """One-shot extension check: does smask ∪ {w} have the property?"""
+    return set_ok(n, adj, dist, smask | 1 << w, kind)
 
 
 def _default_order(n, adj):
@@ -426,12 +383,15 @@ def _default_order(n, adj):
 
 
 def greedy_set(n, adj, dist, kind):
-    """Deterministic greedy sweep: descending degree, ties by index."""
+    """Deterministic greedy sweep: descending degree, ties by index.  It
+    walks the leftmost path of the search tree (see the module notes)."""
     ctx = _Ctx(n, adj, dist, kind)
     smask = 0
-    for w in _default_order(n, adj):
-        if ctx.extend_ok(smask, w):
-            smask |= 1 << w
+    cands = ctx.roots(_default_order(n, adj))
+    while cands:
+        w = cands[0]
+        cands = ctx.extensions(smask, w, cands[1:])
+        smask |= 1 << w
     return smask
 
 
@@ -516,9 +476,8 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0):
     search.best_mask = seed
     if target and search.best >= target:
         return search.best, search.best_mask, 0, 1
-    roots = [w for w in order if ctx.extend_ok(0, w)]
     try:
-        search.run(0, 0, roots)
+        search.run(0, 0, ctx.roots(order))
     except _Found:
         return search.best, search.best_mask, search.nodes, 1
     except _TimeUp:
@@ -546,6 +505,5 @@ def enumerate_exact(n, adj, dist, kind, size):
                 if cur + 1 + len(rest) >= size:
                     rec(new, cur + 1, rest)
 
-    roots = [w for w in order if ctx.extend_ok(0, w)]
-    rec(0, 0, roots)
+    rec(0, 0, ctx.roots(order))
     return out

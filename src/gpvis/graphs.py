@@ -136,12 +136,17 @@ class VertexSet:
     n: int
     mask: int = 0
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.mask < 1 << self.n:
+            raise ValueError(
+                f"vertex set mask {self.mask:#x} names a vertex outside 0..{self.n - 1}"
+            )
+
     @staticmethod
     def of(n: int, vertices: Iterable[int]) -> "VertexSet":
         m = 0
         for v in vertices:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range for order {n}")
+            require_vertices(n, v)
             m |= 1 << v
         return VertexSet(n, m)
 
@@ -158,8 +163,7 @@ class VertexSet:
         return tuple(self)
 
     def with_vertex(self, v: int) -> "VertexSet":
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for order {self.n}")
+        require_vertices(self.n, v)
         return VertexSet(self.n, self.mask | 1 << v)
 
     def without_vertex(self, v: int) -> "VertexSet":
@@ -269,6 +273,13 @@ def require_connected(d: DistanceMatrix) -> None:
         raise ValueError("operation requires a connected graph")
 
 
+def require_vertices(n: int, *vertices: int) -> None:
+    """Reject any vertex outside 0..n-1."""
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for order {n}")
+
+
 def require_own_distances(g: Graph, d: DistanceMatrix) -> None:
     """Reject a matrix that is not the graph's own: the kept matrix passes
     on identity alone, any other must equal it value for value."""
@@ -278,6 +289,7 @@ def require_own_distances(g: Graph, d: DistanceMatrix) -> None:
 
 def lies_between(d: DistanceMatrix, x: int, u: int, v: int) -> bool:
     """True iff x is on some u,v-geodesic; endpoints qualify trivially."""
+    require_vertices(d.n, x, u, v)
     dux, dxv, duv = d.d(u, x), d.d(x, v), d.d(u, v)
     if UNREACHABLE in (dux, dxv, duv):
         raise ValueError("lies_between requires a connected graph")
@@ -295,8 +307,11 @@ def exists_avoiding_geodesic(
     """
     require_own_distances(g, d)
     require_connected(d)
+    require_vertices(g.n, u, v)
     if u == v:
         raise ValueError("visibility is defined for distinct vertices")
+    if blocked.n != g.n:
+        raise ValueError("vertex set does not match the graph order")
     kernel = get_kernel(g.n)
     return kernel.pair_visible(g.n, g.adj, d.data, u, v, blocked.mask)
 

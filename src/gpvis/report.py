@@ -535,6 +535,8 @@ def run_verification_suite(
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r} (use one of {', '.join(SCOPES)})")
     check_time_limit(time_limit)
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max order must be at least 1, got {max_n}")
     suite = _Suite(scope, seed, max_n, time_limit, stream)
     start = time.perf_counter()
     if scope in ("all", "double"):

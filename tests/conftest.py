@@ -36,12 +36,13 @@ def pytest_report_header(config):
 def fast_kernel(tmp_path_factory):
     """The compiled kernel, built from ``_fast.c`` with the system C
     compiler into a temporary directory (never into ``src/``) and imported
-    from there.  Skips only when there is no C compiler."""
+    from there.  Warnings fail the build.  Skips only when there is no C
+    compiler."""
     cmd = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
     if shutil.which(cmd[0]) is None:
         pytest.skip(f"no C compiler ({cmd[0]!r} not found) to build _fast.c")
     out = tmp_path_factory.mktemp("fast") / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
-    cmd += ["-O2", "-fPIC", "-I", sysconfig.get_paths()["include"], str(KERNEL_C), "-o", str(out)]
+    cmd += ["-O2", "-Wall", "-Werror", "-fPIC", "-I", sysconfig.get_paths()["include"], str(KERNEL_C), "-o", str(out)]
     built = subprocess.run(cmd, capture_output=True, text=True)
     if built.returncode:
         pytest.fail(f"building _fast.c failed:\n{built.stderr}")

@@ -149,6 +149,9 @@ def test_lies_between_on_path():
     assert lies_between(d, 2, 0, 4)
     assert lies_between(d, 0, 0, 4)  # endpoints count
     assert not lies_between(d, 3, 0, 2)
+    for x, u, v in ((-1, 0, 3), (5, 0, 3), (1, -1, 3), (1, 0, 5)):
+        with pytest.raises(ValueError, match="out of range"):
+            lies_between(d, x, u, v)
 
 
 def test_lies_between_matches_geodesic_membership(small_corpus, small_corpus_dists):
@@ -206,6 +209,15 @@ def test_exists_avoiding_geodesic_simple():
     assert not exists_avoiding_geodesic(c4, d, 0, 2, VertexSet.of(4, [1, 3]))
     # Endpoints never block themselves.
     assert exists_avoiding_geodesic(c4, d, 0, 2, VertexSet.of(4, [0, 2]))
+
+
+def test_vertex_set_rejects_a_mask_outside_its_order():
+    # Calling a verifier with such a set used to answer (a bit past n)
+    # or never return (a negative mask).
+    for mask in (1 | 1 << 9, 1 << 6, -1):
+        with pytest.raises(ValueError):
+            VertexSet(6, mask)
+    assert VertexSet(6, (1 << 6) - 1).members() == (0, 1, 2, 3, 4, 5)
 
 
 def test_edge_list_round_trip():

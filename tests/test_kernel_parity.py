@@ -14,7 +14,7 @@ import time
 import pytest
 
 import gpvis._kernel as kernels
-from gpvis import all_pairs_distances, parse_graph_spec
+from gpvis import VertexSet, all_pairs_distances, exists_avoiding_geodesic, parse_graph_spec
 from gpvis._kernel import backend_name, get_kernel, pure
 from gpvis.report import corpus_graphs
 
@@ -231,6 +231,23 @@ def test_compiled_kernel_rejects_bad_inputs(fast):
         fast.set_ok(g.n, g.adj, d[:-1], 0, pure.MV)
     with pytest.raises(ValueError):
         fast.set_ok(65, [0] * 65, [0] * 65 * 65, 0, pure.MV)
+
+
+@pytest.mark.parametrize("backend", ["pure", "fast"])
+def test_geodesic_queries_reject_bad_inputs(request, monkeypatch, backend):
+    """One ValueError on either backend for a blocked set of another order
+    or an endpoint outside the graph."""
+    if backend == "fast":
+        request.getfixturevalue("fast_backend")
+    monkeypatch.setenv("GPVIS_KERNEL", backend)
+    g = parse_graph_spec("cycle:6")
+    d = all_pairs_distances(g)
+    none = VertexSet(6, 0)
+    with pytest.raises(ValueError, match="order"):
+        exists_avoiding_geodesic(g, d, 0, 3, VertexSet.of(4, [1, 3]))
+    for u, v in ((0, 6), (-1, 3), (6, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            exists_avoiding_geodesic(g, d, u, v, none)
 
 
 def test_forced_backend_env(fast_backend, monkeypatch):

@@ -87,11 +87,8 @@ def test_filter_equals_one_candidate_at_a_time():
             ctx = pure._Ctx(g.n, g.adj, dist, kind)
             for smask, w, cands in search_states(g, dist, kind, rng, 12):
                 new = smask | 1 << w
-                want = [x for x in cands if ctx.extend_ok(new, x)]
+                want = [x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)]
                 assert ctx.extensions(smask, w, cands) == want, (g.adj, kind, smask, w)
-                assert want == [
-                    x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)
-                ]
                 for x in set(cands) - set(want):
                     if kind == pure.GP:
                         sole_causes[kind]["triple"] += 1
@@ -103,6 +100,27 @@ def test_filter_equals_one_candidate_at_a_time():
     for kind, branches in BRANCHES.items():
         assert branches <= set(sole_causes[kind]), (kind, sole_causes[kind])
     assert sole_causes[pure.GP]["triple"] > 0
+
+
+def test_greedy_and_roots_equal_one_vertex_sweeps():
+    """The greedy seed walks the filter's leftmost path; it equals the
+    sweep that adds each vertex of the default order when the set stays
+    good.  The roots are the vertices that are good sets on their own."""
+    non_roots = Counter()
+    for g in graphs_under_test() + [parse_graph_spec("path:6")]:
+        dist = all_pairs_distances(g).data
+        order = pure._default_order(g.n, g.adj)
+        for kind in KINDS:
+            sweep = 0
+            for w in order:
+                if pure.set_ok(g.n, g.adj, dist, sweep | 1 << w, kind):
+                    sweep |= 1 << w
+            assert pure.greedy_set(g.n, g.adj, dist, kind) == sweep, (g.adj, kind)
+            roots = pure._Ctx(g.n, g.adj, dist, kind).roots(order)
+            assert roots == [w for w in order if pure.set_ok(g.n, g.adj, dist, 1 << w, kind)]
+            non_roots[kind] += g.n - len(roots)
+    assert non_roots[pure.TOTAL] > 0
+    assert non_roots[pure.MV] == non_roots[pure.OUTER] == non_roots[pure.GP] == 0
 
 
 def test_cut_equals_its_definition():

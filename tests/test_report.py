@@ -118,6 +118,13 @@ def test_max_n_skips_large_graphs():
     assert any("mu_D_C7" in s for s in report.skipped)
 
 
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_max_n_below_one_rejected(max_n):
+    # It would skip every value check, the known red included.
+    with pytest.raises(ValueError):
+        run_verification_suite("all", max_n=max_n)
+
+
 def test_suite_deterministic():
     a = run_verification_suite("bounds", seed=DEFAULT_CORPUS_SEED)
     b = run_verification_suite("bounds", seed=DEFAULT_CORPUS_SEED)
@@ -214,6 +221,9 @@ def test_cli_rejects_meaningless_limits(capsys):
         assert capsys.readouterr().err.startswith("error:")
     assert main(["verify-paper", "--scope", "double", "--time-limit", "-5"]) == 2
     assert capsys.readouterr().out == ""
+    assert main(["verify-paper", "--max-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_cli_check_set_rejects_duplicate_labels(capsys):
