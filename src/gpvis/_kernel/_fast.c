@@ -2,11 +2,13 @@
 
    Written by hand against the CPython C API.  Every algorithm here
    mirrors gpvis/_kernel/pure.py, which is the semantic reference: the
-   same geodesic-layer visibility test, the same greedy sweep and the
-   same branch-and-bound with the twin-class prefix rule.  So the two
-   kernels return the same value, witness mask, node count and status,
-   and the parity tests hold them to it.  Only the data layout differs:
-   masks are uint64_t and the tables are flat arrays built per call.
+   same geodesic-layer visibility test, the same set check (one sweep of
+   the distance layers per source answers every pair of that source),
+   the same greedy sweep and the same branch-and-bound with the
+   twin-class prefix rule.  So the two kernels return the same value,
+   witness mask, node count and status, and the parity tests hold them
+   to it.  Only the data layout differs: masks are uint64_t and the
+   tables are flat arrays built per call.
 
    pure._Ctx.extensions filters a child's candidates from two sides at
    once; here each candidate is tested on its own with extend_ok, whose
@@ -276,11 +278,18 @@ static int extend_ok(const Ctx *c, int kind, u64 smask, int w)
     return 1;
 }
 
-/* Full from-scratch verification of mask for the kind (pure.set_ok). */
+/* Full from-scratch verification of mask for the kind (pure.set_ok): one
+   sweep of the distance layers per source u checks every required pair
+   (u, v) with v > u.  reach holds the layer's vertices that some
+   u-geodesic reaches with no member of mask inside it, so u sees v
+   exactly when v is in reach at layer d(u, v); only reached vertices
+   outside mask carry the walk on. */
 static int set_ok(const Ctx *c, int kind, u64 mask)
 {
-    int n = c->n, u, v;
-    u64 r, r2, r3;
+    int n = c->n, u, t;
+    u64 full = n == MAXN ? ~(u64)0 : BIT(n) - 1, outside = full & ~mask;
+    u64 r, r2, r3, want, front, acc, reach;
+    const u64 *bu;
 
     if (kind == GP) {
         for (r = mask; r; r &= r - 1)
@@ -290,22 +299,23 @@ static int set_ok(const Ctx *c, int kind, u64 mask)
                         return 0;
         return 1;
     }
-    if (kind == TOTAL) {
-        for (u = 0; u < n; u++)
-            for (v = u + 1; v < n; v++)
-                if (!pv(c, u, v, mask))
-                    return 0;
-        return 1;
-    }
-    for (r = mask; r; r &= r - 1) {
+    for (r = kind == TOTAL ? full : mask; r; r &= r - 1) {
         u = lowbit(r);
-        for (r2 = r & (r - 1); r2; r2 &= r2 - 1)
-            if (!pv(c, u, lowbit(r2), mask))
-                return 0;
+        /* the vertices above u: members for MV, all for OUTER and TOTAL */
+        want = (kind == MV ? mask : full) & (~(u64)0 << u << 1);
         if (kind == OUTER)
-            for (v = 0; v < n; v++)
-                if (!(mask & BIT(v)) && !pv(c, u, v, mask))
-                    return 0;
+            want |= outside;
+        bu = c->balls + u * c->stride;
+        front = BIT(u);
+        for (t = 1; t < c->stride && want; t++) {
+            for (acc = 0, r2 = front; r2; r2 &= r2 - 1)
+                acc |= c->adj[lowbit(r2)];
+            reach = acc & bu[t];
+            if (want & bu[t] & ~reach)
+                return 0;
+            want &= ~bu[t];
+            front = reach & outside;
+        }
     }
     return 1;
 }

@@ -5,6 +5,23 @@ agree on every output.  Graphs arrive as plain data: ``adj`` is a sequence
 of per-vertex neighbor bitmasks, ``dist`` a flat n*n distance table.
 Property kinds are the integer codes MV, OUTER, TOTAL, GP below.
 
+Set checks.  ``set_ok`` checks MV, OUTER and TOTAL with one sweep of the
+distance layers per source u: each member of S, or every vertex for
+TOTAL.  The sweep keeps reach, the vertices at distance t that some
+u-geodesic reaches with no member of S strictly inside it; only u and
+the reached vertices outside S carry the walk to layer t + 1.  By
+induction on t, u sees v exactly when v is in reach at layer d(u, v), so
+one sweep answers every pair of u at once.  Visibility is symmetric, so
+the sweep from u wants only the vertices above u that the kind pairs
+with it: the members of S for MV, every vertex for OUTER and TOTAL;
+OUTER also wants the vertices outside S below u.  The sweep checks each
+wanted vertex at its own layer and stops once none lies further out.
+A vertex in another component lies in no layer and is not checked, as
+``_pv_balls`` counts such a pair as seen.  Each vertex is expanded at
+most once per source, so a check costs O(|S|·n) row ORs (O(n²) for
+TOTAL) where a walk per pair cost O(|S|²) or O(n²) walks.  GP needs no
+walk: its triples are read from the distances.
+
 Search notes.  All four properties are hereditary (every subset of a good
 set is good), so the solver explores subsets along a fixed vertex order,
 keeps at each node only the candidates that extend the current set, and
@@ -217,7 +234,9 @@ def _gp_pairbad(n, dist):
 
 
 def set_ok(n, adj, dist, mask, kind):
-    """Full from-scratch verification of ``mask`` for the given kind."""
+    """Full from-scratch verification of ``mask`` for the given kind
+    (one layer sweep per source for MV, OUTER and TOTAL; see the module
+    notes)."""
     members = list(_bits(mask))
     if kind == GP:
         for i, u in enumerate(members):
@@ -233,18 +252,38 @@ def set_ok(n, adj, dist, mask, kind):
                     if dux + dxv == duv or duv + dxv == dux or dux + duv == dxv:
                         return False
         return True
-    balls = _all_balls(n, tuple(dist))
+    full = (1 << n) - 1
     if kind == MV:
-        pairs = [(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
+        sources, wanted = members, mask
     elif kind == OUTER:
-        pairs = [(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
-        outside = [x for x in range(n) if not mask >> x & 1]
-        pairs += [(u, z) for u in members for z in outside]
+        sources, wanted = members, full
     elif kind == TOTAL:
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        sources, wanted = range(n), full
     else:
         raise ValueError(f"unknown property kind code {kind}")
-    return all(_pv_balls(n, adj, dist, balls, u, v, mask) for u, v in pairs)
+    outside = full & ~mask
+    balls = _all_balls(n, tuple(dist))
+    for u in sources:
+        want = wanted & ~((2 << u) - 1)
+        if kind == OUTER:
+            want |= outside
+        bu = balls[u]
+        front = 1 << u
+        for t in range(1, len(bu)):
+            if not want:
+                break
+            acc = 0
+            while front:
+                low = front & -front
+                acc |= adj[low.bit_length() - 1]
+                front ^= low
+            layer = bu[t]
+            reach = acc & layer
+            if want & layer & ~reach:
+                return False
+            want &= ~layer
+            front = reach & outside
+    return True
 
 
 class _Ctx:

@@ -56,12 +56,16 @@ def apex_role() -> Role:
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with bitmask adjacency rows and vertex roles.
-    ``_distances`` keeps the graph's matrix once it is computed."""
+    ``_distances`` keeps the graph's matrix once it is computed, and
+    ``_indices`` the vertex of each (kind, ref) role once a label is looked up."""
 
     n: int
     adj: tuple[int, ...]
     roles: tuple[Role, ...]
     _distances: DistanceMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    _indices: dict[tuple[str, int], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
@@ -93,7 +97,7 @@ class Graph:
         if not text:
             raise ValueError("empty vertex label")
         if text in ("v*", "V*", "*"):
-            want = Role(APEX, 0)
+            want = (APEX, 0)
         else:
             body = text[1:] if text[0] in "vV" else text
             prime = body.endswith("'")
@@ -104,11 +108,16 @@ class Graph:
             k = int(body)
             if k < 1:
                 raise ValueError(f"vertex labels are 1-based: {label!r}")
-            want = Role(COPY if prime else BASE, k - 1)
-        for i, role in enumerate(self.roles):
-            if role == want:
-                return i
-        raise ValueError(f"no vertex labelled {label!r} in this graph")
+            want = (COPY if prime else BASE, k - 1)
+        if self._indices is None:
+            indices = {}
+            for i, role in enumerate(self.roles):
+                indices.setdefault((role.kind, role.ref), i)
+            object.__setattr__(self, "_indices", indices)
+        i = self._indices.get(want)
+        if i is None:
+            raise ValueError(f"no vertex labelled {label!r} in this graph")
+        return i
 
     def is_complete(self) -> bool:
         full = (1 << self.n) - 1
@@ -280,6 +289,12 @@ def require_vertices(n: int, *vertices: int) -> None:
             raise ValueError(f"vertex {v} out of range for order {n}")
 
 
+def require_order(g: Graph, s: VertexSet) -> None:
+    """Reject a vertex set made for a graph of another order."""
+    if s.n != g.n:
+        raise ValueError("vertex set does not match the graph order")
+
+
 def require_own_distances(g: Graph, d: DistanceMatrix) -> None:
     """Reject a matrix that is not the graph's own: the kept matrix passes
     on identity alone, any other must equal it value for value."""
@@ -310,8 +325,7 @@ def exists_avoiding_geodesic(
     require_vertices(g.n, u, v)
     if u == v:
         raise ValueError("visibility is defined for distinct vertices")
-    if blocked.n != g.n:
-        raise ValueError("vertex set does not match the graph order")
+    require_order(g, blocked)
     kernel = get_kernel(g.n)
     return kernel.pair_visible(g.n, g.adj, d.data, u, v, blocked.mask)
 

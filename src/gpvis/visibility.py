@@ -21,7 +21,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._kernel import get_kernel, pure
-from .graphs import DistanceMatrix, Graph, VertexSet, require_connected, require_own_distances
+from .graphs import (
+    DistanceMatrix,
+    Graph,
+    VertexSet,
+    require_connected,
+    require_order,
+    require_own_distances,
+    require_vertices,
+)
 
 
 class PropertyKind(Enum):
@@ -57,8 +65,7 @@ def is_property_set(
     """Full verification of ``s`` for ``kind`` on a connected graph."""
     require_own_distances(g, d)
     require_connected(d)
-    if s.n != g.n:
-        raise ValueError("vertex set does not match the graph order")
+    require_order(g, s)
     kernel = get_kernel(g.n)
     return kernel.set_ok(g.n, g.adj, d.data, s.mask, kind.code)
 
@@ -96,6 +103,7 @@ def is_general_position_set_via_characterization(
     pairwise-distinct block triples)."""
     require_own_distances(g, d)
     require_connected(d)
+    require_order(g, s)
     members = s.members()
     blocks = _induced_components(g, members)
     for block in blocks:
@@ -174,6 +182,8 @@ def find_true_twins(g: Graph) -> list[tuple[int, int]]:
 
 def false_twin_swap(g: Graph, s: VertexSet, u: int, v: int) -> VertexSet:
     """Replace u by its false twin v; preserves MV and GP in both directions."""
+    require_order(g, s)
+    require_vertices(g.n, u, v)
     if g.adj[u] != g.adj[v] or u == v:
         raise ValueError(f"vertices {u} and {v} are not false twins")
     if u not in s:
@@ -185,6 +195,8 @@ def false_twin_swap(g: Graph, s: VertexSet, u: int, v: int) -> VertexSet:
 
 def true_twin_extend(g: Graph, s: VertexSet, u: int, v: int) -> VertexSet:
     """Add the true twin v of a member u; preserves GP but not MV in general."""
+    require_order(g, s)
+    require_vertices(g.n, u, v)
     if u == v or (g.adj[u] | 1 << u) != (g.adj[v] | 1 << v):
         raise ValueError(f"vertices {u} and {v} are not true twins")
     if u not in s:

@@ -68,6 +68,36 @@ def test_default_labels_and_index():
         g.index("v9")
 
 
+def test_labels_round_trip():
+    """index inverts label on every vertex, also at order 64 and when the
+    roles are permuted the way a relabelled graph carries them."""
+    big = parse_graph_spec("double(path:32)")
+    myc = parse_graph_spec("myc(cycle:7)")
+    perm = list(range(myc.n))
+    random.Random(9).shuffle(perm)
+    roles = [None] * myc.n
+    for v, p in enumerate(perm):
+        roles[p] = myc.roles[v]
+    shuffled = build_graph(myc.n, [(perm[u], perm[v]) for u, v in myc.edges()], roles)
+    assert big.n == 64 and shuffled.roles != myc.roles
+    for g in (big, myc, shuffled):
+        assert [g.index(g.label(v)) for v in range(g.n)] == list(range(g.n))
+    apex = shuffled.roles.index(apex_role())
+    for label in ("v*", "V*", " * "):
+        assert shuffled.index(label) == apex
+    assert big.index("5") == big.index("V5") == 4
+    assert big.index("5'") == big.index("v5'") == 36
+    for label, message in (
+        ("v33", "no vertex labelled 'v33' in this graph"),
+        ("v*", "no vertex labelled 'v\\*' in this graph"),
+        ("", "empty vertex label"),
+        ("v0", "vertex labels are 1-based"),
+        ("vx", "bad vertex label"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            big.index(label)
+
+
 def test_operator_roles_and_labels():
     dg = parse_graph_spec("double(path:2)")
     assert [dg.label(i) for i in range(4)] == ["v1", "v2", "v1'", "v2'"]

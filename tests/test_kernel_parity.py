@@ -14,7 +14,13 @@ import time
 import pytest
 
 import gpvis._kernel as kernels
-from gpvis import VertexSet, all_pairs_distances, exists_avoiding_geodesic, parse_graph_spec
+from gpvis import (
+    VertexSet,
+    all_pairs_distances,
+    build_graph,
+    exists_avoiding_geodesic,
+    parse_graph_spec,
+)
 from gpvis._kernel import backend_name, get_kernel, pure
 from gpvis.report import corpus_graphs
 
@@ -248,6 +254,33 @@ def test_geodesic_queries_reject_bad_inputs(request, monkeypatch, backend):
     for u, v in ((0, 6), (-1, 3), (6, 0)):
         with pytest.raises(ValueError, match="out of range"):
             exists_avoiding_geodesic(g, d, u, v, none)
+
+
+def sweep_edge_cases():
+    """(graph, mask, verdicts for MV, OUTER, TOTAL, GP): one and two
+    vertices, the empty and the whole vertex set, and a disconnected graph
+    (P3 on 0, 1, 2 beside an edge 3-4), where a pair in two components is
+    not required to see itself."""
+    one, two, c5, k4 = (parse_graph_spec(s) for s in ("path:1", "path:2", "cycle:5", "complete:4"))
+    split = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+    yes, no = (True,) * 4, (False,) * 4
+    return [
+        (one, 0, yes), (one, 1, yes),
+        (two, 0, yes), (two, 1, yes), (two, 2, yes), (two, 3, yes),
+        (c5, 0, yes), (c5, 0b11111, no), (k4, 0, yes), (k4, 0b1111, yes),
+        (split, 0, yes), (split, 0b00010, (True, True, False, True)),
+        (split, 0b00101, yes), (split, 0b01001, yes), (split, 0b01000, yes),
+        (split, 0b00111, no), (split, 0b11111, no),
+    ]
+
+
+@pytest.mark.parametrize("backend", ["pure", "fast"])
+def test_set_ok_edge_cases(request, backend):
+    kernel = pure if backend == "pure" else request.getfixturevalue("fast_kernel")
+    for g, mask, verdicts in sweep_edge_cases():
+        dist = all_pairs_distances(g).data
+        got = tuple(kernel.set_ok(g.n, g.adj, dist, mask, kind) for kind in KINDS)
+        assert got == verdicts, (g.adj, mask)
 
 
 def test_forced_backend_env(fast_backend, monkeypatch):

@@ -1,6 +1,6 @@
-"""The pure kernel's search: the per-child candidate filter, its cuts and
-memo, the twin-class prefix rule and pinned search trees.  Pure kernel only, so
-these never skip."""
+"""The pure kernel's set check and search: the per-source sweep of
+``set_ok``, the per-child candidate filter, its cuts and memo, the twin-class
+prefix rule and pinned search trees.  Pure kernel only, so these never skip."""
 
 from __future__ import annotations
 
@@ -61,21 +61,47 @@ def search_states(g, dist, kind, rng, count):
         yield smask, w, cands
 
 
+def failing_pairs(g, dist, mask, kind):
+    """The pairs u < v that the visibility kind requires of ``mask`` and
+    that ``pair_visible`` finds hidden under it, one pair at a time."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            inside = (mask >> u & 1) + (mask >> v & 1)
+            required = {pure.MV: inside == 2, pure.OUTER: inside >= 1, pure.TOTAL: True}[kind]
+            if required and not pure.pair_visible(g.n, g.adj, dist, u, v, mask):
+                yield u, v
+
+
 def failing_roles(g, dist, kind, smask, w, x):
     """The role pairs of the required pairs that fail under S ∪ {w, x}."""
-    full = smask | 1 << w | 1 << x
 
     def role(v):
         return "w" if v == w else "x" if v == x else "s" if smask >> v & 1 else "z"
 
-    roles = set()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            inside = (full >> u & 1) + (full >> v & 1)
-            required = {pure.MV: inside == 2, pure.OUTER: inside >= 1, pure.TOTAL: True}[kind]
-            if required and not pure.pair_visible(g.n, g.adj, dist, u, v, full):
-                roles.add(tuple(sorted((role(u), role(v)))))
-    return roles
+    full = smask | 1 << w | 1 << x
+    return {tuple(sorted((role(u), role(v)))) for u, v in failing_pairs(g, dist, full, kind)}
+
+
+def test_set_ok_equals_its_definition(small_corpus):
+    """set_ok's one sweep per source equals pair_visible over every pair
+    the kind requires: on random sets of the search graphs, and on every
+    subset of the small oracle graphs."""
+    rng = random.Random(99)
+    verdicts = Counter()
+    cases = [(g, [rng.getrandbits(g.n) & rng.getrandbits(g.n) for _ in range(40)])
+             for g in graphs_under_test()]
+    small = small_corpus + [
+        parse_graph_spec(s) for s in ("path:4", "cycle:5", "kminus:4", "kbip:2,3", "star:5")
+    ]
+    cases += [(g, range(1 << g.n)) for g in small]
+    for g, masks in cases:
+        dist = all_pairs_distances(g).data
+        for mask in masks:
+            for kind in (pure.MV, pure.OUTER, pure.TOTAL):
+                want = not any(failing_pairs(g, dist, mask, kind))
+                assert pure.set_ok(g.n, g.adj, dist, mask, kind) == want, (g.adj, mask, kind)
+                verdicts[kind, want] += 1
+    assert min(verdicts[kind, ok] for kind in KINDS[:3] for ok in (True, False)) > 0, verdicts
 
 
 def test_filter_equals_one_candidate_at_a_time():

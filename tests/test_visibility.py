@@ -282,6 +282,30 @@ def test_true_twin_extend_validation():
         true_twin_extend(g, VertexSet.of(4, [0]), 2, 3)  # u not in set
 
 
+def test_twin_operations_reject_bad_inputs():
+    """A set of another order, or a vertex outside the graph, is an error
+    and never indexes the adjacency rows."""
+    with pytest.raises(ValueError, match="order"):
+        true_twin_extend(parse_graph_spec("complete:3"), VertexSet.of(5, [0]), 0, 1)
+    g = parse_graph_spec("kminus:4")
+    with pytest.raises(ValueError, match="order"):
+        false_twin_swap(g, VertexSet.of(5, [0]), 0, 1)
+    s = VertexSet.of(4, [0, 2])
+    for u, v in ((0, 4), (0, -3), (-4, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            false_twin_swap(g, s, u, v)
+    for u, v in ((2, 4), (2, -1), (-2, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            true_twin_extend(g, s, u, v)
+
+
+def test_gp_characterization_rejects_mismatched_set():
+    g = parse_graph_spec("cycle:6")
+    d = all_pairs_distances(g)
+    with pytest.raises(ValueError, match="order"):
+        is_general_position_set_via_characterization(g, d, VertexSet.of(4, [0, 3]))
+
+
 def test_is_property_set_rejects_mismatched_set():
     g = parse_graph_spec("path:4")
     d = all_pairs_distances(g)
