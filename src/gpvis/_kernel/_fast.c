@@ -10,11 +10,12 @@
    to it.  Only the data layout differs: masks are uint64_t and the
    tables are flat arrays built per call.
 
-   pure._Ctx.extensions filters a child's candidates from two sides at
-   once; here each candidate is tested on its own with extend_ok, whose
-   definition is pure.extend_ok (set_ok of the grown set).  Both keep
-   exactly the candidates x for which S + w + x has the property, so
-   both walk the same tree.
+   pure._Ctx.extensions(smask, w, cmask) -> mask filters a child's
+   candidate mask from two sides at once, on a copy of the graph
+   renumbered into search order; here each candidate is tested on its
+   own with extend_ok, whose definition is pure.extend_ok (set_ok of the
+   grown set).  Both keep exactly the candidates x for which S + w + x
+   has the property, so both walk the same tree.
 
    setup.py builds this file as gpvis._kernel._fast; without a C compiler
    the package runs on pure.py alone. */

@@ -23,9 +23,19 @@ TOTAL) where a walk per pair cost O(|S|²) or O(n²) walks.  GP needs no
 walk: its triples are read from the distances.
 
 Search notes.  All four properties are hereditary (every subset of a good
-set is good), so the solver explores subsets along a fixed vertex order,
-keeps at each node only the candidates that extend the current set, and
-prunes on ``|current| + |candidates| <= incumbent``.
+set is good), so the solver explores subsets along a fixed vertex order
+(descending degree, ties by index), keeps at each node only the
+candidates that extend the current set, and prunes on
+``|current| + |candidates| <= incumbent``.
+
+``solve_max``, ``greedy_set`` and ``enumerate_exact`` run on a copy of
+the graph relabelled so that this order becomes 0..n-1, and build their
+context on it (the renumbering of BBMC, San Segundo et al. 2011).  Every
+candidate set is then a plain int mask whose lowest bit is the next
+vertex in the search order; the bound reads ``bit_count()``, and each
+returned mask is mapped back to the caller's labels.  The latest copy is
+kept, so the solves of one graph and their greedy seeds share it and its
+tables; the ball rows cached for ``set_ok`` are not touched.
 
 A node's candidates are filtered once per child from two facts the search
 already holds: S ∪ {w} has the property (w was a candidate of S), and so
@@ -60,6 +70,15 @@ candidates, as GP does with pairbad.  Only the pairs with x as an end
 are tested per candidate: (w, x) for MV, and (x, y) for the y whose
 interval holds w.
 
+The filter finds these pairs in the reverse-interval table
+inw[w][x] = {y : w ∈ btw[x][y]} instead of scanning every member pair
+and every partner: the (s, y) pairs whose interval holds w are the y in
+inw[w][s], and the partners of candidate x are the y in inw[w][x] (in S
+for MV, outside S ∪ {w} for OUTER).  inw is btw read the other way
+round, so it names exactly the pairs a scan would, and the filter stays
+exact.  TOTAL's pairs through w do not depend on S, so each w's list is
+built once per context.
+
 Each solve keeps a memo on its ``_Ctx``: pair tests and cuts are keyed
 by (u, v, blocked & btw[u][v]) with u < v, since visibility is symmetric
 and depends on nothing else.  The memo lives as long as the context.
@@ -67,24 +86,31 @@ A pair test whose blocked part settles it at sight (all of the interval:
 hidden; none of it, or not all of it at distance 2: seen) is neither
 run nor stored, so small solves do not pay for the memo.
 
-This filter is the kernel's only one.  The greedy seed is the search
-tree's leftmost path: it takes the first candidate and filters the rest
-against it, and heredity makes that the plain sweep, since a candidate
-dropped once fails every superset.  The roots are the w for which {w}
-has the property: every vertex, but for TOTAL the union of the pair
-cuts under the empty set.
+This filter is the kernel's only one.  The greedy seed (``greedy_set``,
+which ``solve_max`` calls) is the search tree's leftmost path: it takes
+the first candidate and filters the rest against it, and heredity makes
+that the plain sweep, since a candidate dropped once fails every
+superset.  The roots are the w for which {w} has the property: every
+vertex, but for TOTAL the union of the pair cuts under the empty set.
 
 Twin classes.  Vertices with equal ``adj`` rows (false twins: every v
 and its copy v' in a double graph) form a class, ordered along the
 search order, and pred[v] is the vertex before v in its class.  Swapping
 two false twins is an automorphism, so it maps good sets onto good sets
 of the same size, and in-class permutations turn any good set into one
-whose members form a prefix of each class.  ``_Search.run`` looks only
+whose members form a prefix of each class.  ``solve_max`` looks only
 for such prefix sets: a child w is skipped when pred[w] is not in S, and
-its candidate list keeps x only when pred[x] is in S ∪ {w} or kept
-earlier in that list.  The rule only drops candidates, so the filter
-above stays exact, and the optimum is kept.  ``enumerate_exact`` must
-list every maximum set and walks the full tree.
+its candidates keep x only when pred[x] is in S ∪ {w} or kept among
+them; as pred[x] comes before x in the bit order, one pass over the
+bits of the vertices with a twin predecessor settles this.  The rule
+only drops candidates, so the filter above stays exact, and the optimum
+is kept.  ``enumerate_exact`` must list every maximum set and walks the
+full tree.
+
+Inputs.  Every entry point raises ``ValueError`` for an ``adj`` or
+``dist`` whose length does not fit n, an ``adj`` row, mask or vertex
+outside 0..n-1, or an unknown kind.  Distance values (-1..n) are checked
+where a table is built, so a cached table costs a set check nothing.
 """
 
 from __future__ import annotations
@@ -100,6 +126,7 @@ TOTAL = 2
 GP = 3
 
 _TIME_CHECK_MASK = 1023
+_TABLES_KEPT = 64
 
 
 def _bits(mask):
@@ -107,6 +134,43 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mapped(mask, labels):
+    """``mask`` with each vertex v moved to labels[v]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << labels[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _check_lengths(n, adj, dist):
+    if len(adj) != n:
+        raise ValueError(f"adj has {len(adj)} rows for order {n}")
+    if len(dist) != n * n:
+        raise ValueError(f"dist has {len(dist)} entries for order {n}")
+
+
+def _check_rows(n, adj):
+    if adj and (min(adj) < 0 or max(adj) >> n):
+        raise ValueError(f"an adj row has a vertex outside 0..{n - 1}")
+
+
+def _check_mask(mask, n, what):
+    if mask < 0 or mask >> n:
+        raise ValueError(f"{what} has a vertex outside 0..{n - 1}")
+
+
+def _check_vertex(v, n):
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} is outside 0..{n - 1}")
+
+
+def _check_distances(n, dist):
+    if dist and (min(dist) < -1 or max(dist) > n):
+        raise ValueError(f"a distance is outside -1..{n}")
 
 
 def _pv_balls(n, adj, dist, balls, u, v, blocked):
@@ -169,14 +233,59 @@ def _pv_cut(n, adj, dist, balls, u, v, blocked):
 
 def pair_visible(n, adj, dist, u, v, blocked):
     """Some u,v-geodesic avoids ``blocked`` internally; endpoints exempt."""
-    return _pv_balls(n, adj, dist, _all_balls(n, tuple(dist)), u, v, blocked)
+    balls = _all_balls(n, _table_of(n, adj, dist))
+    _check_vertex(u, n)
+    _check_vertex(v, n)
+    _check_mask(blocked, n, "blocked")
+    return _pv_balls(n, adj, dist, balls, u, v, blocked)
 
 
-@lru_cache(maxsize=64)
-def _all_balls(n, dist):
-    """balls[u][t]: the vertices at distance t from u, for every u.  Kept
-    for the most recent distance tables; rows are tuples, so callers that
-    share them cannot change them."""
+class _Table(tuple):
+    """A distance table that hashes once, so the caches below find it in
+    constant time; a tuple would be hashed in full on every lookup."""
+
+    def __hash__(self):
+        return self._hash
+
+
+def _table(dist):
+    key = _Table(dist)
+    key._hash = tuple.__hash__(key)
+    return key
+
+
+# id(dist) -> [dist, its _Table, the adj tuple last checked with it] for
+# the most recent tuples; holding dist keeps its id from being reused
+# while the entry lives
+_recent = {}
+
+
+def _table_of(n, adj, dist):
+    """Check the graph against order n and return ``dist`` as a key for
+    the caches below.  A tuple cannot change, so a tuple ``dist`` is found
+    by identity, and rows equal to the ``adj`` tuple last checked with it
+    are not checked again (comparing them is cheaper than checking them);
+    a list is read afresh and keyed by value."""
+    _check_lengths(n, adj, dist)
+    if type(dist) is not tuple:
+        _check_rows(n, adj)
+        return _table(dist)
+    entry = _recent.get(id(dist))
+    if entry is None:
+        entry = _recent[id(dist)] = [dist, _table(dist), None]
+        if len(_recent) > _TABLES_KEPT:
+            _recent.pop(next(iter(_recent)), None)
+    if entry[2] != adj:
+        _check_rows(n, adj)
+        if type(adj) is tuple:
+            entry[2] = adj
+    return entry[1]
+
+
+def _ball_rows(n, dist):
+    """balls[u][t]: the vertices at distance t from u, for every u.  Rows
+    are tuples, so callers that share them cannot change them."""
+    _check_distances(n, dist)
     maxd = max(dist) if dist else 0
     balls = []
     for u in range(n):
@@ -190,11 +299,17 @@ def _all_balls(n, dist):
     return tuple(balls)
 
 
+# the ball rows of the most recent distance tables, for set checks
+_all_balls = lru_cache(maxsize=_TABLES_KEPT)(_ball_rows)
+# and those of the latest search copy, kept apart from them
+_search_balls = lru_cache(maxsize=1)(_ball_rows)
+
+
 @lru_cache(maxsize=1)
 def _between_masks(n, dist):
     """btw[u][v]: vertices strictly inside some u,v-geodesic.  Only the
-    latest table is kept, so a solve and the greedy seed it calls share
-    one build; callers read it and never change it."""
+    latest table is kept, so the solves of one graph share one build;
+    callers read it and never change it."""
     btw = [[0] * n for _ in range(n)]
     for u in range(n):
         du = u * n
@@ -208,6 +323,26 @@ def _between_masks(n, dist):
             btw[u][v] = m
             btw[v][u] = m
     return btw
+
+
+@lru_cache(maxsize=1)
+def _reverse_intervals(n, dist):
+    """inw[w][x]: the y with w strictly inside some x,y-geodesic, so that
+    y is in inw[w][x] exactly when w is in btw[x][y].  Kept for the latest
+    table only and read-only, like ``_between_masks``."""
+    btw = _between_masks(n, dist)
+    inw = [[0] * n for _ in range(n)]
+    for x in range(n):
+        row = btw[x]
+        for y in range(x + 1, n):
+            m = row[y]
+            while m:
+                low = m & -m
+                into = inw[low.bit_length() - 1]
+                into[x] |= 1 << y
+                into[y] |= 1 << x
+                m ^= low
+    return inw
 
 
 @lru_cache(maxsize=1)
@@ -237,6 +372,8 @@ def set_ok(n, adj, dist, mask, kind):
     """Full from-scratch verification of ``mask`` for the given kind
     (one layer sweep per source for MV, OUTER and TOTAL; see the module
     notes)."""
+    key = _table_of(n, adj, dist)
+    _check_mask(mask, n, "mask")
     members = list(_bits(mask))
     if kind == GP:
         for i, u in enumerate(members):
@@ -262,7 +399,7 @@ def set_ok(n, adj, dist, mask, kind):
     else:
         raise ValueError(f"unknown property kind code {kind}")
     outside = full & ~mask
-    balls = _all_balls(n, tuple(dist))
+    balls = _all_balls(n, key)
     for u in sources:
         want = wanted & ~((2 << u) - 1)
         if kind == OUTER:
@@ -287,7 +424,8 @@ def set_ok(n, adj, dist, mask, kind):
 
 
 class _Ctx:
-    """Precomputed tables shared by one solve/enumerate run."""
+    """Precomputed tables and the memo shared by one solve/enumerate run.
+    Vertex sets are int masks in the labels of the graph it is built on."""
 
     def __init__(self, n, adj, dist, kind):
         if kind not in (MV, OUTER, TOTAL, GP):
@@ -296,34 +434,50 @@ class _Ctx:
         self.adj = adj
         self.dist = dist
         self.kind = kind
-        key = tuple(dist)
-        self.balls = _all_balls(n, key) if kind != GP else None
-        self.btw = _between_masks(n, key) if kind != GP else None
-        self.pairbad = _gp_pairbad(n, key) if kind == GP else None
+        key = dist if type(dist) is _Table else _table(dist)
+        if kind == GP:
+            self.pairbad = _gp_pairbad(n, key)
+        else:
+            self.balls = _search_balls(n, key)
+            self.btw = _between_masks(n, key)
+            self.inw = _reverse_intervals(n, key)
         # the search's memo (see the module notes): pair tests and cuts by
         # (u, v, blocked & btw[u][v]) with u < v
         self.seen = {}
         self.cuts = {}
+        # TOTAL: w -> the pairs (u, v, btw[u][v]), u < v, whose interval holds w
+        self.through = {}
 
-    def roots(self, order):
-        """The w in ``order`` for which {w} has the property: all of them,
+    def roots(self):
+        """The w for which {w} has the property, as a mask: all of them,
         but for TOTAL those that lie on every geodesic of some pair."""
+        n = self.n
+        full = (1 << n) - 1
         if self.kind != TOTAL:
-            return list(order)
-        n, adj, dist, balls = self.n, self.adj, self.dist, self.balls
+            return full
+        adj, dist, balls = self.adj, self.dist, self.balls
         forbid = 0
         for u in range(n):
             for v in range(u + 1, n):
                 forbid |= _pv_cut(n, adj, dist, balls, u, v, 0)
-        return [w for w in order if not forbid >> w & 1]
+        return full & ~forbid
 
-    def extensions(self, smask, w, cands):
-        """The x in ``cands`` for which smask ∪ {w, x} keeps the property,
-        given that smask ∪ {w} and every smask ∪ {x} already have it.
-        Only the pairs that neither of those two sets settles are
+    def _pairs_through(self, w):
+        pairs = self.through.get(w)
+        if pairs is None:
+            btw, iw = self.btw, self.inw[w]
+            pairs = self.through[w] = [
+                (u, v, btw[u][v]) for u in range(self.n) for v in _bits(iw[u] >> u + 1 << u + 1)
+            ]
+        return pairs
+
+    def extensions(self, smask, w, cmask):
+        """The x in ``cmask`` for which smask ∪ {w, x} keeps the property,
+        given that smask ∪ {w} and every smask ∪ {x} already have it, as a
+        mask.  Only the pairs that neither of those two sets settles are
         re-checked (see the module notes)."""
-        if not cands:
-            return []
+        if not cmask:
+            return 0
         kind = self.kind
         if kind == GP:
             bad = self.pairbad[w]
@@ -332,88 +486,94 @@ class _Ctx:
                 low = smask & -smask
                 forbid |= bad[low.bit_length() - 1]
                 smask ^= low
-            return [x for x in cands if not forbid >> x & 1]
+            return cmask & ~forbid
         n, adj, dist, balls, btw = self.n, self.adj, self.dist, self.balls, self.btw
-        new = smask | 1 << w
         wbit = 1 << w
+        new = smask | wbit
         bw = btw[w]
-        members = list(_bits(smask))
-        # watch: pairs that smask ∪ {x} does not settle, re-checked when
-        # x lies in their interval.  partners: the y for which (x, y) is
-        # re-checked, when w lies in its interval or y is w.
-        if kind == MV:
-            watch = [(s, w, bw[s]) for s in members]
-            watch += [
-                (s, t, btw[s][t])
-                for i, s in enumerate(members)
-                for t in members[i + 1 :]
-                if btw[s][t] & wbit
-            ]
-            partners = [w] + members
-        elif kind == OUTER:
-            partners = [z for z in range(n) if not new >> z & 1]
-            watch = [(w, z, bw[z]) for z in partners]
-            watch += [
-                (s, y, btw[s][y])
-                for i, s in enumerate(members)
-                for y in members[i + 1 :] + partners
-                if btw[s][y] & wbit
-            ]
-        else:  # TOTAL
-            watch = [
-                (u, v, m)
-                for u in range(n)
-                for v, m in enumerate(btw[u])
-                if v > u and m & wbit
-            ]
-            partners = ()
+        iw = self.inw[w]
+        # watch: pairs that smask ∪ {x} does not settle, re-checked when x
+        # lies in their interval, as (u, v, btw[u][v]) with u < v
+        if kind == TOTAL:
+            watch = self._pairs_through(w)
+        else:
+            # (s, y) with w in its interval: y a later member, or for
+            # OUTER any vertex outside smask ∪ {w}
+            outside = 0
+            watch = []
+            if kind == OUTER:
+                outside = ((1 << n) - 1) & ~new
+                watch += [(w, z, bw[z]) if w < z else (z, w, bw[z]) for z in _bits(outside)]
+            r = smask
+            while r:
+                low = r & -r
+                r ^= low
+                s = low.bit_length() - 1
+                if kind == MV:
+                    watch.append((s, w, bw[s]) if s < w else (w, s, bw[s]))
+                bs = btw[s]
+                ys = iw[s] & (r | outside)
+                while ys:
+                    yb = ys & -ys
+                    ys ^= yb
+                    y = yb.bit_length() - 1
+                    watch.append((s, y, bs[y]) if s < y else (y, s, bs[y]))
         # A watched pair sees itself under smask ∪ {w}, so x breaks it
         # exactly when x is in its cut: one cut per pair instead of one
         # test per candidate.
-        cmask = 0
-        for x in cands:
-            cmask |= 1 << x
         forbid = 0
         cuts = self.cuts
         for u, v, m in watch:
             if m & cmask & ~forbid:
-                if u > v:
-                    u, v = v, u
                 key = (u, v, new & m)
                 cut = cuts.get(key)
                 if cut is None:
                     cut = cuts[key] = _pv_cut(n, adj, dist, balls, u, v, new)
                 forbid |= cut
+        keep = cmask & ~forbid
+        if kind == TOTAL:
+            return keep
+        # partners: the y for which (x, y) is re-checked, when w lies in
+        # its interval or y is w
+        others = smask if kind == MV else ~new
         seen = self.seen
-        out = []
-        for x in cands:
-            if forbid >> x & 1:
-                continue
-            blocked = new | 1 << x
+        r = keep
+        while r:
+            xb = r & -r
+            r ^= xb
+            x = xb.bit_length() - 1
+            blocked = new | xb
             bx = btw[x]
-            for y in partners:
+            ys = iw[x] & others
+            if kind == MV and bx[w]:
+                ys |= wbit
+            while ys:
+                yb = ys & -ys
+                ys ^= yb
+                y = yb.bit_length() - 1
                 m = bx[y]
-                if m & wbit or y == w and m:
-                    # b: the blocked part of the interval; a wholly blocked
-                    # interval hides the pair, and an unblocked one, or a
-                    # free middle vertex at distance 2, shows it
-                    b = blocked & m
-                    if b == m:
+                # b: the blocked part of the interval; a wholly blocked
+                # interval hides the pair, and an unblocked one, or a free
+                # middle vertex at distance 2, shows it
+                b = blocked & m
+                if b == m:
+                    break
+                if b and dist[x * n + y] > 2:
+                    key = (x, y, b) if x < y else (y, x, b)
+                    ok = seen.get(key)
+                    if ok is None:
+                        ok = seen[key] = _pv_balls(n, adj, dist, balls, x, y, blocked)
+                    if not ok:
                         break
-                    if b and dist[x * n + y] > 2:
-                        key = (x, y, b) if x < y else (y, x, b)
-                        ok = seen.get(key)
-                        if ok is None:
-                            ok = seen[key] = _pv_balls(n, adj, dist, balls, x, y, blocked)
-                        if not ok:
-                            break
             else:
-                out.append(x)
-        return out
+                continue
+            keep ^= xb
+        return keep
 
 
 def extend_ok(n, adj, dist, smask, w, kind):
     """One-shot extension check: does smask ∪ {w} have the property?"""
+    _check_vertex(w, n)
     return set_ok(n, adj, dist, smask | 1 << w, kind)
 
 
@@ -421,17 +581,39 @@ def _default_order(n, adj):
     return sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
 
 
+def _relabelled(n, adj, dist, kind):
+    """The search order, its inverse (label[v] is v's place in it) and a
+    context on the copy of the graph whose vertex i is the order's i-th
+    vertex (see the module notes)."""
+    order, label, radj, rdist = _search_copy(n, tuple(adj), _table_of(n, adj, dist))
+    return order, label, _Ctx(n, radj, rdist, kind)
+
+
+@lru_cache(maxsize=1)
+def _search_copy(n, adj, dist):
+    """(order, label, adj, dist) of the latest graph relabelled into its
+    search order, so that the solves of one graph and their greedy seeds
+    share one copy and its tables; read-only."""
+    _check_distances(n, dist)
+    order = _default_order(n, adj)
+    label = [0] * n
+    for i, v in enumerate(order):
+        label[v] = i
+    radj = tuple(_mapped(adj[v], label) for v in order)
+    return order, label, radj, _table(dist[v * n + x] for v in order for x in order)
+
+
 def greedy_set(n, adj, dist, kind):
     """Deterministic greedy sweep: descending degree, ties by index.  It
     walks the leftmost path of the search tree (see the module notes)."""
-    ctx = _Ctx(n, adj, dist, kind)
+    order, _, ctx = _relabelled(n, adj, dist, kind)
     smask = 0
-    cands = ctx.roots(_default_order(n, adj))
+    cands = ctx.roots()
     while cands:
-        w = cands[0]
-        cands = ctx.extensions(smask, w, cands[1:])
-        smask |= 1 << w
-    return smask
+        low = cands & -cands
+        cands = ctx.extensions(smask, low.bit_length() - 1, cands ^ low)
+        smask |= low
+    return _mapped(smask, order)
 
 
 class _Found(Exception):
@@ -442,62 +624,15 @@ class _TimeUp(Exception):
     pass
 
 
-def _twin_preds(n, adj, order):
+def _twin_preds(adj):
     """pred[v]: the vertex before v in its twin class (the vertices whose
-    ``adj`` rows equal v's) along ``order``, or -1 when v comes first."""
-    pred = [-1] * n
+    ``adj`` rows equal v's), or -1 when v comes first."""
+    pred = [-1] * len(adj)
     last = {}
-    for v in order:
-        pred[v] = last.get(adj[v], -1)
-        last[adj[v]] = v
+    for v, row in enumerate(adj):
+        pred[v] = last.get(row, -1)
+        last[row] = v
     return pred
-
-
-class _Search:
-    def __init__(self, ctx, pred, target, deadline):
-        self.ctx = ctx
-        self.pred = pred
-        self.target = target
-        self.deadline = deadline
-        self.nodes = 0
-        self.best = 0
-        self.best_mask = 0
-
-    def _tick(self):
-        self.nodes += 1
-        if self.deadline and not self.nodes & _TIME_CHECK_MASK:
-            if time.monotonic() > self.deadline:
-                raise _TimeUp
-
-    def _improve(self, smask, size):
-        if size > self.best:
-            self.best = size
-            self.best_mask = smask
-            if self.target and self.best >= self.target:
-                raise _Found
-
-    def run(self, smask, size, cands):
-        self._tick()
-        if size + len(cands) <= self.best:
-            return
-        ctx, pred = self.ctx, self.pred
-        for i, w in enumerate(cands):
-            if size + len(cands) - i <= self.best:
-                break
-            p = pred[w]
-            if p >= 0 and not smask >> p & 1:
-                continue
-            new = smask | 1 << w
-            self._improve(new, size + 1)
-            rest = []
-            have = new
-            for x in ctx.extensions(smask, w, cands[i + 1 :]):
-                p = pred[x]
-                if p < 0 or have >> p & 1:
-                    rest.append(x)
-                    have |= 1 << x
-            if rest:
-                self.run(new, size + 1, rest)
 
 
 def solve_max(n, adj, dist, kind, target=0, time_limit=0.0):
@@ -506,43 +641,84 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0):
     status: 0 exact, 1 stopped early at target size, 2 time limit hit.
     With an early stop the reported size is a lower bound on the optimum.
     """
-    ctx = _Ctx(n, adj, dist, kind)
-    order = _default_order(n, adj)
+    order, label, ctx = _relabelled(n, adj, dist, kind)
     deadline = time.monotonic() + time_limit if time_limit else 0.0
-    search = _Search(ctx, _twin_preds(n, adj, order), target, deadline)
-    seed = greedy_set(n, adj, dist, kind)
-    search.best = seed.bit_count()
-    search.best_mask = seed
-    if target and search.best >= target:
-        return search.best, search.best_mask, 0, 1
-    try:
-        search.run(0, 0, ctx.roots(order))
-    except _Found:
-        return search.best, search.best_mask, search.nodes, 1
-    except _TimeUp:
-        return search.best, search.best_mask, search.nodes, 2
-    return search.best, search.best_mask, search.nodes, 0
+    pred = _twin_preds(ctx.adj)
+    twins = sum(1 << v for v in range(n) if pred[v] >= 0)
+    extensions = ctx.extensions
+    best_mask = _mapped(greedy_set(n, adj, dist, kind), label)
+    best = best_mask.bit_count()
+    nodes = 0
+
+    def run(smask, size, cands):
+        nonlocal best, best_mask, nodes
+        nodes += 1
+        if deadline and not nodes & _TIME_CHECK_MASK and time.monotonic() > deadline:
+            raise _TimeUp
+        left = cands.bit_count()
+        while size + left > best:
+            low = cands & -cands
+            cands ^= low
+            left -= 1
+            w = low.bit_length() - 1
+            p = pred[w]
+            if p >= 0 and not smask >> p & 1:
+                continue
+            new = smask | low
+            if size >= best:
+                best = size + 1
+                best_mask = new
+                if target and best >= target:
+                    raise _Found
+            rest = extensions(smask, w, cands)
+            # the twin-prefix rule: pred[x] < x, so the bits below x are
+            # already settled when x is
+            t = rest & twins
+            while t:
+                xb = t & -t
+                t ^= xb
+                if not (new | rest) >> pred[xb.bit_length() - 1] & 1:
+                    rest ^= xb
+            if rest:
+                run(new, size + 1, rest)
+
+    status = 0
+    if target and best >= target:
+        status = 1
+    else:
+        try:
+            run(0, 0, ctx.roots())
+        except _Found:
+            status = 1
+        except _TimeUp:
+            status = 2
+    # run refers to itself; without it the context and its memo would
+    # wait for the cycle collector
+    del run
+    return best, _mapped(best_mask, order), nodes, status
 
 
 def enumerate_exact(n, adj, dist, kind, size):
     """All sets of exactly ``size`` with the property, as masks (DFS order)."""
-    ctx = _Ctx(n, adj, dist, kind)
-    order = _default_order(n, adj)
-    out = []
+    order, _, ctx = _relabelled(n, adj, dist, kind)
     if size == 0:
         return [0]
+    out = []
 
     def rec(smask, cur, cands):
-        for i, w in enumerate(cands):
-            if cur + len(cands) - i < size:
-                break
-            new = smask | 1 << w
+        left = cands.bit_count()
+        while cur + left >= size and cands:
+            low = cands & -cands
+            cands ^= low
+            left -= 1
+            new = smask | low
             if cur + 1 == size:
                 out.append(new)
             else:
-                rest = ctx.extensions(smask, w, cands[i + 1 :])
-                if cur + 1 + len(rest) >= size:
+                rest = ctx.extensions(smask, low.bit_length() - 1, cands)
+                if cur + 1 + rest.bit_count() >= size:
                     rec(new, cur + 1, rest)
 
-    rec(0, 0, ctx.roots(order))
-    return out
+    rec(0, 0, ctx.roots())
+    del rec  # it refers to itself, as the search in solve_max does
+    return [_mapped(m, order) for m in out]

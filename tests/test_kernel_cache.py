@@ -102,6 +102,48 @@ def test_a_list_distance_table_is_accepted():
         )
 
 
+def test_tables_are_matched_by_value_and_lists_read_afresh():
+    """A tuple equal by value to a cached table gives the same answers as
+    the cached one; a list is read again on every call, so a change made
+    to it between calls shows in the next answer."""
+    rng = random.Random(3)
+    g = parse_graph_spec("double(cycle:6)")
+    dist = all_pairs_distances(g).data
+    equal = tuple(list(dist))
+    assert equal == dist and equal is not dist
+    for _ in range(30):
+        mask = rng.getrandbits(g.n)
+        for kind in KINDS:
+            assert pure.set_ok(g.n, g.adj, equal, mask, kind) == pure.set_ok(
+                g.n, g.adj, dist, mask, kind
+            )
+        u, v = rng.sample(range(g.n), 2)
+        assert pure.pair_visible(g.n, g.adj, equal, u, v, mask) == pure.pair_visible(
+            g.n, g.adj, dist, u, v, mask
+        )
+    table = []
+    for g in (parse_graph_spec("path:7"), parse_graph_spec("cycle:7")):
+        table[:] = all_pairs_distances(g).data
+        fixed = tuple(table)
+        for m in range(1 << g.n):
+            assert pure.set_ok(g.n, g.adj, table, m, pure.MV) == pure.set_ok(
+                g.n, g.adj, fixed, m, pure.MV
+            ), (g.adj, m)
+
+
+def test_a_solve_adds_no_cached_balls():
+    """The searches build their tables on a relabelled copy, which leaves
+    the ball rows cached for set checks as they were."""
+    g = parse_graph_spec("myc(path:5)")
+    dist = all_pairs_distances(g).data
+    pure._all_balls.cache_clear()
+    for kind in KINDS:
+        size = pure.solve_max(g.n, g.adj, dist, kind)[0]
+        pure.greedy_set(g.n, g.adj, dist, kind)
+        pure.enumerate_exact(g.n, g.adj, dist, kind, size)
+    assert pure._all_balls.cache_info().currsize == 0
+
+
 def test_backend_choice_is_read_on_every_call(monkeypatch):
     monkeypatch.setenv("GPVIS_KERNEL", " Pure ")
     assert get_kernel(8) is pure

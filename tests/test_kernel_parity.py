@@ -240,6 +240,47 @@ def test_compiled_kernel_rejects_bad_inputs(fast):
 
 
 @pytest.mark.parametrize("backend", ["pure", "fast"])
+def test_kernel_rejects_bad_inputs(request, backend):
+    """Both kernels raise ValueError for rows or a table whose length does
+    not fit n, and for a mask, vertex, adj row or distance out of range.
+    The compiled kernel converts a negative mask with an unsigned cast,
+    which raises OverflowError, and reads only the low 64 bits of a
+    blocked mask, so only the pure kernel rejects a negative one."""
+    kernel = pure if backend == "pure" else request.getfixturevalue("fast_kernel")
+    g = parse_graph_spec("cycle:5")
+    adj, d = g.adj, all_pairs_distances(g).data
+    negative = ValueError if backend == "pure" else OverflowError
+    for kind in KINDS:
+        with pytest.raises(negative):
+            kernel.set_ok(5, adj, d, -1, kind)
+        with pytest.raises(ValueError):
+            kernel.set_ok(5, adj, d, 1 << 5, kind)
+    with pytest.raises(negative):
+        kernel.extend_ok(5, adj, d, -1, 0, pure.MV)
+    with pytest.raises(negative):
+        kernel.greedy_set(5, (-1,) + adj[1:], d, pure.MV)
+    with pytest.raises(ValueError):
+        kernel.solve_max(4, adj, d, pure.MV)  # five rows, 25 distances
+    with pytest.raises(ValueError):
+        kernel.solve_max(5, adj, d + (1, 1, 1), pure.MV)
+    with pytest.raises(ValueError):
+        kernel.greedy_set(5, (adj[0] | 1 << 7,) + adj[1:], d, pure.MV)
+    with pytest.raises(ValueError):
+        kernel.set_ok(5, adj, (9,) + d[1:], 0, pure.MV)
+    with pytest.raises(ValueError):
+        kernel.solve_max(5, adj, d[:-1] + (-2,), pure.GP)
+    with pytest.raises(ValueError):
+        kernel.pair_visible(5, adj, d, 0, 5, 0)
+    with pytest.raises(ValueError):
+        kernel.extend_ok(5, adj, d, 0, 5, pure.MV)
+    if backend == "pure":
+        with pytest.raises(ValueError):
+            pure.pair_visible(5, adj, d, 0, 2, -1)
+        with pytest.raises(ValueError):
+            pure.enumerate_exact(5, adj[:4], d, pure.MV, 2)
+
+
+@pytest.mark.parametrize("backend", ["pure", "fast"])
 def test_geodesic_queries_reject_bad_inputs(request, monkeypatch, backend):
     """One ValueError on either backend for a blocked set of another order
     or an endpoint outside the graph."""

@@ -1,6 +1,7 @@
 """The pure kernel's set check and search: the per-source sweep of
-``set_ok``, the per-child candidate filter, its cuts and memo, the twin-class
-prefix rule and pinned search trees.  Pure kernel only, so these never skip."""
+``set_ok``, the per-child candidate filter, its cuts, reverse intervals and
+memo, the relabelled search copy, the twin-class prefix rule and pinned
+search trees.  Pure kernel only, so these never skip."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from gpvis import all_pairs_distances, parse_graph_spec
+from gpvis import all_pairs_distances, build_graph, parse_graph_spec
 from gpvis._kernel import pure
 from gpvis.report import corpus_graphs
 
@@ -59,6 +60,10 @@ def search_states(g, dist, kind, rng, count):
         cands = [x for x in fits if x != w]
         rng.shuffle(cands)
         yield smask, w, cands
+
+
+def mask_of(vertices):
+    return sum(1 << v for v in vertices)
 
 
 def failing_pairs(g, dist, mask, kind):
@@ -114,7 +119,8 @@ def test_filter_equals_one_candidate_at_a_time():
             for smask, w, cands in search_states(g, dist, kind, rng, 12):
                 new = smask | 1 << w
                 want = [x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)]
-                assert ctx.extensions(smask, w, cands) == want, (g.adj, kind, smask, w)
+                got = ctx.extensions(smask, w, mask_of(cands))
+                assert got == mask_of(want), (g.adj, kind, smask, w)
                 for x in set(cands) - set(want):
                     if kind == pure.GP:
                         sole_causes[kind]["triple"] += 1
@@ -142,9 +148,9 @@ def test_greedy_and_roots_equal_one_vertex_sweeps():
                 if pure.set_ok(g.n, g.adj, dist, sweep | 1 << w, kind):
                     sweep |= 1 << w
             assert pure.greedy_set(g.n, g.adj, dist, kind) == sweep, (g.adj, kind)
-            roots = pure._Ctx(g.n, g.adj, dist, kind).roots(order)
-            assert roots == [w for w in order if pure.set_ok(g.n, g.adj, dist, 1 << w, kind)]
-            non_roots[kind] += g.n - len(roots)
+            roots = pure._Ctx(g.n, g.adj, dist, kind).roots()
+            assert roots == mask_of(w for w in order if pure.set_ok(g.n, g.adj, dist, 1 << w, kind))
+            non_roots[kind] += g.n - roots.bit_count()
     assert non_roots[pure.TOTAL] > 0
     assert non_roots[pure.MV] == non_roots[pure.OUTER] == non_roots[pure.GP] == 0
 
@@ -174,6 +180,67 @@ def test_cut_equals_its_definition():
     assert near > 0 and far > 0, (near, far)
 
 
+def test_reverse_intervals_equal_their_definition():
+    """inw[w][x] holds exactly the y with w strictly inside some
+    x,y-geodesic."""
+    inside = 0
+    for g in graphs_under_test():
+        dist = tuple(all_pairs_distances(g).data)
+        btw = pure._between_masks(g.n, dist)
+        inw = pure._reverse_intervals(g.n, dist)
+        for w in range(g.n):
+            for x in range(g.n):
+                want = mask_of(y for y in range(g.n) if btw[x][y] >> w & 1)
+                assert inw[w][x] == want, (g.adj, w, x)
+                inside += want.bit_count()
+    assert inside > 0
+
+
+def relabelled_graphs():
+    """Graphs whose default search order is not the identity: myc(cycle:7),
+    star:6 with its centre last, and double(path:5) with its vertices and
+    roles permuted the way the hard benchmark builds its instances."""
+    star = build_graph(6, [(u, 5) for u in range(5)])
+    base = parse_graph_spec("double(path:5)")
+    perm = list(range(base.n))
+    random.Random(5).shuffle(perm)
+    roles = [None] * base.n
+    for v, p in enumerate(perm):
+        roles[p] = base.roles[v]
+    shuffled = build_graph(base.n, [(perm[u], perm[v]) for u, v in base.edges()], roles)
+    return [parse_graph_spec("myc(cycle:7)"), star, shuffled]
+
+
+def test_results_come_back_in_the_callers_labels():
+    """The searches run on a copy relabelled into search order and map
+    their masks back: every set they return passes set_ok in the caller's
+    labels, and equals the result on an explicitly relabelled copy (whose
+    search order is the identity), mapped back."""
+    for g in relabelled_graphs():
+        dist = all_pairs_distances(g).data
+        order = pure._default_order(g.n, g.adj)
+        assert order != list(range(g.n))
+        label = {v: i for i, v in enumerate(order)}
+        copy = build_graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
+        cdist = all_pairs_distances(copy).data
+        assert pure._default_order(copy.n, copy.adj) == list(range(g.n))
+
+        def back(mask):
+            return mask_of(order[i] for i in range(g.n) if mask >> i & 1)
+
+        for kind in KINDS:
+            size, mask, nodes, status = pure.solve_max(g.n, g.adj, dist, kind)
+            assert mask.bit_count() == size and pure.set_ok(g.n, g.adj, dist, mask, kind)
+            size_c, mask_c, nodes_c, status_c = pure.solve_max(copy.n, copy.adj, cdist, kind)
+            assert (size, mask, nodes, status) == (size_c, back(mask_c), nodes_c, status_c)
+            greedy = pure.greedy_set(g.n, g.adj, dist, kind)
+            assert pure.set_ok(g.n, g.adj, dist, greedy, kind)
+            assert greedy == back(pure.greedy_set(copy.n, copy.adj, cdist, kind))
+            sets = pure.enumerate_exact(g.n, g.adj, dist, kind, size)
+            assert mask in sets and all(pure.set_ok(g.n, g.adj, dist, m, kind) for m in sets)
+            assert sets == [back(m) for m in pure.enumerate_exact(copy.n, copy.adj, cdist, kind, size)]
+
+
 def test_warm_memo_matches_a_fresh_context():
     """One context answers many unrelated search states with its memo
     filling up; each answer equals a fresh context's and set_ok's.  Each
@@ -194,11 +261,12 @@ def test_warm_memo_matches_a_fresh_context():
                     states.append((smask & ~(1 << drop), w, cands))
             for smask, w, cands in states + rng.sample(states, len(states)):
                 new = smask | 1 << w
-                got = warm.extensions(smask, w, cands)
-                assert got == pure._Ctx(g.n, g.adj, dist, kind).extensions(smask, w, cands)
-                assert got == [
+                cmask = mask_of(cands)
+                got = warm.extensions(smask, w, cmask)
+                assert got == pure._Ctx(g.n, g.adj, dist, kind).extensions(smask, w, cmask)
+                assert got == mask_of(
                     x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)
-                ], (g.adj, kind, smask, w)
+                ), (g.adj, kind, smask, w)
             filled += len(warm.seen) + len(warm.cuts)
     assert filled > 0
 
