@@ -376,14 +376,13 @@ def set_ok(n, adj, dist, mask, kind):
     _check_mask(mask, n, "mask")
     members = list(_bits(mask))
     if kind == GP:
+        # each triple once: the three-way "between" test is symmetric
         for i, u in enumerate(members):
             du = u * n
-            for v in members[i + 1 :]:
+            for j, v in enumerate(members[i + 1 :], i + 1):
                 duv = dist[du + v]
                 dv = v * n
-                for x in members:
-                    if x == u or x == v:
-                        continue
+                for x in members[j + 1 :]:
                     dux = dist[du + x]
                     dxv = dist[dv + x]
                     if dux + dxv == duv or duv + dxv == dux or dux + duv == dxv:

@@ -55,27 +55,20 @@ SCOPES = ("all", "double", "mycielskian", "bounds")
 
 @dataclass(frozen=True)
 class Expected:
-    """Pass condition for a check: exact value, one-sided bound, or range."""
+    """Pass condition for a check: an exact value or a lower bound."""
 
-    op: str  # "==", ">=", "<=", ".."
+    op: str  # "==" or ">="
     lo: int
-    hi: int | None = None
+
+    def __post_init__(self):
+        if self.op not in ("==", ">="):
+            raise ValueError(f"unknown check operator {self.op!r}")
 
     def satisfied(self, actual: int) -> bool:
-        if self.op == "==":
-            return actual == self.lo
-        if self.op == ">=":
-            return actual >= self.lo
-        if self.op == "<=":
-            return actual <= self.lo
-        return self.lo <= actual <= (self.hi if self.hi is not None else self.lo)
+        return actual == self.lo if self.op == "==" else actual >= self.lo
 
     def __str__(self) -> str:
-        if self.op == "==":
-            return str(self.lo)
-        if self.op == "..":
-            return f"{self.lo}..{self.hi}"
-        return f"{self.op}{self.lo}"
+        return str(self.lo) if self.op == "==" else f">={self.lo}"
 
 
 def exactly(v: int) -> Expected:

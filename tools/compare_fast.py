@@ -1,0 +1,100 @@
+"""Time two builds of the compiled kernel against each other.
+
+    python3 tools/compare_fast.py BASE.c CHANGE.c [--runs 11] [--out FILE.json]
+
+Builds each ``_fast.c`` with the flags of the test suite's ``fast_kernel``
+fixture into a temporary directory, checks that both return the same
+``solve_max`` result (size, mask, nodes, status) on every instance, then
+times ``solve_max`` in alternating runs: run k times the base first when k
+is even.  A run times enough back-to-back solves to last about 20 ms and
+records the time per solve.  Prints per instance the base and change
+medians, the median over runs of change/base (each run times the two
+back to back, so a machine that changes speed between runs shifts both
+sides alike) and in how many runs the change was faster; ``--out``
+writes every run as JSON.  Run it from the repo
+root, with ``src`` importable (``PYTHONPATH=src``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import shlex
+import statistics
+import subprocess
+import sysconfig
+import tempfile
+import time
+from pathlib import Path
+
+from gpvis import all_pairs_distances, parse_graph_spec
+
+KIND_CODES = {"mv": 0, "outer": 1, "total": 2, "gp": 3}
+INSTANCES = [
+    *(f"{g} outer" for g in ("double(cycle:8)", "double(cycle:12)", "myc(path:12)", "double(path:10)",
+                             "double(balloon:2)", "myc(cycle:12)", "double(kbip:5,6)")),
+    *(f"{g} total" for g in ("double(cycle:8)", "double(cycle:10)", "double(cycle:12)", "double(path:12)",
+                             "double(kbip:5,6)", "myc(balloon:2)", "double(balloon:2)", "double(path:8)")),
+    *(f"{g} mv" for g in ("double(cycle:10)", "double(cycle:14)", "myc(cycle:12)", "myc(cycle:16)")),
+    *(f"{g} gp" for g in ("double(kminus:16)", "myc(cycle:20)", "double(cycle:20)")),
+]
+
+
+def build(source: str, outdir: Path, tag: str):
+    """Compile and import one ``_fast.c``, as the ``fast_kernel`` fixture does."""
+    out = outdir / tag / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
+    out.parent.mkdir()
+    cmd = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
+    cmd += ["-O2", "-Wall", "-Werror", "-fPIC", "-I", sysconfig.get_paths()["include"], source, "-o", str(out)]
+    subprocess.run(cmd, check=True)
+    spec = importlib.util.spec_from_file_location("_fast", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def per_solve(kernel, args, reps: int) -> float:
+    start = time.perf_counter()
+    for _ in range(reps):
+        kernel.solve_max(*args)
+    return (time.perf_counter() - start) / reps
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base")
+    ap.add_argument("change")
+    ap.add_argument("--runs", type=int, default=11)
+    ap.add_argument("--instances", nargs="+", default=INSTANCES, metavar="'SPEC KIND'")
+    ap.add_argument("--out")
+    opts = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        kernels = {"base": build(opts.base, Path(tmp), "base"), "change": build(opts.change, Path(tmp), "change")}
+        rows = []
+        for instance in opts.instances:
+            spec, kind = instance.split()
+            g = parse_graph_spec(spec)
+            args = (g.n, g.adj, all_pairs_distances(g).data, KIND_CODES[kind])
+            result = kernels["base"].solve_max(*args)
+            if kernels["change"].solve_max(*args) != result:
+                raise SystemExit(f"{instance}: the two builds disagree")
+            reps = max(1, round(0.02 / per_solve(kernels["base"], args, 1)))
+            runs = {"base": [], "change": []}
+            for k in range(opts.runs):
+                for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
+                    runs[side].append(per_solve(kernels[side], args, reps))
+            base, change = statistics.median(runs["base"]), statistics.median(runs["change"])
+            ratios = [c / b for b, c in zip(runs["base"], runs["change"])]
+            ratio, faster = statistics.median(ratios), sum(r < 1 for r in ratios)
+            rows.append({"instance": instance, "result": list(result), "reps": reps, "runs": runs,
+                         "base_median_s": base, "change_median_s": change,
+                         "median_run_ratio": ratio, "change_faster_runs": faster})
+            print(f"{instance:26} nodes {result[2]:>6}  base {base * 1e3:8.3f} ms  change {change * 1e3:8.3f} ms"
+                  f"  ratio {ratio:.2f}  faster in {faster}/{opts.runs}", flush=True)
+    if opts.out:
+        Path(opts.out).write_text(json.dumps({"runs_per_side": opts.runs, "instances": rows}, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
