@@ -5,10 +5,12 @@
    same geodesic-layer visibility test, the same set check (one sweep of
    the distance layers per source answers every pair of that source),
    the same greedy sweep and the same branch-and-bound with the
-   twin-class prefix rule.  So the two kernels return the same value,
-   witness mask, node count and status, and the parity tests hold them
-   to it.  Only the data layout differs: masks are uint64_t and the
-   tables are flat arrays built per call.
+   twin-class prefix rule and, given symmetries, the same dropped root
+   orbits (the Symmetry notes in pure.py argue their soundness).  So the
+   two kernels return the same value, witness mask, node count and
+   status, and the parity tests hold them to it.  Only the data layout
+   differs: masks are uint64_t and the tables are flat arrays built per
+   call.
 
    pure._Ctx.extensions(smask, w, cmask) -> mask filters a child's
    candidate mask from two sides at once, on a copy of the graph
@@ -236,9 +238,9 @@ static int pv(const Ctx *c, int u, int v, u64 blocked)
    u-geodesic reaches with no member of mask inside it, so u sees v
    exactly when v is in reach at layer d(u, v); only reached vertices
    outside mask carry the walk on.  When they are a whole layer, they
-   reach the whole next one, which is then taken without a walk (pure.py
-   walks it; the answer is the same).  GP tests each triple of members
-   once, as the three-way "between" test is symmetric. */
+   reach the whole next one, which is then taken without a walk.  GP
+   tests each triple of members once, as the three-way "between" test is
+   symmetric. */
 static int set_ok(const Ctx *c, int kind, u64 mask)
 {
     int n = c->n, u, t;
@@ -349,18 +351,20 @@ static double monotonic(void)
 typedef struct {
     const Ctx *c;
     int kind, best, target;
-    int pred[MAXN]; /* the vertex before v in its twin class, or -1 */
-    int *scratch;   /* one candidate list of n per depth */
+    int pred[MAXN];  /* the vertex before v in its twin class, or -1 */
+    u64 orbit[MAXN]; /* v's orbit under the symmetries and twin swaps */
+    int *scratch;    /* one candidate list of n per depth */
     u64 best_mask;
     long long nodes;
     double deadline;
 } Search;
 
-/* pure._Search.run, with the per-candidate test in place of
-   pure._Ctx.extensions.  Returns EXACT when the subtree is done. */
-static int search(Search *s, u64 smask, int size, const int *cands, int ncands, int depth)
+/* pure.solve_max's run, with the per-candidate test in place of
+   pure._Ctx.extensions.  Returns EXACT when the subtree is done.  At the
+   root, a done branch takes its root's orbit out of cands. */
+static int search(Search *s, u64 smask, int size, int *cands, int ncands, int depth)
 {
-    int n = s->c->n, i, j, w, x, nrest, rc;
+    int n = s->c->n, i, j, k, w, x, nrest, rc;
     int *rest = s->scratch + (size_t)depth * n;
     u64 new, have;
 
@@ -399,8 +403,112 @@ static int search(Search *s, u64 smask, int size, const int *cands, int ncands, 
         }
         if (nrest && (rc = search(s, new, size + 1, rest, nrest, depth + 1)) != EXACT)
             return rc;
+        if (depth == 0) {
+            /* the root w is done, and no larger set meets its orbit */
+            for (j = k = i + 1; j < ncands; j++)
+                if (!(s->orbit[w] & BIT(cands[j])))
+                    cands[k++] = cands[j];
+            ncands = k;
+        }
     }
     return EXACT;
+}
+
+static int find_root(int *root, int v)
+{
+    while (root[v] != v)
+        v = root[v] = root[root[v]];
+    return v;
+}
+
+static void unite(int *root, int u, int v)
+{
+    u = find_root(root, u);
+    v = find_root(root, v);
+    if (u < v)
+        root[v] = u;
+    else if (v < u)
+        root[u] = v;
+}
+
+/* One symmetry: the images of 0..n-1, which must be a permutation that
+   maps every adjacency row onto its image's row (pure._checked_symmetries). */
+static int read_symmetry(const Ctx *c, PyObject *obj, int *perm)
+{
+    int n = c->n, v;
+    u64 seen = 0, img, r;
+    PyObject *seq = PySequence_Fast(obj, "a symmetry must be a sequence of vertices");
+
+    if (seq == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(seq) != n)
+        goto not_perm;
+    for (v = 0; v < n; v++) {
+        long x = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, v));
+        if (x == -1 && PyErr_Occurred()) {
+            if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+                goto fail;
+            PyErr_Clear();
+            goto not_perm;
+        }
+        if (x < 0 || x >= n || seen & BIT(x))
+            goto not_perm;
+        seen |= BIT(x);
+        perm[v] = (int)x;
+    }
+    Py_DECREF(seq);
+    for (v = 0; v < n; v++) {
+        for (img = 0, r = c->adj[v]; r; r &= r - 1)
+            img |= BIT(perm[lowbit(r)]);
+        if (c->adj[perm[v]] != img) {
+            PyErr_SetString(PyExc_ValueError, "a symmetry is not an automorphism of the graph");
+            return -1;
+        }
+    }
+    return 0;
+
+not_perm:
+    PyErr_Format(PyExc_ValueError, "a symmetry is not a permutation of 0..%d", n - 1);
+fail:
+    Py_DECREF(seq);
+    return -1;
+}
+
+/* s->orbit from the symmetries (NULL for none) and the twin classes in
+   s->pred, as pure._orbits: without symmetries every orbit is v alone. */
+static int set_orbits(Search *s, PyObject *symmetries)
+{
+    int n = s->c->n, root[MAXN], perm[MAXN], v;
+    Py_ssize_t i, count = 0;
+    PyObject *seq = NULL;
+
+    for (v = 0; v < n; v++)
+        root[v] = v;
+    if (symmetries != NULL) {
+        seq = PySequence_Fast(symmetries, "symmetries must be a sequence of permutations");
+        if (seq == NULL)
+            return -1;
+        count = PySequence_Fast_GET_SIZE(seq);
+    }
+    for (i = 0; i < count; i++) {
+        if (read_symmetry(s->c, PySequence_Fast_GET_ITEM(seq, i), perm) < 0) {
+            Py_DECREF(seq);
+            return -1;
+        }
+        for (v = 0; v < n; v++)
+            unite(root, v, perm[v]);
+    }
+    Py_XDECREF(seq);
+    for (v = 0; v < n; v++) {
+        if (count && s->pred[v] >= 0)
+            unite(root, v, s->pred[v]);
+        s->orbit[v] = 0;
+    }
+    for (v = 0; v < n; v++)
+        s->orbit[find_root(root, v)] |= BIT(v);
+    for (v = 0; v < n; v++)
+        s->orbit[v] = s->orbit[find_root(root, v)];
+    return 0;
 }
 
 PyDoc_STRVAR(pair_visible_doc,
@@ -507,25 +615,28 @@ static PyObject *py_greedy_set(PyObject *self, PyObject *args, PyObject *kw)
 }
 
 PyDoc_STRVAR(solve_max_doc,
-"solve_max(n, adj, dist, kind, target=0, time_limit=0.0)\n--\n\n"
+"solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=())\n--\n\n"
 "Exact maximum set for the kind; returns (size, mask, nodes, status).\n\n"
 "status: 0 exact, 1 stopped early at target size, 2 time limit hit.\n"
 "With an early stop the reported size is a lower bound on the optimum.\n"
+"``symmetries`` are automorphisms of the graph, each a sequence of the\n"
+"images of 0..n-1; the search drops a root's orbit under them once the\n"
+"root's branch is done.\n"
 "A signal handler that raises (Ctrl-C) stops the search within 1024\n"
 "nodes, and its exception propagates.");
 
 static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *kwlist[] = {"n", "adj", "dist", "kind", "target", "time_limit", NULL};
-    PyObject *adj, *dist;
+    static char *kwlist[] = {"n", "adj", "dist", "kind", "target", "time_limit", "symmetries", NULL};
+    PyObject *adj, *dist, *symmetries = NULL;
     int n, kind, target = 0, order[MAXN], roots[MAXN], nroots = 0, i, j, rc;
     double time_limit = 0.0;
     u64 seed;
     Ctx c;
     Search s;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "iOOi|id:solve_max", kwlist,
-                                     &n, &adj, &dist, &kind, &target, &time_limit))
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "iOOi|idO:solve_max", kwlist,
+                                     &n, &adj, &dist, &kind, &target, &time_limit, &symmetries))
         return NULL;
     if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, kind) < 0)
         return NULL;
@@ -543,6 +654,10 @@ static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
                 s.pred[order[i]] = order[j];
                 break;
             }
+    }
+    if (set_orbits(&s, symmetries) < 0) {
+        ctx_free(&c);
+        return NULL;
     }
     seed = greedy(&c, kind, order);
     s.best = popcount(seed);

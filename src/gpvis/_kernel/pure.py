@@ -9,9 +9,11 @@ Set checks.  ``set_ok`` checks MV, OUTER and TOTAL with one sweep of the
 distance layers per source u: each member of S, or every vertex for
 TOTAL.  The sweep keeps reach, the vertices at distance t that some
 u-geodesic reaches with no member of S strictly inside it; only u and
-the reached vertices outside S carry the walk to layer t + 1.  By
-induction on t, u sees v exactly when v is in reach at layer d(u, v), so
-one sweep answers every pair of u at once.  Visibility is symmetric, so
+the reached vertices outside S carry the walk to layer t + 1.  (When
+they are all of layer t, they reach all of layer t + 1, which is then
+taken without a walk.)  By induction on t, u sees v exactly when v is
+in reach at layer d(u, v), so one sweep answers every pair of u at
+once.  Visibility is symmetric, so
 the sweep from u wants only the vertices above u that the kind pairs
 with it: the members of S for MV, every vertex for OUTER and TOTAL;
 OUTER also wants the vertices outside S below u.  The sweep checks each
@@ -76,8 +78,11 @@ and every partner: the (s, y) pairs whose interval holds w are the y in
 inw[w][s], and the partners of candidate x are the y in inw[w][x] (in S
 for MV, outside S ∪ {w} for OUTER).  inw is btw read the other way
 round, so it names exactly the pairs a scan would, and the filter stays
-exact.  TOTAL's pairs through w do not depend on S, so each w's list is
-built once per context.
+exact.  Both tables, and GP's pairbad, are unions of ball
+intersections: btw[u][v] of the interval layers balls[u][t] &
+balls[v][d(u,v) - t], and inw[w][x] of balls[x][k] & balls[w][k - d(x,w)]
+for k > d(x,w).  TOTAL's pairs through w do not depend on S, so each
+w's list is built once per context.
 
 Each solve keeps a memo on its ``_Ctx``: pair tests and cuts are keyed
 by (u, v, blocked & btw[u][v]) with u < v, since visibility is symmetric
@@ -91,7 +96,10 @@ which ``solve_max`` calls) is the search tree's leftmost path: it takes
 the first candidate and filters the rest against it, and heredity makes
 that the plain sweep, since a candidate dropped once fails every
 superset.  The roots are the w for which {w} has the property: every
-vertex, but for TOTAL the union of the pair cuts under the empty set.
+vertex, but for TOTAL none in a pair's cut under the empty set.  With
+nothing blocked, a cut is the union of the pair's interval layers that
+hold one vertex, so TOTAL's roots come from the ball rows without a
+walk, once per search copy, and a solve shares them with its seed.
 
 Twin classes.  Vertices with equal ``adj`` rows (false twins: every v
 and its copy v' in a double graph) form a class, ordered along the
@@ -106,6 +114,25 @@ bits of the vertices with a twin predecessor settles this.  The rule
 only drops candidates, so the filter above stays exact, and the optimum
 is kept.  ``enumerate_exact`` must list every maximum set and walks the
 full tree.
+
+Symmetry.  ``solve_max`` takes automorphisms of the graph (rejected
+unless each is a permutation that maps every ``adj`` row onto its
+image's row) and joins them with the twin swaps into the orbits of the
+group they generate.  Once the branch of a root w is done, w's orbit
+leaves the remaining roots, and so every later branch.  This is sound:
+by induction, once the roots up to w are done, ``best`` bounds every
+good set that meets them or an orbit dropped before.  Every vertex
+before w in the order was dropped with its whole twin class, so w is the
+first of its class; putting a good set's members first in each twin
+class keeps w in it and keeps it clear of the dropped vertices, and w's
+branch covers every such set.  An automorphism that maps u to w maps a
+good set that holds u onto a good set of the same size that holds w, so
+no set that meets w's orbit beats ``best``.  Without symmetries every
+orbit is the vertex alone and the tree is the one searched without them:
+the twin swaps are then not joined, since the later twins of a root,
+which the prefix rule skips, still count in the root's bound, and
+dropping them early would change the tree.  ``greedy_set`` and
+``enumerate_exact`` take no symmetries.
 
 Inputs.  Every entry point raises ``ValueError`` for an ``adj`` or
 ``dist`` whose length does not fit n, an ``adj`` row, mask or vertex
@@ -307,65 +334,91 @@ _search_balls = lru_cache(maxsize=1)(_ball_rows)
 
 @lru_cache(maxsize=1)
 def _between_masks(n, dist):
-    """btw[u][v]: vertices strictly inside some u,v-geodesic.  Only the
-    latest table is kept, so the solves of one graph share one build;
-    callers read it and never change it."""
+    """btw[u][v]: vertices strictly inside some u,v-geodesic, the union of
+    the interval layers balls[u][t] & balls[v][d(u,v) - t], 0 < t < d(u,v).
+    Only the latest table is kept, so the solves of one graph share one
+    build; callers read it and never change it."""
+    balls = _search_balls(n, dist)
     btw = [[0] * n for _ in range(n)]
     for u in range(n):
-        du = u * n
+        bu, du, row = balls[u], u * n, btw[u]
         for v in range(u + 1, n):
-            dv = v * n
-            duv = dist[du + v]
+            d = dist[du + v]
+            bv = balls[v]
             m = 0
-            for x in range(n):
-                if x != u and x != v and dist[du + x] + dist[dv + x] == duv:
-                    m |= 1 << x
-            btw[u][v] = m
-            btw[v][u] = m
+            for t in range(1, d):
+                m |= bu[t] & bv[d - t]
+            row[v] = btw[v][u] = m
     return btw
 
 
 @lru_cache(maxsize=1)
 def _reverse_intervals(n, dist):
     """inw[w][x]: the y with w strictly inside some x,y-geodesic, so that
-    y is in inw[w][x] exactly when w is in btw[x][y].  Kept for the latest
-    table only and read-only, like ``_between_masks``."""
-    btw = _between_masks(n, dist)
+    y is in inw[w][x] exactly when w is in btw[x][y]: the union of
+    balls[x][k] & balls[w][k - d(x, w)] over k > d(x, w) > 0.  Kept for the
+    latest table only and read-only, like ``_between_masks``."""
+    balls = _search_balls(n, dist)
     inw = [[0] * n for _ in range(n)]
-    for x in range(n):
-        row = btw[x]
-        for y in range(x + 1, n):
-            m = row[y]
-            while m:
-                low = m & -m
-                into = inw[low.bit_length() - 1]
-                into[x] |= 1 << y
-                into[y] |= 1 << x
-                m ^= low
+    for w in range(n):
+        bw, dw, row = balls[w], w * n, inw[w]
+        for x in range(n):
+            d = dist[dw + x]
+            if d <= 0:
+                continue
+            bx = balls[x]
+            m = 0
+            for k in range(d + 1, len(bx)):
+                m |= bx[k] & bw[k - d]
+            row[x] = m
     return inw
 
 
 @lru_cache(maxsize=1)
 def _gp_pairbad(n, dist):
-    """pairbad[u][v]: third vertices completing a geodesic triple with u,v.
-    Kept for the latest table only and read-only, like ``_between_masks``."""
+    """pairbad[u][v]: third vertices completing a geodesic triple with u,v:
+    those between u and v (btw[u][v]), and those beyond v from u or beyond
+    u from v (inw[v][u] and inw[u][v]), built from the ball rows as those
+    tables are.  Kept for the latest table only and read-only, like
+    ``_between_masks``."""
+    balls = _search_balls(n, dist)
     bad = [[0] * n for _ in range(n)]
     for u in range(n):
-        du = u * n
+        bu, du, row = balls[u], u * n, bad[u]
         for v in range(u + 1, n):
-            dv = v * n
-            duv = dist[du + v]
+            d = dist[du + v]
+            if d < 0:
+                continue
+            bv = balls[v]
             m = 0
-            for x in range(n):
-                if x == u or x == v:
-                    continue
-                dux = dist[du + x]
-                dxv = dist[dv + x]
-                if dux + dxv == duv or duv + dxv == dux or dux + duv == dxv:
-                    m |= 1 << x
-            bad[u][v] = m
-            bad[v][u] = m
+            for t in range(1, d):
+                m |= bu[t] & bv[d - t]
+            for k in range(d + 1, len(bu)):
+                m |= bu[k] & bv[k - d] | bv[k] & bu[k - d]
+            row[v] = bad[v][u] = m
     return bad
+
+
+@lru_cache(maxsize=1)
+def _total_roots(n, dist):
+    """The w for which {w} is a total mutual-visibility set, as a mask:
+    those in no pair's cut under the empty set.  With nothing blocked, a
+    pair's alive vertices at layer t are all of its interval layer
+    balls[u][t] & balls[v][d(u,v) - t], so the cut is the union of the
+    layers that hold one vertex.  Kept for the latest table only, like
+    ``_between_masks``, so a solve and its greedy seed share it."""
+    balls = _search_balls(n, dist)
+    forbid = 0
+    for u in range(n):
+        bu, du = balls[u], u * n
+        for v in range(u + 1, n):
+            d = dist[du + v]
+            bv = balls[v]
+            for t in range(1, d):
+                layer = bu[t] & bv[d - t]
+                if not layer & (layer - 1):
+                    forbid |= layer
+    return ((1 << n) - 1) & ~forbid
 
 
 def set_ok(n, adj, dist, mask, kind):
@@ -408,13 +461,17 @@ def set_ok(n, adj, dist, mask, kind):
         for t in range(1, len(bu)):
             if not want:
                 break
-            acc = 0
-            while front:
-                low = front & -front
-                acc |= adj[low.bit_length() - 1]
-                front ^= low
             layer = bu[t]
-            reach = acc & layer
+            if front == bu[t - 1]:
+                # a whole layer reaches the whole next one
+                reach = layer
+            else:
+                acc = 0
+                while front:
+                    low = front & -front
+                    acc |= adj[low.bit_length() - 1]
+                    front ^= low
+                reach = acc & layer
             if want & layer & ~reach:
                 return False
             want &= ~layer
@@ -433,7 +490,7 @@ class _Ctx:
         self.adj = adj
         self.dist = dist
         self.kind = kind
-        key = dist if type(dist) is _Table else _table(dist)
+        self.key = key = dist if type(dist) is _Table else _table(dist)
         if kind == GP:
             self.pairbad = _gp_pairbad(n, key)
         else:
@@ -449,17 +506,10 @@ class _Ctx:
 
     def roots(self):
         """The w for which {w} has the property, as a mask: all of them,
-        but for TOTAL those that lie on every geodesic of some pair."""
-        n = self.n
-        full = (1 << n) - 1
+        but for TOTAL only those that no pair has on all its geodesics."""
         if self.kind != TOTAL:
-            return full
-        adj, dist, balls = self.adj, self.dist, self.balls
-        forbid = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                forbid |= _pv_cut(n, adj, dist, balls, u, v, 0)
-        return full & ~forbid
+            return (1 << self.n) - 1
+        return _total_roots(self.n, self.key)
 
     def _pairs_through(self, w):
         pairs = self.through.get(w)
@@ -634,16 +684,62 @@ def _twin_preds(adj):
     return pred
 
 
-def solve_max(n, adj, dist, kind, target=0, time_limit=0.0):
+def _checked_symmetries(n, adj, symmetries):
+    """The symmetries as a list of tuples; raises ``ValueError`` for an
+    entry that is not a permutation of 0..n-1 or that maps some adjacency
+    row onto another vertex's row, as it is then no automorphism."""
+    perms = [tuple(perm) for perm in symmetries]
+    every = list(range(n))
+    for perm in perms:
+        if len(perm) != n or sorted(perm) != every:
+            raise ValueError(f"a symmetry is not a permutation of 0..{n - 1}")
+        for v in every:
+            if adj[perm[v]] != _mapped(adj[v], perm):
+                raise ValueError("a symmetry is not an automorphism of the graph")
+    return perms
+
+
+def _orbits(n, symmetries, label, pred):
+    """orbit[v], in search labels: v's orbit under the group that the
+    symmetries (in the caller's labels) and the twin swaps generate, as a
+    mask.  Without symmetries every orbit is v alone (see the module
+    notes)."""
+    if not symmetries:
+        return [1 << v for v in range(n)]
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    pairs = [(v, p) for v, p in enumerate(pred) if p >= 0]
+    pairs += [(label[v], label[u]) for perm in symmetries for v, u in enumerate(perm)]
+    for v, u in pairs:
+        a, b = find(v), find(u)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    masks = [0] * n
+    for v in range(n):
+        masks[find(v)] |= 1 << v
+    return [masks[find(v)] for v in range(n)]
+
+
+def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
     """Exact maximum set for the kind; returns (size, mask, nodes, status).
 
     status: 0 exact, 1 stopped early at target size, 2 time limit hit.
     With an early stop the reported size is a lower bound on the optimum.
+    ``symmetries`` are automorphisms of the graph, each a sequence of the
+    images of 0..n-1; the search drops a root's orbit under them once the
+    root's branch is done (see the module notes).
     """
     order, label, ctx = _relabelled(n, adj, dist, kind)
+    symmetries = _checked_symmetries(n, adj, symmetries)
     deadline = time.monotonic() + time_limit if time_limit else 0.0
     pred = _twin_preds(ctx.adj)
     twins = sum(1 << v for v in range(n) if pred[v] >= 0)
+    orbit = _orbits(n, symmetries, label, pred)
     extensions = ctx.extensions
     best_mask = _mapped(greedy_set(n, adj, dist, kind), label)
     best = best_mask.bit_count()
@@ -680,6 +776,10 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0):
                     rest ^= xb
             if rest:
                 run(new, size + 1, rest)
+            if not smask:
+                # the root w is done, and no larger set meets its orbit
+                cands &= ~orbit[w]
+                left = cands.bit_count()
 
     status = 0
     if target and best >= target:

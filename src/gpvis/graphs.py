@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from ._kernel import get_kernel
@@ -56,14 +57,18 @@ def apex_role() -> Role:
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with bitmask adjacency rows and vertex roles.
-    ``_distances`` keeps the graph's matrix once it is computed, and
-    ``_indices`` the vertex of each (kind, ref) role once a label is looked up."""
+    ``_distances`` keeps the graph's matrix once it is computed,
+    ``_indices`` the vertex of each (kind, ref) role once a label is looked
+    up, and ``_symmetries`` the automorphisms that ``role_symmetries`` kept."""
 
     n: int
     adj: tuple[int, ...]
     roles: tuple[Role, ...]
     _distances: DistanceMatrix | None = field(default=None, init=False, repr=False, compare=False)
     _indices: dict[tuple[str, int], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _symmetries: tuple[tuple[int, ...], ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -251,6 +256,62 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         data, connected = _bfs_distances(g.n, tuple(g.adj))
         object.__setattr__(g, "_distances", DistanceMatrix(g.n, data, connected))
     return g._distances
+
+
+def role_symmetries(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms that the vertex roles carry, each as the tuple of
+    the images of 0..n-1: the shift of every ref by one modulo the number
+    k of refs of its role kind, or else the reflection of ref to k-1-ref
+    (the apex stays).  These are the rotations and reflections that
+    ``double`` and ``myc`` lift from a cycle or a path.  The shift turns
+    each kind round one cycle, so its orbits are whole kinds, and once it
+    holds the reflection adds nothing to them.  A candidate is kept only
+    if it maps every adjacency row onto the row of its image; the check
+    stops at the first row that fails, so a graph whose roles carry no
+    symmetry costs little.  Kept on ``g`` after the first call."""
+    if g._symmetries is None:
+        maps = _role_maps(tuple(map(_KIND_REF, g.roles)))
+        kept = next((p for p in maps if p is not None and _maps_rows(g.adj, p)), None)
+        object.__setattr__(g, "_symmetries", () if kept is None else (kept,))
+    return g._symmetries
+
+
+_KIND_REF = attrgetter("kind", "ref")
+
+
+@lru_cache(maxsize=32)
+def _role_maps(keys: tuple[tuple[str, int], ...]) -> tuple[tuple[int, ...] | None, ...]:
+    """The shift and the reflection of the refs, for the roles given as
+    (kind, ref) pairs, as permutations of the vertices; None where a role
+    has no image.  When every role has one, the refs of each kind are
+    0..k-1, so the map is a bijection.  Kept for the latest 32 layouts,
+    as the graphs of one family and order share theirs (a verify-paper
+    catalog has 24)."""
+    n = len(keys)
+    where = dict(zip(keys, range(n)))
+    if len(where) != n:
+        return (None, None)
+    kinds = [kind for kind, _ in keys]
+    count = {kind: kinds.count(kind) for kind in set(kinds)}
+    shift = tuple(where.get((kind, (ref + 1) % count[kind])) for kind, ref in keys)
+    reflect = tuple(where.get((kind, count[kind] - 1 - ref)) for kind, ref in keys)
+    return tuple(None if None in perm else perm for perm in (shift, reflect))
+
+
+def _maps_rows(adj: tuple[int, ...], perm: tuple[int, ...]) -> bool:
+    """Each row adj[v], with every vertex x moved to perm[x], is adj[perm[v]].
+    ``perm`` must be a bijection: then a row whose images all lie in a row
+    of its size maps onto that row."""
+    for v, row in enumerate(adj):
+        target = adj[perm[v]]
+        if target.bit_count() != row.bit_count():
+            return False
+        while row:
+            low = row & -row
+            if not target >> perm[low.bit_length() - 1] & 1:
+                return False
+            row ^= low
+    return True
 
 
 @lru_cache(maxsize=256)

@@ -6,9 +6,11 @@ the pruning: once a single-vertex extension fails, no superset through
 that vertex is revisited, and a node is cut when the current set plus
 all remaining candidates cannot beat the incumbent.  The incumbent is
 seeded by the deterministic greedy sweep.  Sets that a swap of twin
-vertices (equal neighbourhoods) maps onto each other are searched once;
-enumeration still lists them all.  Results are deterministic; the
-default mode is single-worker.
+vertices (equal neighbourhoods) maps onto each other are searched once,
+and once the branch of a root vertex is done, the vertices that a
+symmetry carried by the vertex roles (``role_symmetries``) maps it to
+leave the later branches; enumeration still lists every set.  Results
+are deterministic; the default mode is single-worker.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from ._kernel import get_kernel, pure
-from .graphs import Graph, VertexSet, all_pairs_distances, require_connected
+from .graphs import Graph, VertexSet, all_pairs_distances, require_connected, role_symmetries
 from .visibility import PropertyKind, is_property_set
 
 HARD_CAP = 26
@@ -86,6 +88,7 @@ def max_property_set(
         kind.code,
         target or 0,
         time_limit or 0.0,
+        role_symmetries(g),
     )
     elapsed = time.perf_counter() - start
     witness = VertexSet(g.n, mask)

@@ -24,6 +24,7 @@ from gpvis import (
     read_edge_list_file,
     require_connected,
 )
+from gpvis.graphs import role_symmetries
 from gpvis.report import corpus_graphs
 
 from oracles import all_geodesics
@@ -111,6 +112,68 @@ def test_role_sort_order():
     roles = [copy_role(0), apex_role(), base_role(1), base_role(0), copy_role(1)]
     roles.sort(key=lambda r: r.sort_key())
     assert [r.label() for r in roles] == ["v1", "v2", "v1'", "v2'", "v*"]
+
+
+def is_automorphism(g, perm):
+    return sorted(perm) == list(range(g.n)) and all(
+        g.has_edge(perm[u], perm[v]) for u, v in g.edges()
+    )
+
+
+def role_move(g, perm):
+    """How ``perm`` moves the refs: "shift", "reflect" or neither (None)."""
+    count = {}
+    for role in g.roles:
+        count[role.kind] = count.get(role.kind, 0) + 1
+    moves = {(g.roles[v].kind, g.roles[v].ref, g.roles[perm[v]].ref) for v in range(g.n)}
+    if all(g.roles[perm[v]].kind == g.roles[v].kind for v in range(g.n)):
+        if all(new == (ref + 1) % count[kind] for kind, ref, new in moves):
+            return "shift"
+        if all(new == count[kind] - 1 - ref for kind, ref, new in moves):
+            return "reflect"
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec,move",
+    [
+        ("cycle:6", "shift"),
+        ("path:5", "reflect"),
+        ("double(cycle:7)", "shift"),
+        ("myc(cycle:5)", "shift"),
+        ("double(path:4)", "reflect"),
+        ("myc(path:6)", "reflect"),
+        ("double(kminus:6)", None),
+        ("star:5", None),
+        ("balloon:2", None),
+        ("kbip:3,4", None),
+    ],
+)
+def test_role_symmetries_are_the_automorphisms_the_roles_carry(spec, move):
+    """The shift of the refs is kept when it is an automorphism, and the
+    reflection when the shift is not and it is; they are still found once
+    the vertices and their roles are permuted together, as the hard
+    benchmark's labellings do."""
+    g = parse_graph_spec(spec)
+    perm = list(range(g.n))
+    random.Random(3).shuffle(perm)
+    roles = [None] * g.n
+    for v, p in enumerate(perm):
+        roles[p] = g.roles[v]
+    shuffled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()], roles)
+    for h in (g, shuffled):
+        found = role_symmetries(h)
+        assert [role_move(h, p) for p in found] == ([move] if move else [])
+        assert all(is_automorphism(h, p) for p in found)
+        assert role_symmetries(h) is found  # kept on the graph
+
+
+def test_role_symmetries_need_one_vertex_per_role():
+    c4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    assert role_symmetries(build_graph(4, c4)) == ((1, 2, 3, 0),)
+    assert role_symmetries(build_graph(4, c4, [base_role(0)] * 4)) == ()
+    corpus = corpus_graphs(2, count=10, n_lo=6, n_hi=9)
+    assert all(is_automorphism(g, p) for g in corpus for p in role_symmetries(g))
 
 
 def test_mask_of_and_vertex_set():

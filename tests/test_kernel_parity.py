@@ -22,6 +22,7 @@ from gpvis import (
     parse_graph_spec,
 )
 from gpvis._kernel import backend_name, get_kernel, pure
+from gpvis.graphs import role_symmetries
 from gpvis.report import corpus_graphs
 
 KINDS = (pure.MV, pure.OUTER, pure.TOTAL, pure.GP)
@@ -145,6 +146,41 @@ def test_solve_max_parity_including_node_counts(fast):
             # Same value, same witness mask, same node count, same status:
             # the two kernels must walk the identical tree.
             assert a == b, (g.n, kind, a, b)
+
+
+def test_solve_max_parity_with_role_symmetries(fast):
+    """With the same symmetries both kernels drop the same root orbits and
+    walk the same tree, on every graph and at order 64, where the orbit
+    of vertex 0 holds vertex 63."""
+    for g in graphs_under_test():
+        d = all_pairs_distances(g).data
+        symmetries = role_symmetries(g)
+        for kind in KINDS:
+            a = pure.solve_max(g.n, g.adj, d, kind, 0, 0.0, symmetries)
+            b = fast.solve_max(g.n, g.adj, d, kind, 0, 0.0, symmetries)
+            assert a == b, (g.n, kind, a, b)
+    g = parse_graph_spec("double(path:32)")
+    d = all_pairs_distances(g).data
+    symmetries = role_symmetries(g)
+    assert symmetries[0][0] == 31 and symmetries[0][63] == 32
+    for kind, target in ((pure.GP, 0), (pure.MV, 33)):
+        a = pure.solve_max(g.n, g.adj, d, kind, target, 0.0, symmetries)
+        assert a == fast.solve_max(g.n, g.adj, d, kind, target, 0.0, symmetries), kind
+        assert a[3] == (1 if target else 0)
+
+
+@pytest.mark.parametrize("backend", ["pure", "fast"])
+def test_kernels_reject_bad_symmetries(request, backend):
+    """A symmetry of the wrong length, one that is not a permutation and
+    one that is no automorphism are each rejected with ValueError."""
+    kernel = pure if backend == "pure" else request.getfixturevalue("fast_kernel")
+    g = parse_graph_spec("cycle:5")
+    d = all_pairs_distances(g).data
+    rotate = (1, 2, 3, 4, 0)
+    for bad in ((1, 2, 3, 4), (1, 2, 3, 4, 0, 5), (0, 0, 1, 2, 3), (-1, 0, 1, 2, 3), (1, 0, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            kernel.solve_max(5, g.adj, d, pure.MV, 0, 0.0, [rotate, bad])
+    assert kernel.solve_max(5, g.adj, d, pure.MV, 0, 0.0, [rotate])[0] == 3
 
 
 def test_solve_max_target_parity(fast):

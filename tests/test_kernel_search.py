@@ -1,7 +1,8 @@
 """The pure kernel's set check and search: the per-source sweep of
-``set_ok``, the per-child candidate filter, its cuts, reverse intervals and
-memo, the relabelled search copy, the twin-class prefix rule and pinned
-search trees.  Pure kernel only, so these never skip."""
+``set_ok``, the per-child candidate filter, its cuts, pair tables, reverse
+intervals and memo, the relabelled search copy, the twin-class prefix
+rule, the root orbits of the role symmetries and pinned search trees.
+Pure kernel only, so these never skip."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import pytest
 
 from gpvis import all_pairs_distances, build_graph, parse_graph_spec
 from gpvis._kernel import pure
+from gpvis.families import double_graph, mycielskian
+from gpvis.graphs import role_symmetries
 from gpvis.report import corpus_graphs
 
 KINDS = (pure.MV, pure.OUTER, pure.TOTAL, pure.GP)
@@ -194,6 +197,72 @@ def test_reverse_intervals_equal_their_definition():
                 assert inw[w][x] == want, (g.adj, w, x)
                 inside += want.bit_count()
     assert inside > 0
+
+
+def test_tables_equal_their_definitions():
+    """btw and pairbad, built from ball intersections, equal their
+    definitions read off the distances one vertex triple at a time, on a
+    disconnected graph too; inw is checked against btw above."""
+    split = build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    for g in graphs_under_test() + [split]:
+        n, dist = g.n, tuple(all_pairs_distances(g).data)
+        btw = pure._between_masks(n, dist)
+        bad = pure._gp_pairbad(n, dist)
+        for u in range(n):
+            for v in range(n):
+                duv = dist[u * n + v]
+                want_btw = want_bad = 0
+                for x in range(n):
+                    if u == v or x in (u, v):
+                        continue
+                    dux, dxv = dist[u * n + x], dist[x * n + v]
+                    if dux + dxv == duv:
+                        want_btw |= 1 << x
+                    if dux + dxv == duv or duv + dxv == dux or dux + duv == dxv:
+                        want_bad |= 1 << x
+                assert (btw[u][v], bad[u][v]) == (want_btw, want_bad), (g.adj, u, v)
+
+
+def test_role_symmetries_keep_every_value():
+    """Dropping each done root's orbit keeps the optimum: with the role
+    symmetries, every kind's value on the families, the corpus graphs and
+    their double graphs and Mycielskians is the one found without them,
+    and the witness has the property."""
+    families = [parse_graph_spec(f"{op}({fam}:{n})") for op in ("double", "myc")
+                for fam in ("path", "cycle") for n in range(3, 9)]
+    corpus = [h for g in corpus_graphs(5, count=8, n_lo=4, n_hi=7)
+              for h in (g, double_graph(g), mycielskian(g))]
+    symmetric = fewer = 0
+    for g in families + corpus:
+        dist = all_pairs_distances(g).data
+        symmetries = role_symmetries(g)
+        symmetric += bool(symmetries)
+        for kind in KINDS:
+            plain = pure.solve_max(g.n, g.adj, dist, kind)
+            size, mask, nodes, status = pure.solve_max(g.n, g.adj, dist, kind, 0, 0.0, symmetries)
+            assert (size, status) == (plain[0], plain[3]), (g.adj, kind)
+            assert mask.bit_count() == size and pure.set_ok(g.n, g.adj, dist, mask, kind)
+            fewer += nodes < plain[2]
+    assert symmetric >= len(families) and fewer > 0, (symmetric, fewer)
+
+
+# spec, kind: the nodes of solve_max without symmetries, and solve_max
+# (size, mask, nodes, status) with the role symmetries.  These are the
+# benchmark's instances at their identity labelling.
+PINNED_SYMMETRIC = [
+    ("double(cycle:8)", pure.TOTAL, 80, (8, 255, 48, 0)),
+    ("double(cycle:8)", pure.OUTER, 93, (8, 255, 56, 0)),
+    ("myc(cycle:12)", pure.MV, 2074, (15, 7828821, 1355, 0)),
+    ("double(cycle:10)", pure.MV, 511, (10, 1023, 290, 0)),
+]
+
+
+@pytest.mark.parametrize("spec,kind,plain_nodes,solved", PINNED_SYMMETRIC)
+def test_symmetric_search_trees_are_pinned(spec, kind, plain_nodes, solved):
+    g = parse_graph_spec(spec)
+    dist = all_pairs_distances(g).data
+    assert pure.solve_max(g.n, g.adj, dist, kind)[2] == plain_nodes
+    assert pure.solve_max(g.n, g.adj, dist, kind, 0, 0.0, role_symmetries(g)) == solved
 
 
 def relabelled_graphs():
