@@ -30,6 +30,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <time.h>
@@ -621,7 +622,8 @@ PyDoc_STRVAR(solve_max_doc,
 "With an early stop the reported size is a lower bound on the optimum.\n"
 "``symmetries`` are automorphisms of the graph, each a sequence of the\n"
 "images of 0..n-1; the search drops a root's orbit under them once the\n"
-"root's branch is done.\n"
+"root's branch is done.  ``target`` and ``time_limit`` 0 mean none;\n"
+"a negative or non-finite one raises ValueError.\n"
 "A signal handler that raises (Ctrl-C) stops the search within 1024\n"
 "nodes, and its exception propagates.");
 
@@ -638,6 +640,10 @@ static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
     if (!PyArg_ParseTupleAndKeywords(args, kw, "iOOi|idO:solve_max", kwlist,
                                      &n, &adj, &dist, &kind, &target, &time_limit, &symmetries))
         return NULL;
+    if (target < 0 || !(time_limit >= 0.0 && isfinite(time_limit))) {
+        PyErr_SetString(PyExc_ValueError, "target and time limit must be 0 (none) or more and finite");
+        return NULL;
+    }
     if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, kind) < 0)
         return NULL;
     default_order(&c, order);

@@ -35,9 +35,10 @@ the graph relabelled so that this order becomes 0..n-1, and build their
 context on it (the renumbering of BBMC, San Segundo et al. 2011).  Every
 candidate set is then a plain int mask whose lowest bit is the next
 vertex in the search order; the bound reads ``bit_count()``, and each
-returned mask is mapped back to the caller's labels.  The latest copy is
-kept, so the solves of one graph and their greedy seeds share it and its
-tables; the ball rows cached for ``set_ok`` are not touched.
+returned mask is mapped back to the caller's labels.  The copy owns its
+tables (``_Tables``), each built on first use, and only the latest copy
+is kept: the solves of one graph and their greedy seeds share one build
+of each.  The ball rows cached for ``set_ok`` are not touched.
 
 A node's candidates are filtered once per child from two facts the search
 already holds: S ∪ {w} has the property (w was a candidate of S), and so
@@ -78,11 +79,12 @@ and every partner: the (s, y) pairs whose interval holds w are the y in
 inw[w][s], and the partners of candidate x are the y in inw[w][x] (in S
 for MV, outside S ∪ {w} for OUTER).  inw is btw read the other way
 round, so it names exactly the pairs a scan would, and the filter stays
-exact.  Both tables, and GP's pairbad, are unions of ball
-intersections: btw[u][v] of the interval layers balls[u][t] &
-balls[v][d(u,v) - t], and inw[w][x] of balls[x][k] & balls[w][k - d(x,w)]
-for k > d(x,w).  TOTAL's pairs through w do not depend on S, so each
-w's list is built once per context.
+exact.  Both tables are unions of ball intersections: btw[u][v] of the
+interval layers balls[u][t] & balls[v][d(u,v) - t], and inw[w][x] of
+balls[x][k] & balls[w][k - d(x,w)] for k > d(x,w).  GP's pairbad[u][v]
+is btw[u][v] | inw[v][u] | inw[u][v]: the vertices between u and v,
+beyond v from u, and beyond u from v.  TOTAL's pairs through w do not
+depend on S, so each w's list is built once per copy.
 
 Each solve keeps a memo on its ``_Ctx``: pair tests and cuts are keyed
 by (u, v, blocked & btw[u][v]) with u < v, since visibility is symmetric
@@ -99,7 +101,7 @@ superset.  The roots are the w for which {w} has the property: every
 vertex, but for TOTAL none in a pair's cut under the empty set.  With
 nothing blocked, a cut is the union of the pair's interval layers that
 hold one vertex, so TOTAL's roots come from the ball rows without a
-walk, once per search copy, and a solve shares them with its seed.
+walk, once per copy, and a solve shares them with its seed.
 
 Twin classes.  Vertices with equal ``adj`` rows (false twins: every v
 and its copy v' in a double graph) form a class, ordered along the
@@ -138,12 +140,15 @@ Inputs.  Every entry point raises ``ValueError`` for an ``adj`` or
 ``dist`` whose length does not fit n, an ``adj`` row, mask or vertex
 outside 0..n-1, or an unknown kind.  Distance values (-1..n) are checked
 where a table is built, so a cached table costs a set check nothing.
+``solve_max`` also rejects a negative target and a negative or
+non-finite time limit, and ``enumerate_exact`` a negative size.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 NAME = "pure"
 
@@ -328,97 +333,87 @@ def _ball_rows(n, dist):
 
 # the ball rows of the most recent distance tables, for set checks
 _all_balls = lru_cache(maxsize=_TABLES_KEPT)(_ball_rows)
-# and those of the latest search copy, kept apart from them
-_search_balls = lru_cache(maxsize=1)(_ball_rows)
 
 
-@lru_cache(maxsize=1)
-def _between_masks(n, dist):
-    """btw[u][v]: vertices strictly inside some u,v-geodesic, the union of
-    the interval layers balls[u][t] & balls[v][d(u,v) - t], 0 < t < d(u,v).
-    Only the latest table is kept, so the solves of one graph share one
-    build; callers read it and never change it."""
-    balls = _search_balls(n, dist)
-    btw = [[0] * n for _ in range(n)]
-    for u in range(n):
-        bu, du, row = balls[u], u * n, btw[u]
-        for v in range(u + 1, n):
-            d = dist[du + v]
-            bv = balls[v]
-            m = 0
-            for t in range(1, d):
-                m |= bu[t] & bv[d - t]
-            row[v] = btw[v][u] = m
-    return btw
+class _Tables:
+    """The geodesic tables of one search copy (see the module notes), each
+    built on first use but the ball rows; callers never change them."""
 
+    def __init__(self, n, adj, dist):
+        self.n = n
+        self.adj = adj
+        self.dist = dist
+        self.balls = _ball_rows(n, dist)
 
-@lru_cache(maxsize=1)
-def _reverse_intervals(n, dist):
-    """inw[w][x]: the y with w strictly inside some x,y-geodesic, so that
-    y is in inw[w][x] exactly when w is in btw[x][y]: the union of
-    balls[x][k] & balls[w][k - d(x, w)] over k > d(x, w) > 0.  Kept for the
-    latest table only and read-only, like ``_between_masks``."""
-    balls = _search_balls(n, dist)
-    inw = [[0] * n for _ in range(n)]
-    for w in range(n):
-        bw, dw, row = balls[w], w * n, inw[w]
-        for x in range(n):
-            d = dist[dw + x]
-            if d <= 0:
-                continue
-            bx = balls[x]
-            m = 0
-            for k in range(d + 1, len(bx)):
-                m |= bx[k] & bw[k - d]
-            row[x] = m
-    return inw
+    @cached_property
+    def btw(self):
+        """btw[u][v]: vertices strictly inside some u,v-geodesic."""
+        n, dist, balls = self.n, self.dist, self.balls
+        btw = [[0] * n for _ in range(n)]
+        for u in range(n):
+            bu, du, row = balls[u], u * n, btw[u]
+            for v in range(u + 1, n):
+                d = dist[du + v]
+                bv = balls[v]
+                m = 0
+                for t in range(1, d):
+                    m |= bu[t] & bv[d - t]
+                row[v] = btw[v][u] = m
+        return btw
 
+    @cached_property
+    def inw(self):
+        """inw[w][x]: the y with w strictly inside some x,y-geodesic, so
+        that y is in inw[w][x] exactly when w is in btw[x][y]."""
+        n, dist, balls = self.n, self.dist, self.balls
+        inw = [[0] * n for _ in range(n)]
+        for w in range(n):
+            bw, dw, row = balls[w], w * n, inw[w]
+            for x in range(w + 1, n):
+                d = dist[dw + x]
+                if d < 0:
+                    continue
+                bx = balls[x]
+                m = mx = 0
+                for k in range(d + 1, len(bx)):
+                    m |= bx[k] & bw[k - d]
+                    mx |= bw[k] & bx[k - d]
+                row[x], inw[x][w] = m, mx
+        return inw
 
-@lru_cache(maxsize=1)
-def _gp_pairbad(n, dist):
-    """pairbad[u][v]: third vertices completing a geodesic triple with u,v:
-    those between u and v (btw[u][v]), and those beyond v from u or beyond
-    u from v (inw[v][u] and inw[u][v]), built from the ball rows as those
-    tables are.  Kept for the latest table only and read-only, like
-    ``_between_masks``."""
-    balls = _search_balls(n, dist)
-    bad = [[0] * n for _ in range(n)]
-    for u in range(n):
-        bu, du, row = balls[u], u * n, bad[u]
-        for v in range(u + 1, n):
-            d = dist[du + v]
-            if d < 0:
-                continue
-            bv = balls[v]
-            m = 0
-            for t in range(1, d):
-                m |= bu[t] & bv[d - t]
-            for k in range(d + 1, len(bu)):
-                m |= bu[k] & bv[k - d] | bv[k] & bu[k - d]
-            row[v] = bad[v][u] = m
-    return bad
+    @cached_property
+    def pairbad(self):
+        """pairbad[u][v]: third vertices completing a geodesic triple with
+        u, v: between them, beyond v from u, or beyond u from v."""
+        btw, inw = self.btw, self.inw
+        return [[btw[u][v] | inw[v][u] | inw[u][v] for v in range(self.n)] for u in range(self.n)]
 
+    @cached_property
+    def total_roots(self):
+        """The w for which {w} is a total mutual-visibility set, as a mask:
+        those in no single-vertex interval layer of any pair."""
+        n, dist, balls = self.n, self.dist, self.balls
+        forbid = 0
+        for u in range(n):
+            bu, du = balls[u], u * n
+            for v in range(u + 1, n):
+                d = dist[du + v]
+                bv = balls[v]
+                for t in range(1, d):
+                    layer = bu[t] & bv[d - t]
+                    if not layer & (layer - 1):
+                        forbid |= layer
+        return ((1 << n) - 1) & ~forbid
 
-@lru_cache(maxsize=1)
-def _total_roots(n, dist):
-    """The w for which {w} is a total mutual-visibility set, as a mask:
-    those in no pair's cut under the empty set.  With nothing blocked, a
-    pair's alive vertices at layer t are all of its interval layer
-    balls[u][t] & balls[v][d(u,v) - t], so the cut is the union of the
-    layers that hold one vertex.  Kept for the latest table only, like
-    ``_between_masks``, so a solve and its greedy seed share it."""
-    balls = _search_balls(n, dist)
-    forbid = 0
-    for u in range(n):
-        bu, du = balls[u], u * n
-        for v in range(u + 1, n):
-            d = dist[du + v]
-            bv = balls[v]
-            for t in range(1, d):
-                layer = bu[t] & bv[d - t]
-                if not layer & (layer - 1):
-                    forbid |= layer
-    return ((1 << n) - 1) & ~forbid
+    @cached_property
+    def through(self):
+        """through[w]: TOTAL's pairs (u, v, btw[u][v]), u < v, whose
+        interval holds w."""
+        btw = self.btw
+        return [
+            [(u, v, btw[u][v]) for u, iu in enumerate(iw) for v in _bits(iu >> u + 1 << u + 1)]
+            for iw in self.inw
+        ]
 
 
 def set_ok(n, adj, dist, mask, kind):
@@ -480,45 +475,25 @@ def set_ok(n, adj, dist, mask, kind):
 
 
 class _Ctx:
-    """Precomputed tables and the memo shared by one solve/enumerate run.
-    Vertex sets are int masks in the labels of the graph it is built on."""
+    """The memo of one solve/enumerate run on a search copy's tables.
+    Vertex sets are int masks in the copy's labels."""
 
-    def __init__(self, n, adj, dist, kind):
+    def __init__(self, tables, kind):
         if kind not in (MV, OUTER, TOTAL, GP):
             raise ValueError(f"unknown property kind code {kind}")
-        self.n = n
-        self.adj = adj
-        self.dist = dist
+        self.tables = tables
         self.kind = kind
-        self.key = key = dist if type(dist) is _Table else _table(dist)
-        if kind == GP:
-            self.pairbad = _gp_pairbad(n, key)
-        else:
-            self.balls = _search_balls(n, key)
-            self.btw = _between_masks(n, key)
-            self.inw = _reverse_intervals(n, key)
         # the search's memo (see the module notes): pair tests and cuts by
         # (u, v, blocked & btw[u][v]) with u < v
         self.seen = {}
         self.cuts = {}
-        # TOTAL: w -> the pairs (u, v, btw[u][v]), u < v, whose interval holds w
-        self.through = {}
 
     def roots(self):
         """The w for which {w} has the property, as a mask: all of them,
         but for TOTAL only those that no pair has on all its geodesics."""
         if self.kind != TOTAL:
-            return (1 << self.n) - 1
-        return _total_roots(self.n, self.key)
-
-    def _pairs_through(self, w):
-        pairs = self.through.get(w)
-        if pairs is None:
-            btw, iw = self.btw, self.inw[w]
-            pairs = self.through[w] = [
-                (u, v, btw[u][v]) for u in range(self.n) for v in _bits(iw[u] >> u + 1 << u + 1)
-            ]
-        return pairs
+            return (1 << self.tables.n) - 1
+        return self.tables.total_roots
 
     def extensions(self, smask, w, cmask):
         """The x in ``cmask`` for which smask ∪ {w, x} keeps the property,
@@ -527,24 +502,24 @@ class _Ctx:
         re-checked (see the module notes)."""
         if not cmask:
             return 0
-        kind = self.kind
+        kind, tables = self.kind, self.tables
         if kind == GP:
-            bad = self.pairbad[w]
+            bad = tables.pairbad[w]
             forbid = 0
             while smask:
                 low = smask & -smask
                 forbid |= bad[low.bit_length() - 1]
                 smask ^= low
             return cmask & ~forbid
-        n, adj, dist, balls, btw = self.n, self.adj, self.dist, self.balls, self.btw
+        n, adj, dist, balls, btw = tables.n, tables.adj, tables.dist, tables.balls, tables.btw
         wbit = 1 << w
         new = smask | wbit
         bw = btw[w]
-        iw = self.inw[w]
+        iw = tables.inw[w]
         # watch: pairs that smask ∪ {x} does not settle, re-checked when x
         # lies in their interval, as (u, v, btw[u][v]) with u < v
         if kind == TOTAL:
-            watch = self._pairs_through(w)
+            watch = tables.through[w]
         else:
             # (s, y) with w in its interval: y a later member, or for
             # OUTER any vertex outside smask ∪ {w}
@@ -634,22 +609,21 @@ def _relabelled(n, adj, dist, kind):
     """The search order, its inverse (label[v] is v's place in it) and a
     context on the copy of the graph whose vertex i is the order's i-th
     vertex (see the module notes)."""
-    order, label, radj, rdist = _search_copy(n, tuple(adj), _table_of(n, adj, dist))
-    return order, label, _Ctx(n, radj, rdist, kind)
+    order, label, tables = _search_copy(n, tuple(adj), _table_of(n, adj, dist))
+    return order, label, _Ctx(tables, kind)
 
 
 @lru_cache(maxsize=1)
 def _search_copy(n, adj, dist):
-    """(order, label, adj, dist) of the latest graph relabelled into its
+    """(order, label, tables) of the latest graph relabelled into its
     search order, so that the solves of one graph and their greedy seeds
     share one copy and its tables; read-only."""
-    _check_distances(n, dist)
     order = _default_order(n, adj)
     label = [0] * n
     for i, v in enumerate(order):
         label[v] = i
     radj = tuple(_mapped(adj[v], label) for v in order)
-    return order, label, radj, _table(dist[v * n + x] for v in order for x in order)
+    return order, label, _Tables(n, radj, tuple(dist[v * n + x] for v in order for x in order))
 
 
 def greedy_set(n, adj, dist, kind):
@@ -732,12 +706,17 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
     With an early stop the reported size is a lower bound on the optimum.
     ``symmetries`` are automorphisms of the graph, each a sequence of the
     images of 0..n-1; the search drops a root's orbit under them once the
-    root's branch is done (see the module notes).
+    root's branch is done (see the module notes).  ``target`` and
+    ``time_limit`` 0 mean none.
     """
+    if target < 0:
+        raise ValueError(f"target must be 0 (none) or more, got {target}")
+    if not 0.0 <= time_limit < math.inf:
+        raise ValueError(f"time limit must be 0 (none) or finite, got {time_limit}")
     order, label, ctx = _relabelled(n, adj, dist, kind)
     symmetries = _checked_symmetries(n, adj, symmetries)
     deadline = time.monotonic() + time_limit if time_limit else 0.0
-    pred = _twin_preds(ctx.adj)
+    pred = _twin_preds(ctx.tables.adj)
     twins = sum(1 << v for v in range(n) if pred[v] >= 0)
     orbit = _orbits(n, symmetries, label, pred)
     extensions = ctx.extensions
@@ -799,6 +778,8 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
 
 def enumerate_exact(n, adj, dist, kind, size):
     """All sets of exactly ``size`` with the property, as masks (DFS order)."""
+    if size < 0:
+        raise ValueError(f"size must be 0 or more, got {size}")
     order, _, ctx = _relabelled(n, adj, dist, kind)
     if size == 0:
         return [0]

@@ -10,7 +10,7 @@ vertices (equal neighbourhoods) maps onto each other are searched once,
 and once the branch of a root vertex is done, the vertices that a
 symmetry carried by the vertex roles (``role_symmetries``) maps it to
 leave the later branches; enumeration still lists every set.  Results
-are deterministic; the default mode is single-worker.
+are deterministic.
 """
 
 from __future__ import annotations

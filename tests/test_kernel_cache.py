@@ -77,20 +77,40 @@ def test_cached_ball_rows_are_tuples():
             assert layer == sum(1 << x for x in range(g.n) if dist[u * g.n + x] == t)
 
 
+def search_tables(g, dist):
+    """The tables of g's search copy, as the searches find them."""
+    return pure._search_copy(g.n, tuple(g.adj), pure._table_of(g.n, g.adj, dist))[2]
+
+
 def test_a_solve_builds_its_table_once():
-    tables = {pure.MV: pure._between_masks, pure.GP: pure._gp_pairbad}
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
-        for kind, table in tables.items():
-            table.cache_clear()
+        for kind, name in ((pure.MV, "btw"), (pure.GP, "pairbad")):
+            pure._search_copy.cache_clear()
             cold = pure.solve_max(g.n, g.adj, dist, kind)
             # solve_max and the greedy_set it calls share one build
-            assert table.cache_info().misses == 1
+            assert pure._search_copy.cache_info().misses == 1
+            table = getattr(search_tables(g, dist), name)
             assert pure.solve_max(g.n, g.adj, dist, kind) == cold
-            assert table.cache_info().misses == 1
-            # only the latest table is kept, and solving leaves it as built
-            assert table.cache_info().currsize == 1
-            assert table(g.n, dist) == table.__wrapped__(g.n, dist)
+            assert pure._search_copy.cache_info().misses == 1
+            assert getattr(search_tables(g, dist), name) is table
+            # only the latest copy is kept, and solving leaves it as built
+            assert pure._search_copy.cache_info().currsize == 1
+            tables = search_tables(g, dist)
+            assert table == getattr(pure._Tables(g.n, tables.adj, tables.dist), name)
+    # TOTAL and then OUTER on one graph, as the hard benchmark solves them,
+    # build one copy between them; a second TOTAL solve reuses the pairs
+    # through each vertex
+    g = parse_graph_spec("double(cycle:8)")
+    dist = all_pairs_distances(g).data
+    pure._search_copy.cache_clear()
+    total = pure.solve_max(g.n, g.adj, dist, pure.TOTAL)
+    through = search_tables(g, dist).through
+    pure.solve_max(g.n, g.adj, dist, pure.OUTER)
+    assert pure._search_copy.cache_info().misses == 1
+    assert pure.solve_max(g.n, g.adj, dist, pure.TOTAL) == total
+    assert search_tables(g, dist).through is through
+    assert pure._search_copy.cache_info().misses == 1
 
 
 def test_a_list_distance_table_is_accepted():

@@ -7,6 +7,7 @@ compiler is installed.
 
 from __future__ import annotations
 
+import math
 import random
 import signal
 import time
@@ -281,8 +282,9 @@ def test_compiled_kernel_rejects_bad_inputs(fast):
 @pytest.mark.parametrize("backend", ["pure", "fast"])
 def test_kernel_rejects_bad_inputs(request, backend):
     """Both kernels raise ValueError for rows or a table whose length does
-    not fit n, and for a mask, vertex, adj row or distance out of range,
-    a negative mask and one wider than 64 bits included."""
+    not fit n, for a mask, vertex, adj row or distance out of range, a
+    negative mask and one wider than 64 bits included, and for a negative
+    target or a negative or non-finite time limit."""
     kernel = pure if backend == "pure" else request.getfixturevalue("fast_kernel")
     g = parse_graph_spec("cycle:5")
     adj, d = g.adj, all_pairs_distances(g).data
@@ -311,9 +313,16 @@ def test_kernel_rejects_bad_inputs(request, backend):
     for blocked in (-1, 1 << 5):
         with pytest.raises(ValueError):
             kernel.pair_visible(5, adj, d, 0, 2, blocked)
+    m = parse_graph_spec("myc(cycle:12)")
+    args = (m.n, m.adj, all_pairs_distances(m).data, pure.MV)
+    for target, time_limit in ((-1, 0.0), (0, -5.0), (0, math.nan), (0, math.inf)):
+        with pytest.raises(ValueError):
+            kernel.solve_max(*args, target, time_limit)
     if backend == "pure":
         with pytest.raises(ValueError):
             pure.enumerate_exact(5, adj[:4], d, pure.MV, 2)
+        with pytest.raises(ValueError):
+            pure.enumerate_exact(5, adj, d, pure.MV, -1)
 
 
 @pytest.mark.parametrize("backend", ["pure", "fast"])

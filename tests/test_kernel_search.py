@@ -117,8 +117,9 @@ def test_filter_equals_one_candidate_at_a_time():
     sole_causes = {kind: Counter() for kind in KINDS}
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
+        tables = pure._Tables(g.n, g.adj, dist)
         for kind in KINDS:
-            ctx = pure._Ctx(g.n, g.adj, dist, kind)
+            ctx = pure._Ctx(tables, kind)
             for smask, w, cands in search_states(g, dist, kind, rng, 12):
                 new = smask | 1 << w
                 want = [x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)]
@@ -151,7 +152,7 @@ def test_greedy_and_roots_equal_one_vertex_sweeps():
                 if pure.set_ok(g.n, g.adj, dist, sweep | 1 << w, kind):
                     sweep |= 1 << w
             assert pure.greedy_set(g.n, g.adj, dist, kind) == sweep, (g.adj, kind)
-            roots = pure._Ctx(g.n, g.adj, dist, kind).roots()
+            roots = pure._Ctx(pure._Tables(g.n, g.adj, dist), kind).roots()
             assert roots == mask_of(w for w in order if pure.set_ok(g.n, g.adj, dist, 1 << w, kind))
             non_roots[kind] += g.n - roots.bit_count()
     assert non_roots[pure.TOTAL] > 0
@@ -166,7 +167,7 @@ def test_cut_equals_its_definition():
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
         balls = pure._all_balls(g.n, tuple(dist))
-        btw = pure._between_masks(g.n, tuple(dist))
+        btw = pure._Tables(g.n, g.adj, dist).btw
         for _ in range(60):
             u, v = rng.sample(range(g.n), 2)
             blocked = rng.getrandbits(g.n) & rng.getrandbits(g.n)
@@ -183,19 +184,28 @@ def test_cut_equals_its_definition():
     assert near > 0 and far > 0, (near, far)
 
 
+def split_graph():
+    """A disconnected graph: P3 beside P3, and an isolated vertex."""
+    return build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5)])
+
+
 def test_reverse_intervals_equal_their_definition():
     """inw[w][x] holds exactly the y with w strictly inside some
-    x,y-geodesic."""
+    x,y-geodesic, and through[w] lists the pairs u < v with w strictly
+    inside some u,v-geodesic, on a disconnected graph too."""
     inside = 0
-    for g in graphs_under_test():
-        dist = tuple(all_pairs_distances(g).data)
-        btw = pure._between_masks(g.n, dist)
-        inw = pure._reverse_intervals(g.n, dist)
-        for w in range(g.n):
-            for x in range(g.n):
-                want = mask_of(y for y in range(g.n) if btw[x][y] >> w & 1)
+    for g in graphs_under_test() + [split_graph()]:
+        n, dist = g.n, tuple(all_pairs_distances(g).data)
+        tables = pure._Tables(n, g.adj, dist)
+        btw, inw = tables.btw, tables.inw
+        for w in range(n):
+            for x in range(n):
+                want = mask_of(y for y in range(n) if btw[x][y] >> w & 1)
                 assert inw[w][x] == want, (g.adj, w, x)
                 inside += want.bit_count()
+            assert tables.through[w] == [
+                (u, v, btw[u][v]) for u in range(n) for v in range(u + 1, n) if btw[u][v] >> w & 1
+            ], (g.adj, w)
     assert inside > 0
 
 
@@ -203,11 +213,10 @@ def test_tables_equal_their_definitions():
     """btw and pairbad, built from ball intersections, equal their
     definitions read off the distances one vertex triple at a time, on a
     disconnected graph too; inw is checked against btw above."""
-    split = build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    for g in graphs_under_test() + [split]:
+    for g in graphs_under_test() + [split_graph()]:
         n, dist = g.n, tuple(all_pairs_distances(g).data)
-        btw = pure._between_masks(n, dist)
-        bad = pure._gp_pairbad(n, dist)
+        tables = pure._Tables(n, g.adj, dist)
+        btw, bad = tables.btw, tables.pairbad
         for u in range(n):
             for v in range(n):
                 duv = dist[u * n + v]
@@ -320,8 +329,9 @@ def test_warm_memo_matches_a_fresh_context():
     filled = 0
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
+        tables = pure._Tables(g.n, g.adj, dist)
         for kind in (pure.MV, pure.OUTER, pure.TOTAL):
-            warm = pure._Ctx(g.n, g.adj, dist, kind)
+            warm = pure._Ctx(tables, kind)
             states = []
             for smask, w, cands in search_states(g, dist, kind, rng, 30):
                 states.append((smask, w, cands))
@@ -332,7 +342,7 @@ def test_warm_memo_matches_a_fresh_context():
                 new = smask | 1 << w
                 cmask = mask_of(cands)
                 got = warm.extensions(smask, w, cmask)
-                assert got == pure._Ctx(g.n, g.adj, dist, kind).extensions(smask, w, cmask)
+                assert got == pure._Ctx(tables, kind).extensions(smask, w, cmask)
                 assert got == mask_of(
                     x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)
                 ), (g.adj, kind, smask, w)
