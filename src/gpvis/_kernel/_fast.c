@@ -5,8 +5,11 @@
    same geodesic-layer visibility test, the same set check (one sweep of
    the distance layers per source answers every pair of that source),
    the same greedy sweep and the same branch-and-bound with the
-   twin-class prefix rule and, given symmetries, the same dropped root
-   orbits (the Symmetry notes in pure.py argue their soundness).  So the
+   twin-class prefix rule and, given symmetries, the same dropped orbits:
+   a done root's orbit leaves the later roots, and a done depth-1 child's
+   orbit under its root's stabilizer (from Schreier generators, built
+   once per root when the loop goes on) leaves the later children (the
+   Symmetry notes in pure.py argue their soundness).  So the
    two kernels return the same value, witness mask, node count and
    status, and the parity tests hold them to it.  Only the data layout
    differs: masks are uint64_t and the tables are flat arrays built per
@@ -30,6 +33,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <limits.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -354,18 +358,25 @@ typedef struct {
     int kind, best, target;
     int pred[MAXN];  /* the vertex before v in its twin class, or -1 */
     u64 orbit[MAXN]; /* v's orbit under the symmetries and twin swaps */
+    int ngens;       /* the symmetries, n images each */
+    int *gens;
+    u64 stab[MAXN];  /* v's orbit under the current root's stabilizer */
     int *scratch;    /* one candidate list of n per depth */
     u64 best_mask;
     long long nodes;
     double deadline;
 } Search;
 
+static void stabilizer_orbits(Search *s, int w);
+
 /* pure.solve_max's run, with the per-candidate test in place of
    pure._Ctx.extensions.  Returns EXACT when the subtree is done.  At the
-   root, a done branch takes its root's orbit out of cands. */
+   root, a done branch takes its root's orbit out of cands; at depth 1,
+   given symmetries, a done child takes its orbit under the root's
+   stabilizer, built once per root when the loop goes on. */
 static int search(Search *s, u64 smask, int size, int *cands, int ncands, int depth)
 {
-    int n = s->c->n, i, j, k, w, x, nrest, rc;
+    int n = s->c->n, i, j, k, w, x, nrest, rc, stab_built = 0;
     int *rest = s->scratch + (size_t)depth * n;
     u64 new, have;
 
@@ -410,6 +421,17 @@ static int search(Search *s, u64 smask, int size, int *cands, int ncands, int de
                 if (!(s->orbit[w] & BIT(cands[j])))
                     cands[k++] = cands[j];
             ncands = k;
+        } else if (depth == 1 && s->ngens && size + ncands - i - 1 > s->best) {
+            /* the child w of the root is done, and no larger set that
+               holds the root meets w's orbit under its stabilizer */
+            if (!stab_built) {
+                stabilizer_orbits(s, lowbit(smask));
+                stab_built = 1;
+            }
+            for (j = k = i + 1; j < ncands; j++)
+                if (!(s->stab[w] & BIT(cands[j])))
+                    cands[k++] = cands[j];
+            ncands = k;
         }
     }
     return EXACT;
@@ -432,8 +454,59 @@ static void unite(int *root, int u, int v)
         root[u] = v;
 }
 
+/* orbit[v]: the class of v in root, as a mask. */
+static void orbit_masks(int n, int *root, u64 *orbit)
+{
+    int v;
+    for (v = 0; v < n; v++)
+        orbit[v] = 0;
+    for (v = 0; v < n; v++)
+        orbit[find_root(root, v)] |= BIT(v);
+    for (v = 0; v < n; v++)
+        orbit[v] = orbit[find_root(root, v)];
+}
+
+/* s->stab: each v's orbit under the stabilizer of w in the group that
+   the symmetries generate (pure._stabilizer_orbits).  A BFS over w's
+   orbit finds for each u in it an element trans[u] that maps w to u;
+   the Schreier generators trans[g(u)]^-1 g trans[u] generate the
+   stabilizer, and union-find joins each v with its images under them. */
+static void stabilizer_orbits(Search *s, int w)
+{
+    int n = s->c->n, trans[MAXN][MAXN], inv[MAXN][MAXN], queue[MAXN], root[MAXN];
+    int head, tail = 0, u, v, x, k;
+    const int *g;
+    u64 seen = BIT(w);
+
+    for (x = 0; x < n; x++)
+        root[x] = trans[w][x] = x;
+    queue[tail++] = w;
+    for (head = 0; head < tail; head++)
+        for (u = queue[head], k = 0; k < s->ngens; k++) {
+            g = s->gens + (size_t)k * n;
+            v = g[u];
+            if (seen & BIT(v))
+                continue;
+            seen |= BIT(v);
+            for (x = 0; x < n; x++)
+                trans[v][x] = g[trans[u][x]];
+            queue[tail++] = v;
+        }
+    for (head = 0; head < tail; head++)
+        for (u = queue[head], x = 0; x < n; x++)
+            inv[u][trans[u][x]] = x;
+    for (head = 0; head < tail; head++)
+        for (u = queue[head], k = 0; k < s->ngens; k++) {
+            g = s->gens + (size_t)k * n;
+            for (x = 0; x < n; x++)
+                unite(root, x, inv[g[u]][g[trans[u][x]]]);
+        }
+    orbit_masks(n, root, s->stab);
+}
+
 /* One symmetry: the images of 0..n-1, which must be a permutation that
-   maps every adjacency row onto its image's row (pure._checked_symmetries). */
+   maps every adjacency row onto its image's row; pure._search_symmetries
+   checks the same edge by edge. */
 static int read_symmetry(const Ctx *c, PyObject *obj, int *perm)
 {
     int n = c->n, v;
@@ -476,23 +549,32 @@ fail:
 }
 
 /* s->orbit from the symmetries (NULL for none) and the twin classes in
-   s->pred, as pure._orbits: without symmetries every orbit is v alone. */
+   s->pred, as pure._orbits: without symmetries every orbit is v alone.
+   Keeps the symmetries in s->gens, which the caller frees. */
 static int set_orbits(Search *s, PyObject *symmetries)
 {
-    int n = s->c->n, root[MAXN], perm[MAXN], v;
-    Py_ssize_t i, count = 0;
+    int n = s->c->n, root[MAXN], v, k;
     PyObject *seq = NULL;
 
+    s->ngens = 0;
+    s->gens = NULL;
     for (v = 0; v < n; v++)
         root[v] = v;
     if (symmetries != NULL) {
         seq = PySequence_Fast(symmetries, "symmetries must be a sequence of permutations");
         if (seq == NULL)
             return -1;
-        count = PySequence_Fast_GET_SIZE(seq);
+        s->ngens = (int)PySequence_Fast_GET_SIZE(seq);
+        s->gens = malloc(((size_t)s->ngens * n + 1) * sizeof(int));
+        if (s->gens == NULL) {
+            Py_DECREF(seq);
+            PyErr_NoMemory();
+            return -1;
+        }
     }
-    for (i = 0; i < count; i++) {
-        if (read_symmetry(s->c, PySequence_Fast_GET_ITEM(seq, i), perm) < 0) {
+    for (k = 0; k < s->ngens; k++) {
+        int *perm = s->gens + (size_t)k * n;
+        if (read_symmetry(s->c, PySequence_Fast_GET_ITEM(seq, k), perm) < 0) {
             Py_DECREF(seq);
             return -1;
         }
@@ -500,15 +582,10 @@ static int set_orbits(Search *s, PyObject *symmetries)
             unite(root, v, perm[v]);
     }
     Py_XDECREF(seq);
-    for (v = 0; v < n; v++) {
-        if (count && s->pred[v] >= 0)
+    for (v = 0; v < n && s->ngens; v++)
+        if (s->pred[v] >= 0)
             unite(root, v, s->pred[v]);
-        s->orbit[v] = 0;
-    }
-    for (v = 0; v < n; v++)
-        s->orbit[find_root(root, v)] |= BIT(v);
-    for (v = 0; v < n; v++)
-        s->orbit[v] = s->orbit[find_root(root, v)];
+    orbit_masks(n, root, s->orbit);
     return 0;
 }
 
@@ -622,24 +699,35 @@ PyDoc_STRVAR(solve_max_doc,
 "With an early stop the reported size is a lower bound on the optimum.\n"
 "``symmetries`` are automorphisms of the graph, each a sequence of the\n"
 "images of 0..n-1; the search drops a root's orbit under them once the\n"
-"root's branch is done.  ``target`` and ``time_limit`` 0 mean none;\n"
-"a negative or non-finite one raises ValueError.\n"
+"root's branch is done, and a depth-1 child's orbit under its root's\n"
+"stabilizer once the child's branch is.  ``target`` and ``time_limit``\n"
+"0 mean none; a negative or non-finite one raises ValueError, and a\n"
+"target above n is never reached.\n"
 "A signal handler that raises (Ctrl-C) stops the search within 1024\n"
 "nodes, and its exception propagates.");
 
 static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *kwlist[] = {"n", "adj", "dist", "kind", "target", "time_limit", "symmetries", NULL};
-    PyObject *adj, *dist, *symmetries = NULL;
-    int n, kind, target = 0, order[MAXN], roots[MAXN], nroots = 0, i, j, rc;
+    PyObject *adj, *dist, *target_obj = NULL, *symmetries = NULL, *out = NULL;
+    int n, kind, order[MAXN], roots[MAXN], nroots = 0, i, j, rc, overflow = 0;
+    long long target = 0;
     double time_limit = 0.0;
     u64 seed;
     Ctx c;
     Search s;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "iOOi|idO:solve_max", kwlist,
-                                     &n, &adj, &dist, &kind, &target, &time_limit, &symmetries))
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "iOOi|OdO:solve_max", kwlist,
+                                     &n, &adj, &dist, &kind, &target_obj, &time_limit, &symmetries))
         return NULL;
+    if (target_obj != NULL) {
+        /* a target of any size: one past 64 bits is as unreachable as n + 1 */
+        target = PyLong_AsLongLongAndOverflow(target_obj, &overflow);
+        if (target == -1 && PyErr_Occurred())
+            return NULL;
+        if (overflow)
+            target = overflow > 0 ? LLONG_MAX : -1;
+    }
     if (target < 0 || !(time_limit >= 0.0 && isfinite(time_limit))) {
         PyErr_SetString(PyExc_ValueError, "target and time limit must be 0 (none) or more and finite");
         return NULL;
@@ -649,9 +737,11 @@ static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
     default_order(&c, order);
     s.c = &c;
     s.kind = kind;
-    s.target = target;
+    /* a target above n is never reached, as none is */
+    s.target = target > n ? 0 : (int)target;
     s.nodes = 0;
     s.deadline = time_limit ? monotonic() + time_limit : 0.0;
+    s.scratch = NULL;
     /* twin classes: vertices with equal adj rows, in search order */
     for (i = 0; i < n; i++) {
         s.pred[order[i]] = -1;
@@ -661,31 +751,31 @@ static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
                 break;
             }
     }
-    if (set_orbits(&s, symmetries) < 0) {
-        ctx_free(&c);
-        return NULL;
-    }
+    if (set_orbits(&s, symmetries) < 0)
+        goto done;
     seed = greedy(&c, kind, order);
     s.best = popcount(seed);
     s.best_mask = seed;
-    if (target && s.best >= target) {
-        ctx_free(&c);
-        return Py_BuildValue("iKii", s.best, (unsigned long long)seed, 0, TARGET);
+    if (s.target && s.best >= s.target) {
+        out = Py_BuildValue("iKii", s.best, (unsigned long long)seed, 0, TARGET);
+        goto done;
     }
     for (i = 0; i < n; i++)
         if (extend_ok(&c, kind, 0, order[i]))
             roots[nroots++] = order[i];
     s.scratch = malloc(((size_t)n + 1) * (n ? n : 1) * sizeof(int));
     if (s.scratch == NULL) {
-        ctx_free(&c);
-        return PyErr_NoMemory();
+        PyErr_NoMemory();
+        goto done;
     }
     rc = search(&s, 0, 0, roots, nroots, 0);
+    if (rc != ERROR)
+        out = Py_BuildValue("iKLi", s.best, (unsigned long long)s.best_mask, s.nodes, rc);
+done:
     free(s.scratch);
+    free(s.gens);
     ctx_free(&c);
-    if (rc == ERROR)
-        return NULL;
-    return Py_BuildValue("iKLi", s.best, (unsigned long long)s.best_mask, s.nodes, rc);
+    return out;
 }
 
 #define METHOD(name) \

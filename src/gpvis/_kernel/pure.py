@@ -70,8 +70,12 @@ is exact: each geodesic meets each layer once, and the pair sees itself
 under S ∪ {w}, so blocking x hides v from u iff x is the only alive
 vertex of its layer.  The cuts are ORed into one mask of forbidden
 candidates, as GP does with pairbad.  Only the pairs with x as an end
-are tested per candidate: (w, x) for MV, and (x, y) for the y whose
-interval holds w.
+are left.  For MV they are (x, y) for y = w, and for the y in S whose
+interval with x holds w; one layer sweep per y in S ∪ {w}, as
+``set_ok`` sweeps, with S ∪ {w} blocked, settles all of y's pairs at
+once (x is an end of its pair, so it need not be blocked).  OUTER tests
+them per candidate: (x, y) for the y outside S ∪ {w} whose interval
+holds w.
 
 The filter finds these pairs in the reverse-interval table
 inw[w][x] = {y : w ∈ btw[x][y]} instead of scanning every member pair
@@ -86,9 +90,10 @@ is btw[u][v] | inw[v][u] | inw[u][v]: the vertices between u and v,
 beyond v from u, and beyond u from v.  TOTAL's pairs through w do not
 depend on S, so each w's list is built once per copy.
 
-Each solve keeps a memo on its ``_Ctx``: pair tests and cuts are keyed
-by (u, v, blocked & btw[u][v]) with u < v, since visibility is symmetric
-and depends on nothing else.  The memo lives as long as the context.
+Each solve keeps a memo on its ``_Ctx``: OUTER's pair tests and the
+cuts are keyed by (u, v, blocked & btw[u][v]) with u < v, since
+visibility is symmetric and depends on nothing else.  The memo lives as
+long as the context.
 A pair test whose blocked part settles it at sight (all of the interval:
 hidden; none of it, or not all of it at distance 2: seen) is neither
 run nor stored, so small solves do not pay for the memo.
@@ -118,12 +123,13 @@ is kept.  ``enumerate_exact`` must list every maximum set and walks the
 full tree.
 
 Symmetry.  ``solve_max`` takes automorphisms of the graph (rejected
-unless each is a permutation that maps every ``adj`` row onto its
-image's row) and joins them with the twin swaps into the orbits of the
-group they generate.  Once the branch of a root w is done, w's orbit
-leaves the remaining roots, and so every later branch.  This is sound:
-by induction, once the roots up to w are done, ``best`` bounds every
-good set that meets them or an orbit dropped before.  Every vertex
+unless each is a permutation that maps every edge onto an edge, which
+for a bijection makes it an automorphism) and joins them with the twin
+swaps into the orbits of the group they generate.  Once the branch of a
+root w is done, w's orbit leaves the remaining roots, and so every
+later branch.  This is sound: by induction, once the roots up to w are
+done, ``best`` bounds every good set that meets them or an orbit
+dropped before.  Every vertex
 before w in the order was dropped with its whole twin class, so w is the
 first of its class; putting a good set's members first in each twin
 class keeps w in it and keeps it clear of the dropped vertices, and w's
@@ -135,6 +141,29 @@ the twin swaps are then not joined, since the later twins of a root,
 which the prefix rule skips, still count in the root's bound, and
 dropping them early would change the tree.  ``greedy_set`` and
 ``enumerate_exact`` take no symmetries.
+
+The same argument, one level down, is orbital branching (Ostrowski,
+Linderoth, Rossi and Smriglio 2011).  Under a root w, once the branch
+of a child x is done, x's orbit under the stabilizer of w leaves the
+remaining children, and the loop's bound is recounted.  The stabilizer
+is taken in the group that the symmetries generate, not the twin swaps;
+its orbits come from Schreier generators (``_stabilizer_orbits``) and
+are built at most once per root: only when the loop goes on after a
+child, and some remaining child lies in the done child's root orbit
+(which holds its orbit under the stabilizer), so small solves seldom
+pay for them.
+This is sound: an automorphism σ that fixes w and maps y to x maps a
+good set that holds w and y onto a good set of the same size that
+holds w and x.  That image stays clear of the dropped root orbits,
+which the whole group maps onto themselves, and of the orbits dropped
+under w before, which the stabilizer does.  Putting its members first in
+each twin class keeps w in it.  If that meets an orbit dropped under w
+before, ``best`` bounds it by induction.  Otherwise x's class still
+gives it a member no later than x, so its first member after w is a
+child of w (its twin predecessor, if any, is w) no later than x that is
+neither done nor dropped: x itself, whose branch covers the set.
+Without symmetries every such orbit is the child alone, and the tree is
+unchanged.
 
 Inputs.  Every entry point raises ``ValueError`` for an ``adj`` or
 ``dist`` whose length does not fit n, an ``adj`` row, mask or vertex
@@ -346,6 +375,11 @@ class _Tables:
         self.balls = _ball_rows(n, dist)
 
     @cached_property
+    def edges(self):
+        """Every edge (u, v), u < v."""
+        return [(u, v) for u, row in enumerate(self.adj) for v in _bits(row >> u + 1 << u + 1)]
+
+    @cached_property
     def btw(self):
         """btw[u][v]: vertices strictly inside some u,v-geodesic."""
         n, dist, balls = self.n, self.dist, self.balls
@@ -451,27 +485,34 @@ def set_ok(n, adj, dist, mask, kind):
         want = wanted & ~((2 << u) - 1)
         if kind == OUTER:
             want |= outside
-        bu = balls[u]
-        front = 1 << u
-        for t in range(1, len(bu)):
-            if not want:
-                break
-            layer = bu[t]
-            if front == bu[t - 1]:
-                # a whole layer reaches the whole next one
-                reach = layer
-            else:
-                acc = 0
-                while front:
-                    low = front & -front
-                    acc |= adj[low.bit_length() - 1]
-                    front ^= low
-                reach = acc & layer
-            if want & layer & ~reach:
-                return False
-            want &= ~layer
-            front = reach & outside
+        if _unreached(adj, balls[u], 1 << u, want, outside):
+            return False
     return True
+
+
+def _unreached(adj, ball, front, want, free):
+    """The vertices of ``want`` that the layer sweep from a source does
+    not reach (see the module notes): ``ball`` is the source's ball rows,
+    ``front`` its bit, and only the ``free`` vertices carry the walk on."""
+    missed = 0
+    for t in range(1, len(ball)):
+        if not want:
+            break
+        layer = ball[t]
+        if front == ball[t - 1]:
+            # a whole layer reaches the whole next one
+            reach = layer
+        else:
+            acc = 0
+            while front:
+                low = front & -front
+                acc |= adj[low.bit_length() - 1]
+                front ^= low
+            reach = acc & layer
+        missed |= want & layer & ~reach
+        want &= ~layer
+        front = reach & free
+    return missed
 
 
 class _Ctx:
@@ -512,8 +553,7 @@ class _Ctx:
                 smask ^= low
             return cmask & ~forbid
         n, adj, dist, balls, btw = tables.n, tables.adj, tables.dist, tables.balls, tables.btw
-        wbit = 1 << w
-        new = smask | wbit
+        new = smask | 1 << w
         bw = btw[w]
         iw = tables.inw[w]
         # watch: pairs that smask ∪ {x} does not settle, re-checked when x
@@ -557,9 +597,10 @@ class _Ctx:
         keep = cmask & ~forbid
         if kind == TOTAL:
             return keep
-        # partners: the y for which (x, y) is re-checked, when w lies in
-        # its interval or y is w
-        others = smask if kind == MV else ~new
+        if kind == MV:
+            return self._mv_partners(new, w, keep)
+        # OUTER's partners: the y outside smask ∪ {w, x} for which (x, y)
+        # is re-checked, as w lies in its interval
         seen = self.seen
         r = keep
         while r:
@@ -568,9 +609,7 @@ class _Ctx:
             x = xb.bit_length() - 1
             blocked = new | xb
             bx = btw[x]
-            ys = iw[x] & others
-            if kind == MV and bx[w]:
-                ys |= wbit
+            ys = iw[x] & ~new
             while ys:
                 yb = ys & -ys
                 ys ^= yb
@@ -592,6 +631,26 @@ class _Ctx:
             else:
                 continue
             keep ^= xb
+        return keep
+
+    def _mv_partners(self, new, w, keep):
+        """The x in ``keep`` that see each y in ``new`` = smask ∪ {w} whose
+        pair with x is re-checked: the members y whose interval with x
+        holds w, and w itself.  One layer sweep per y, with ``new``
+        blocked, settles all of y's pairs at once (``_unreached``, as in
+        ``set_ok``); x is an end of the pair, so it need not be blocked."""
+        tables = self.tables
+        adj, balls, iw = tables.adj, tables.balls, tables.inw[w]
+        free = ((1 << tables.n) - 1) & ~new
+        r = new
+        while r and keep:
+            yb = r & -r
+            r ^= yb
+            y = yb.bit_length() - 1
+            want = keep & (iw[y] if y != w else ~adj[w])
+            if not want:
+                continue
+            keep &= ~_unreached(adj, balls[y], yb, want, free)
         return keep
 
 
@@ -658,28 +717,31 @@ def _twin_preds(adj):
     return pred
 
 
-def _checked_symmetries(n, adj, symmetries):
-    """The symmetries as a list of tuples; raises ``ValueError`` for an
-    entry that is not a permutation of 0..n-1 or that maps some adjacency
-    row onto another vertex's row, as it is then no automorphism."""
-    perms = [tuple(perm) for perm in symmetries]
+def _search_symmetries(tables, order, label, symmetries):
+    """The symmetries, given in the caller's labels, as tuples in the
+    search copy's labels; raises ``ValueError`` for an entry that is not a
+    permutation of 0..n-1 or that maps some edge onto a non-edge.  A
+    bijection that maps every edge onto an edge is an automorphism, as it
+    maps the edges one to one onto themselves, so each edge of the copy
+    is looked at once per symmetry."""
+    n, adj = tables.n, tables.adj
     every = list(range(n))
-    for perm in perms:
+    gens = []
+    for perm in symmetries:
+        perm = tuple(perm)
         if len(perm) != n or sorted(perm) != every:
             raise ValueError(f"a symmetry is not a permutation of 0..{n - 1}")
-        for v in every:
-            if adj[perm[v]] != _mapped(adj[v], perm):
+        gens.append(tuple([label[perm[v]] for v in order]))
+    for g in gens:
+        for u, v in tables.edges:
+            if not adj[g[u]] >> g[v] & 1:
                 raise ValueError("a symmetry is not an automorphism of the graph")
-    return perms
+    return gens
 
 
-def _orbits(n, symmetries, label, pred):
-    """orbit[v], in search labels: v's orbit under the group that the
-    symmetries (in the caller's labels) and the twin swaps generate, as a
-    mask.  Without symmetries every orbit is v alone (see the module
-    notes)."""
-    if not symmetries:
-        return [1 << v for v in range(n)]
+def _orbit_masks(n, pairs):
+    """orbit[v]: the class of v, as a mask, when each pair (u, v) joins
+    the classes of u and v (union-find)."""
     root = list(range(n))
 
     def find(v):
@@ -687,8 +749,6 @@ def _orbits(n, symmetries, label, pred):
             root[v] = v = root[root[v]]
         return v
 
-    pairs = [(v, p) for v, p in enumerate(pred) if p >= 0]
-    pairs += [(label[v], label[u]) for perm in symmetries for v, u in enumerate(perm)]
     for v, u in pairs:
         a, b = find(v), find(u)
         if a != b:
@@ -699,6 +759,43 @@ def _orbits(n, symmetries, label, pred):
     return [masks[find(v)] for v in range(n)]
 
 
+def _orbits(n, gens, pred):
+    """orbit[v]: v's orbit under the group that the permutations ``gens``
+    and the twin swaps generate, as a mask.  Without generators every
+    orbit is v alone (see the module notes)."""
+    if not gens:
+        return [1 << v for v in range(n)]
+    pairs = [(v, p) for v, p in enumerate(pred) if p >= 0]
+    pairs += [(v, u) for perm in gens for v, u in enumerate(perm)]
+    return _orbit_masks(n, pairs)
+
+
+def _stabilizer_orbits(n, gens, w):
+    """orbit[v]: v's orbit under the stabilizer of w in the group that
+    the permutations ``gens`` generate, as a mask.  A BFS over w's orbit
+    finds for each u in it an element t[u] that maps w to u; by Schreier's
+    lemma, t[g(u)]^-1 g t[u] over every u in the orbit and g in ``gens``
+    generate the stabilizer.  It is the identity exactly when g t[u] is
+    t[g(u)], so only the others are inverted; each distinct one joins
+    every vertex with its image."""
+    identity = tuple(range(n))
+    trans = {w: identity}
+    schreier = set()
+    queue = [w]
+    for u in queue:
+        tu = trans[u]
+        for g in gens:
+            gt = tuple([g[x] for x in tu])
+            have = trans.get(g[u])
+            if have is None:
+                trans[g[u]] = gt
+                queue.append(g[u])
+            elif have != gt:
+                inv = sorted(identity, key=have.__getitem__)
+                schreier.add(tuple([inv[x] for x in gt]))
+    return _orbit_masks(n, [pair for perm in schreier for pair in enumerate(perm)])
+
+
 def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
     """Exact maximum set for the kind; returns (size, mask, nodes, status).
 
@@ -706,19 +803,21 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
     With an early stop the reported size is a lower bound on the optimum.
     ``symmetries`` are automorphisms of the graph, each a sequence of the
     images of 0..n-1; the search drops a root's orbit under them once the
-    root's branch is done (see the module notes).  ``target`` and
-    ``time_limit`` 0 mean none.
+    root's branch is done, and a depth-1 child's orbit under its root's
+    stabilizer once the child's branch is (see the module notes).
+    ``target`` and ``time_limit`` 0 mean none; a target above n is never
+    reached.
     """
     if target < 0:
         raise ValueError(f"target must be 0 (none) or more, got {target}")
     if not 0.0 <= time_limit < math.inf:
         raise ValueError(f"time limit must be 0 (none) or finite, got {time_limit}")
     order, label, ctx = _relabelled(n, adj, dist, kind)
-    symmetries = _checked_symmetries(n, adj, symmetries)
+    gens = _search_symmetries(ctx.tables, order, label, symmetries)
     deadline = time.monotonic() + time_limit if time_limit else 0.0
     pred = _twin_preds(ctx.tables.adj)
     twins = sum(1 << v for v in range(n) if pred[v] >= 0)
-    orbit = _orbits(n, symmetries, label, pred)
+    orbit = _orbits(n, gens, pred)
     extensions = ctx.extensions
     best_mask = _mapped(greedy_set(n, adj, dist, kind), label)
     best = best_mask.bit_count()
@@ -730,6 +829,7 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
         if deadline and not nodes & _TIME_CHECK_MASK and time.monotonic() > deadline:
             raise _TimeUp
         left = cands.bit_count()
+        stabilizer = None
         while size + left > best:
             low = cands & -cands
             cands ^= low
@@ -758,6 +858,14 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
             if not smask:
                 # the root w is done, and no larger set meets its orbit
                 cands &= ~orbit[w]
+                left = cands.bit_count()
+            elif size == 1 and gens and size + left > best and cands & orbit[w]:
+                # the child w of the root smask is done, and no larger set
+                # that holds the root meets w's orbit under its stabilizer,
+                # which lies in its orbit under the whole group
+                if stabilizer is None:
+                    stabilizer = _stabilizer_orbits(n, gens, smask.bit_length() - 1)
+                cands &= ~stabilizer[w]
                 left = cands.bit_count()
 
     status = 0

@@ -261,18 +261,19 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 def role_symmetries(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The automorphisms that the vertex roles carry, each as the tuple of
     the images of 0..n-1: the shift of every ref by one modulo the number
-    k of refs of its role kind, or else the reflection of ref to k-1-ref
-    (the apex stays).  These are the rotations and reflections that
-    ``double`` and ``myc`` lift from a cycle or a path.  The shift turns
-    each kind round one cycle, so its orbits are whole kinds, and once it
-    holds the reflection adds nothing to them.  A candidate is kept only
-    if it maps every adjacency row onto the row of its image; the check
-    stops at the first row that fails, so a graph whose roles carry no
-    symmetry costs little.  Kept on ``g`` after the first call."""
+    k of refs of its role kind, and the reflection of ref to k-1-ref (the
+    apex stays).  These are the rotations and reflections that ``double``
+    and ``myc`` lift from a cycle or a path; a cycle carries both, a path
+    only the reflection.  The shift alone already has whole kinds as its
+    orbits, but the search also uses the stabilizer of a vertex, which
+    the reflection is needed to generate.  A candidate is kept only if it
+    maps every adjacency row onto the row of its image; the check stops
+    at the first row that fails, so a graph whose roles carry no symmetry
+    costs little.  Kept on ``g`` after the first call."""
     if g._symmetries is None:
         maps = _role_maps(tuple(map(_KIND_REF, g.roles)))
-        kept = next((p for p in maps if p is not None and _maps_rows(g.adj, p)), None)
-        object.__setattr__(g, "_symmetries", () if kept is None else (kept,))
+        kept = tuple(p for p in maps if p is not None and _maps_rows(g.adj, p))
+        object.__setattr__(g, "_symmetries", kept)
     return g._symmetries
 
 
@@ -283,10 +284,11 @@ _KIND_REF = attrgetter("kind", "ref")
 def _role_maps(keys: tuple[tuple[str, int], ...]) -> tuple[tuple[int, ...] | None, ...]:
     """The shift and the reflection of the refs, for the roles given as
     (kind, ref) pairs, as permutations of the vertices; None where a role
-    has no image.  When every role has one, the refs of each kind are
-    0..k-1, so the map is a bijection.  Kept for the latest 32 layouts,
-    as the graphs of one family and order share theirs (a verify-paper
-    catalog has 24)."""
+    has no image, and for the reflection where it is the shift (no kind
+    has more than two refs).  When every role has one, the refs of each
+    kind are 0..k-1, so the map is a bijection.  Kept for the latest 32
+    layouts, as the graphs of one family and order share theirs (a
+    verify-paper catalog has 24)."""
     n = len(keys)
     where = dict(zip(keys, range(n)))
     if len(where) != n:
@@ -295,7 +297,9 @@ def _role_maps(keys: tuple[tuple[str, int], ...]) -> tuple[tuple[int, ...] | Non
     count = {kind: kinds.count(kind) for kind in set(kinds)}
     shift = tuple(where.get((kind, (ref + 1) % count[kind])) for kind, ref in keys)
     reflect = tuple(where.get((kind, count[kind] - 1 - ref)) for kind, ref in keys)
-    return tuple(None if None in perm else perm for perm in (shift, reflect))
+    if reflect == shift:
+        reflect = None
+    return tuple(None if perm is None or None in perm else perm for perm in (shift, reflect))
 
 
 def _maps_rows(adj: tuple[int, ...], perm: tuple[int, ...]) -> bool:

@@ -9,8 +9,9 @@ seeded by the deterministic greedy sweep.  Sets that a swap of twin
 vertices (equal neighbourhoods) maps onto each other are searched once,
 and once the branch of a root vertex is done, the vertices that a
 symmetry carried by the vertex roles (``role_symmetries``) maps it to
-leave the later branches; enumeration still lists every set.  Results
-are deterministic.
+leave the later branches; under a root, so do a done child's images
+under the symmetries that fix the root.  Enumeration still lists every
+set.  Results are deterministic.
 """
 
 from __future__ import annotations

@@ -134,6 +134,11 @@ def role_move(g, perm):
     return None
 
 
+# what the roles' layout lifts from its base: a cycle's shift and
+# reflection, a path's reflection, or nothing
+MOVES = {"shift": ["shift", "reflect"], "reflect": ["reflect"], None: []}
+
+
 @pytest.mark.parametrize(
     "spec,move",
     [
@@ -150,10 +155,11 @@ def role_move(g, perm):
     ],
 )
 def test_role_symmetries_are_the_automorphisms_the_roles_carry(spec, move):
-    """The shift of the refs is kept when it is an automorphism, and the
-    reflection when the shift is not and it is; they are still found once
-    the vertices and their roles are permuted together, as the hard
-    benchmark's labellings do."""
+    """The shift and the reflection of the refs are each kept when they
+    are an automorphism, the shift first: a cycle's roles carry both, a
+    path's the reflection only.  They are still found once the vertices
+    and their roles are permuted together, as the hard benchmark's
+    labellings do."""
     g = parse_graph_spec(spec)
     perm = list(range(g.n))
     random.Random(3).shuffle(perm)
@@ -163,14 +169,16 @@ def test_role_symmetries_are_the_automorphisms_the_roles_carry(spec, move):
     shuffled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()], roles)
     for h in (g, shuffled):
         found = role_symmetries(h)
-        assert [role_move(h, p) for p in found] == ([move] if move else [])
+        assert [role_move(h, p) for p in found] == MOVES[move]
         assert all(is_automorphism(h, p) for p in found)
         assert role_symmetries(h) is found  # kept on the graph
 
 
 def test_role_symmetries_need_one_vertex_per_role():
     c4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    assert role_symmetries(build_graph(4, c4)) == ((1, 2, 3, 0),)
+    assert role_symmetries(build_graph(4, c4)) == ((1, 2, 3, 0), (3, 2, 1, 0))
+    # with two vertices the reflection is the shift, and is kept once
+    assert role_symmetries(build_graph(2, [(0, 1)])) == ((1, 0),)
     assert role_symmetries(build_graph(4, c4, [base_role(0)] * 4)) == ()
     corpus = corpus_graphs(2, count=10, n_lo=6, n_hi=9)
     assert all(is_automorphism(g, p) for g in corpus for p in role_symmetries(g))

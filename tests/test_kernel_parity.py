@@ -191,6 +191,14 @@ def test_solve_max_target_parity(fast):
     b = fast.solve_max(g.n, g.adj, d.data, pure.MV, 6, 0.0)
     assert a == b
     assert a[3] == 1  # stopped by target
+    # a target past the order, even past a C int or 64 bits, is never
+    # reached: both return the exact optimum
+    exact = pure.solve_max(g.n, g.adj, d.data, pure.MV)
+    for target in (g.n + 1, 2**31, 2**40, 2**70):
+        assert pure.solve_max(g.n, g.adj, d.data, pure.MV, target, 0.0) == exact
+        assert fast.solve_max(g.n, g.adj, d.data, pure.MV, target, 0.0) == exact, target
+    with pytest.raises(ValueError):
+        fast.solve_max(g.n, g.adj, d.data, pure.MV, -(2**70), 0.0)
 
 
 def test_order_64_set_checks_parity(fast):

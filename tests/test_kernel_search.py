@@ -1,8 +1,10 @@
 """The pure kernel's set check and search: the per-source sweep of
 ``set_ok``, the per-child candidate filter, its cuts, pair tables, reverse
 intervals and memo, the relabelled search copy, the twin-class prefix
-rule, the root orbits of the role symmetries and pinned search trees.
-Pure kernel only, so these never skip."""
+rule, the root and stabilizer orbits of the role symmetries and pinned
+search trees.  Pure kernel only, so these never skip, but for
+``test_compiled_role_symmetries_keep_every_value``, which skips without
+a C compiler."""
 
 from __future__ import annotations
 
@@ -232,13 +234,14 @@ def test_tables_equal_their_definitions():
                 assert (btw[u][v], bad[u][v]) == (want_btw, want_bad), (g.adj, u, v)
 
 
-def test_role_symmetries_keep_every_value():
-    """Dropping each done root's orbit keeps the optimum: with the role
-    symmetries, every kind's value on the families, the corpus graphs and
-    their double graphs and Mycielskians is the one found without them,
-    and the witness has the property."""
+def check_role_symmetries_keep_every_value(kernel):
+    """Dropping each done root's orbit, and each done depth-1 child's
+    orbit under its root's stabilizer, keeps the optimum: with the role
+    symmetries, every kind's value on the families (cycles up to n = 11),
+    the corpus graphs and their double graphs and Mycielskians is the one
+    found without them, and the witness has the property."""
     families = [parse_graph_spec(f"{op}({fam}:{n})") for op in ("double", "myc")
-                for fam in ("path", "cycle") for n in range(3, 9)]
+                for fam, top in (("path", 8), ("cycle", 11)) for n in range(3, top + 1)]
     corpus = [h for g in corpus_graphs(5, count=8, n_lo=4, n_hi=7)
               for h in (g, double_graph(g), mycielskian(g))]
     symmetric = fewer = 0
@@ -247,22 +250,74 @@ def test_role_symmetries_keep_every_value():
         symmetries = role_symmetries(g)
         symmetric += bool(symmetries)
         for kind in KINDS:
-            plain = pure.solve_max(g.n, g.adj, dist, kind)
-            size, mask, nodes, status = pure.solve_max(g.n, g.adj, dist, kind, 0, 0.0, symmetries)
-            assert (size, status) == (plain[0], plain[3]), (g.adj, kind)
+            plain = kernel.solve_max(g.n, g.adj, dist, kind)
+            size, mask, nodes, status = kernel.solve_max(g.n, g.adj, dist, kind, 0, 0.0, symmetries)
+            assert (size, status) == (plain[0], plain[3]), (kernel.NAME, g.adj, kind)
             assert mask.bit_count() == size and pure.set_ok(g.n, g.adj, dist, mask, kind)
             fewer += nodes < plain[2]
-    assert symmetric >= len(families) and fewer > 0, (symmetric, fewer)
+    assert symmetric >= len(families) and fewer > 0, (kernel.NAME, symmetric, fewer)
+
+
+def test_role_symmetries_keep_every_value():
+    check_role_symmetries_keep_every_value(pure)
+
+
+def test_compiled_role_symmetries_keep_every_value(fast_kernel):
+    check_role_symmetries_keep_every_value(fast_kernel)
+
+
+def group_closure(n, gens):
+    """Every element of the group that the permutations generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        perm = frontier.pop()
+        for g in gens:
+            moved = tuple(g[x] for x in perm)
+            if moved not in group:
+                group.add(moved)
+                frontier.append(moved)
+    return group
+
+
+def test_stabilizer_orbits_equal_a_closure():
+    """The Schreier-generator orbits of each vertex's stabilizer are the
+    orbits of the elements that fix it, found by closing the generators
+    into the whole group: on double graphs and Mycielskians of cycles
+    (the apex is fixed by every element) and paths, and on copies whose
+    vertices and roles are permuted together."""
+    specs = [f"{op}({fam}:{n})" for op in ("double", "myc") for fam in ("cycle", "path") for n in (4, 5, 6, 7)]
+    rng = random.Random(14)
+    checked = 0
+    for spec in specs:
+        base = parse_graph_spec(spec)
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        roles = [None] * base.n
+        for v, p in enumerate(perm):
+            roles[p] = base.roles[v]
+        shuffled = build_graph(base.n, [(perm[u], perm[v]) for u, v in base.edges()], roles)
+        for g in (base, shuffled):
+            gens = role_symmetries(g)
+            assert gens, spec
+            group = group_closure(g.n, gens)
+            for w in range(g.n):
+                fixing = [p for p in group if p[w] == w]
+                want = [mask_of({p[v] for p in fixing}) for v in range(g.n)]
+                assert pure._stabilizer_orbits(g.n, gens, w) == want, (spec, w)
+                checked += len(fixing) > 1
+    assert checked > 0
+    assert pure._stabilizer_orbits(3, [], 1) == [1, 2, 4]
 
 
 # spec, kind: the nodes of solve_max without symmetries, and solve_max
 # (size, mask, nodes, status) with the role symmetries.  These are the
 # benchmark's instances at their identity labelling.
 PINNED_SYMMETRIC = [
-    ("double(cycle:8)", pure.TOTAL, 80, (8, 255, 48, 0)),
-    ("double(cycle:8)", pure.OUTER, 93, (8, 255, 56, 0)),
-    ("myc(cycle:12)", pure.MV, 2074, (15, 7828821, 1355, 0)),
-    ("double(cycle:10)", pure.MV, 511, (10, 1023, 290, 0)),
+    ("double(cycle:8)", pure.TOTAL, 80, (8, 255, 34, 0)),
+    ("double(cycle:8)", pure.OUTER, 93, (8, 255, 37, 0)),
+    ("myc(cycle:12)", pure.MV, 2074, (15, 7828821, 851, 0)),
+    ("double(cycle:10)", pure.MV, 511, (10, 1023, 194, 0)),
 ]
 
 

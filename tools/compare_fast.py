@@ -3,8 +3,10 @@
     python3 tools/compare_fast.py BASE.c CHANGE.c [--runs 11] [--out FILE.json]
 
 Builds each ``_fast.c`` with the flags of the test suite's ``fast_kernel``
-fixture into a temporary directory, checks that both return the same
-``solve_max`` result (size, mask, nodes, status) on every instance, then
+fixture into a temporary directory and solves every instance with the
+graph's ``role_symmetries``, as ``solver.max_property_set`` passes them.
+It checks that both builds return the same size, mask and status, prints
+both node counts (a change that prunes more walks a smaller tree), then
 times ``solve_max`` in alternating runs: run k times the base first when k
 is even.  A run times enough back-to-back solves to last about 20 ms and
 records the time per solve.  Prints per instance the base and change
@@ -29,6 +31,7 @@ import time
 from pathlib import Path
 
 from gpvis import all_pairs_distances, parse_graph_spec
+from gpvis.graphs import role_symmetries
 
 KIND_CODES = {"mv": 0, "outer": 1, "total": 2, "gp": 3}
 INSTANCES = [
@@ -75,10 +78,11 @@ def main(argv=None) -> None:
         for instance in opts.instances:
             spec, kind = instance.split()
             g = parse_graph_spec(spec)
-            args = (g.n, g.adj, all_pairs_distances(g).data, KIND_CODES[kind])
-            result = kernels["base"].solve_max(*args)
-            if kernels["change"].solve_max(*args) != result:
-                raise SystemExit(f"{instance}: the two builds disagree")
+            args = (g.n, g.adj, all_pairs_distances(g).data, KIND_CODES[kind], 0, 0.0, role_symmetries(g))
+            result = {side: kernels[side].solve_max(*args) for side in kernels}
+            base_r, change_r = result["base"], result["change"]
+            if base_r[:2] != change_r[:2] or base_r[3] != change_r[3]:
+                raise SystemExit(f"{instance}: the two builds disagree on size, mask or status")
             reps = max(1, round(0.02 / per_solve(kernels["base"], args, 1)))
             runs = {"base": [], "change": []}
             for k in range(opts.runs):
@@ -87,10 +91,12 @@ def main(argv=None) -> None:
             base, change = statistics.median(runs["base"]), statistics.median(runs["change"])
             ratios = [c / b for b, c in zip(runs["base"], runs["change"])]
             ratio, faster = statistics.median(ratios), sum(r < 1 for r in ratios)
-            rows.append({"instance": instance, "result": list(result), "reps": reps, "runs": runs,
+            rows.append({"instance": instance, "result": {side: list(r) for side, r in result.items()},
+                         "reps": reps, "runs": runs,
                          "base_median_s": base, "change_median_s": change,
                          "median_run_ratio": ratio, "change_faster_runs": faster})
-            print(f"{instance:26} nodes {result[2]:>6}  base {base * 1e3:8.3f} ms  change {change * 1e3:8.3f} ms"
+            nodes = f"{result['base'][2]:>6} -> {result['change'][2]:>6}"
+            print(f"{instance:26} nodes {nodes}  base {base * 1e3:8.3f} ms  change {change * 1e3:8.3f} ms"
                   f"  ratio {ratio:.2f}  faster in {faster}/{opts.runs}", flush=True)
     if opts.out:
         Path(opts.out).write_text(json.dumps({"runs_per_side": opts.runs, "instances": rows}, indent=1) + "\n")
