@@ -15,13 +15,14 @@
    differs: masks are uint64_t and the tables are flat arrays built per
    call.
 
-   pure._Ctx.extensions(smask, w, cmask) -> mask filters a child's
+   pure._Ctx.extensions(smask, w, cmask, need) -> mask filters a child's
    candidate mask from two sides at once, on a copy of the graph
    renumbered into search order; here each candidate is tested on its
    own with extend_ok, whose definition is pure.extend_ok (set_ok of the
    grown set).  Both keep exactly the candidates x for which S + w + x
-   has the property, so both walk the same tree.  OUTER and TOTAL test
-   the definition itself.  MV and GP, whose searches extend only sets
+   has the property whenever at least need of them do, and both give up
+   on the child otherwise, so both walk the same tree.  OUTER and TOTAL
+   test the definition itself.  MV and GP, whose searches extend only sets
    that have the property, re-test just what the new vertex can break:
    for GP one pairbad lookup per member is far cheaper than a triple
    scan, and for MV the pairs through the new vertex measured faster
@@ -370,25 +371,28 @@ typedef struct {
 static void stabilizer_orbits(Search *s, int w);
 
 /* pure.solve_max's run, with the per-candidate test in place of
-   pure._Ctx.extensions.  Returns EXACT when the subtree is done.  At the
+   pure._Ctx.extensions.  Returns EXACT when the subtree is done.  A child
+   is entered only with need = best - size candidates or more, enough to
+   beat best; its loop of tests stops once the candidates kept and those
+   left to test number fewer, as pure's filter stops, so a dead child is
+   settled here and both kernels count the same nodes.  The deadline and
+   signals are checked at the first node and every 1024 after it.  At the
    root, a done branch takes its root's orbit out of cands; at depth 1,
    given symmetries, a done child takes its orbit under the root's
    stabilizer, built once per root when the loop goes on. */
 static int search(Search *s, u64 smask, int size, int *cands, int ncands, int depth)
 {
-    int n = s->c->n, i, j, k, w, x, nrest, rc, stab_built = 0;
+    int n = s->c->n, i, j, k, w, x, need, nrest, rc, stab_built = 0;
     int *rest = s->scratch + (size_t)depth * n;
     u64 new, have;
 
     s->nodes++;
-    if (!(s->nodes & TIME_CHECK_MASK)) {
+    if ((s->nodes & TIME_CHECK_MASK) == 1) {
         if (PyErr_CheckSignals() < 0)
             return ERROR;
         if (s->deadline != 0.0 && monotonic() > s->deadline)
             return TIME_UP;
     }
-    if (size + ncands <= s->best)
-        return EXACT;
     for (i = 0; i < ncands; i++) {
         if (size + ncands - i <= s->best)
             break;
@@ -402,9 +406,11 @@ static int search(Search *s, u64 smask, int size, int *cands, int ncands, int de
             if (s->target && s->best >= s->target)
                 return TARGET;
         }
+        /* the child beats best only with at least need candidates */
+        need = s->best - size;
         nrest = 0;
         have = new;
-        for (j = i + 1; j < ncands; j++) {
+        for (j = i + 1; j < ncands && nrest + ncands - j >= need; j++) {
             x = cands[j];
             if (s->pred[x] >= 0 && !(have & BIT(s->pred[x])))
                 continue;
@@ -413,7 +419,7 @@ static int search(Search *s, u64 smask, int size, int *cands, int ncands, int de
                 have |= BIT(x);
             }
         }
-        if (nrest && (rc = search(s, new, size + 1, rest, nrest, depth + 1)) != EXACT)
+        if (nrest >= need && (rc = search(s, new, size + 1, rest, nrest, depth + 1)) != EXACT)
             return rc;
         if (depth == 0) {
             /* the root w is done, and no larger set meets its orbit */

@@ -26,9 +26,16 @@ walk: its triples are read from the distances.
 
 Search notes.  All four properties are hereditary (every subset of a good
 set is good), so the solver explores subsets along a fixed vertex order
-(descending degree, ties by index), keeps at each node only the
-candidates that extend the current set, and prunes on
-``|current| + |candidates| <= incumbent``.
+(descending degree, ties by index) and keeps at each node only the
+candidates that extend the current set.  A node's loop stops once
+``|current| + |candidates left| <= incumbent``.  A child is entered
+only when it can beat the incumbent, with at least
+``need = incumbent - |current|`` candidates of its own, the check that
+MCS and BBMC make before they expand a child (Tomita et al. 2010; San
+Segundo et al. 2011).  The filter takes ``need`` and stops as soon as
+fewer can survive (after a cut, an MV partner sweep or a dropped OUTER
+candidate that leaves fewer), so a dead child costs part of a filter
+and no node.  ``enumerate_exact`` passes the same threshold.
 
 ``solve_max``, ``greedy_set`` and ``enumerate_exact`` run on a copy of
 the graph relabelled so that this order becomes 0..n-1, and build their
@@ -36,9 +43,10 @@ context on it (the renumbering of BBMC, San Segundo et al. 2011).  Every
 candidate set is then a plain int mask whose lowest bit is the next
 vertex in the search order; the bound reads ``bit_count()``, and each
 returned mask is mapped back to the caller's labels.  The copy owns its
-tables (``_Tables``), each built on first use, and only the latest copy
-is kept: the solves of one graph and their greedy seeds share one build
-of each.  The ball rows cached for ``set_ok`` are not touched.
+tables (``_Tables``), each built on first use, its twin classes, and the
+orbits of the symmetries it was last given; only the latest copy is
+kept: the solves of one graph and their greedy seeds share one build of
+each.  The ball rows cached for ``set_ok`` are not touched.
 
 A node's candidates are filtered once per child from two facts the search
 already holds: S ∪ {w} has the property (w was a candidate of S), and so
@@ -145,13 +153,13 @@ dropping them early would change the tree.  ``greedy_set`` and
 The same argument, one level down, is orbital branching (Ostrowski,
 Linderoth, Rossi and Smriglio 2011).  Under a root w, once the branch
 of a child x is done, x's orbit under the stabilizer of w leaves the
-remaining children, and the loop's bound is recounted.  The stabilizer
-is taken in the group that the symmetries generate, not the twin swaps;
-its orbits come from Schreier generators (``_stabilizer_orbits``) and
-are built at most once per root: only when the loop goes on after a
-child, and some remaining child lies in the done child's root orbit
-(which holds its orbit under the stabilizer), so small solves seldom
-pay for them.
+remaining children, and the loop's bound counts only the children left.
+The stabilizer is taken in the group that the symmetries generate, not
+the twin swaps; its orbits come from Schreier generators
+(``_stabilizer_orbits``) and are built at most once per root: only when
+the loop goes on after a child, and some remaining child lies in the
+done child's root orbit (which holds its orbit under the stabilizer),
+so small solves seldom pay for them.
 This is sound: an automorphism σ that fixes w and maps y to x maps a
 good set that holds w and y onto a good set of the same size that
 holds w and x.  That image stays clear of the dropped root orbits,
@@ -373,6 +381,7 @@ class _Tables:
         self.adj = adj
         self.dist = dist
         self.balls = _ball_rows(n, dist)
+        self._orbit_gens = self._orbit = None
 
     @cached_property
     def edges(self):
@@ -438,6 +447,29 @@ class _Tables:
                     if not layer & (layer - 1):
                         forbid |= layer
         return ((1 << n) - 1) & ~forbid
+
+    @cached_property
+    def twin_pred(self):
+        """twin_pred[v]: the vertex before v in its twin class (the
+        vertices whose ``adj`` rows equal v's), or -1 when v comes first."""
+        pred = [-1] * self.n
+        last = {}
+        for v, row in enumerate(self.adj):
+            pred[v] = last.get(row, -1)
+            last[row] = v
+        return pred
+
+    @cached_property
+    def twins(self):
+        """The vertices with a twin predecessor, as a mask."""
+        return sum(1 << v for v, p in enumerate(self.twin_pred) if p >= 0)
+
+    def orbits(self, gens):
+        """orbit[v] under ``gens`` and the twin swaps (``_orbits``), kept
+        for the generators of the latest call."""
+        if gens != self._orbit_gens:
+            self._orbit_gens, self._orbit = gens, _orbits(self.n, gens, self.twin_pred)
+        return self._orbit
 
     @cached_property
     def through(self):
@@ -536,11 +568,14 @@ class _Ctx:
             return (1 << self.tables.n) - 1
         return self.tables.total_roots
 
-    def extensions(self, smask, w, cmask):
+    def extensions(self, smask, w, cmask, need=0):
         """The x in ``cmask`` for which smask ∪ {w, x} keeps the property,
         given that smask ∪ {w} and every smask ∪ {x} already have it, as a
         mask.  Only the pairs that neither of those two sets settles are
-        re-checked (see the module notes)."""
+        re-checked (see the module notes).  The mask is exact when it has
+        at least ``need`` bits; otherwise the filter may stop as soon as
+        fewer than ``need`` can survive, and return a superset of it that
+        has fewer than ``need`` bits."""
         if not cmask:
             return 0
         kind, tables = self.kind, self.tables
@@ -585,23 +620,26 @@ class _Ctx:
         # A watched pair sees itself under smask ∪ {w}, so x breaks it
         # exactly when x is in its cut: one cut per pair instead of one
         # test per candidate.
-        forbid = 0
+        keep = cmask
         cuts = self.cuts
         for u, v, m in watch:
-            if m & cmask & ~forbid:
+            if m & keep:
                 key = (u, v, new & m)
                 cut = cuts.get(key)
                 if cut is None:
                     cut = cuts[key] = _pv_cut(n, adj, dist, balls, u, v, new)
-                forbid |= cut
-        keep = cmask & ~forbid
+                if cut & keep:
+                    keep &= ~cut
+                    if keep.bit_count() < need:
+                        return keep
         if kind == TOTAL:
             return keep
         if kind == MV:
-            return self._mv_partners(new, w, keep)
+            return self._mv_partners(new, w, keep, need)
         # OUTER's partners: the y outside smask ∪ {w, x} for which (x, y)
         # is re-checked, as w lies in its interval
         seen = self.seen
+        left = keep.bit_count()
         r = keep
         while r:
             xb = r & -r
@@ -631,14 +669,18 @@ class _Ctx:
             else:
                 continue
             keep ^= xb
+            left -= 1
+            if left < need:
+                break
         return keep
 
-    def _mv_partners(self, new, w, keep):
+    def _mv_partners(self, new, w, keep, need):
         """The x in ``keep`` that see each y in ``new`` = smask ∪ {w} whose
         pair with x is re-checked: the members y whose interval with x
         holds w, and w itself.  One layer sweep per y, with ``new``
         blocked, settles all of y's pairs at once (``_unreached``, as in
-        ``set_ok``); x is an end of the pair, so it need not be blocked."""
+        ``set_ok``); x is an end of the pair, so it need not be blocked.
+        It stops once fewer than ``need`` are left."""
         tables = self.tables
         adj, balls, iw = tables.adj, tables.balls, tables.inw[w]
         free = ((1 << tables.n) - 1) & ~new
@@ -650,7 +692,11 @@ class _Ctx:
             want = keep & (iw[y] if y != w else ~adj[w])
             if not want:
                 continue
-            keep &= ~_unreached(adj, balls[y], yb, want, free)
+            missed = _unreached(adj, balls[y], yb, want, free)
+            if missed:
+                keep &= ~missed
+                if keep.bit_count() < need:
+                    break
         return keep
 
 
@@ -704,17 +750,6 @@ class _Found(Exception):
 
 class _TimeUp(Exception):
     pass
-
-
-def _twin_preds(adj):
-    """pred[v]: the vertex before v in its twin class (the vertices whose
-    ``adj`` rows equal v's), or -1 when v comes first."""
-    pred = [-1] * len(adj)
-    last = {}
-    for v, row in enumerate(adj):
-        pred[v] = last.get(row, -1)
-        last[row] = v
-    return pred
 
 
 def _search_symmetries(tables, order, label, symmetries):
@@ -813,11 +848,11 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
     if not 0.0 <= time_limit < math.inf:
         raise ValueError(f"time limit must be 0 (none) or finite, got {time_limit}")
     order, label, ctx = _relabelled(n, adj, dist, kind)
-    gens = _search_symmetries(ctx.tables, order, label, symmetries)
+    tables = ctx.tables
+    gens = _search_symmetries(tables, order, label, symmetries)
     deadline = time.monotonic() + time_limit if time_limit else 0.0
-    pred = _twin_preds(ctx.tables.adj)
-    twins = sum(1 << v for v in range(n) if pred[v] >= 0)
-    orbit = _orbits(n, gens, pred)
+    pred, twins = tables.twin_pred, tables.twins
+    orbit = tables.orbits(gens)
     extensions = ctx.extensions
     best_mask = _mapped(greedy_set(n, adj, dist, kind), label)
     best = best_mask.bit_count()
@@ -826,7 +861,7 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
     def run(smask, size, cands):
         nonlocal best, best_mask, nodes
         nodes += 1
-        if deadline and not nodes & _TIME_CHECK_MASK and time.monotonic() > deadline:
+        if deadline and nodes & _TIME_CHECK_MASK == 1 and time.monotonic() > deadline:
             raise _TimeUp
         left = cands.bit_count()
         stabilizer = None
@@ -844,7 +879,9 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
                 best_mask = new
                 if target and best >= target:
                     raise _Found
-            rest = extensions(smask, w, cands)
+            # the child beats best only with at least need candidates
+            need = best - size
+            rest = extensions(smask, w, cands, need)
             # the twin-prefix rule: pred[x] < x, so the bits below x are
             # already settled when x is
             t = rest & twins
@@ -853,7 +890,7 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
                 t ^= xb
                 if not (new | rest) >> pred[xb.bit_length() - 1] & 1:
                     rest ^= xb
-            if rest:
+            if rest.bit_count() >= need:
                 run(new, size + 1, rest)
             if not smask:
                 # the root w is done, and no larger set meets its orbit
@@ -903,8 +940,9 @@ def enumerate_exact(n, adj, dist, kind, size):
             if cur + 1 == size:
                 out.append(new)
             else:
-                rest = ctx.extensions(smask, low.bit_length() - 1, cands)
-                if cur + 1 + rest.bit_count() >= size:
+                need = size - cur - 1
+                rest = ctx.extensions(smask, low.bit_length() - 1, cands, need)
+                if rest.bit_count() >= need:
                     rec(new, cur + 1, rest)
 
     rec(0, 0, ctx.roots())

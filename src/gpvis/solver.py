@@ -3,15 +3,16 @@
 The search is a branch-and-bound over a fixed vertex order (descending
 degree, ties by index).  Hereditarity of all four properties justifies
 the pruning: once a single-vertex extension fails, no superset through
-that vertex is revisited, and a node is cut when the current set plus
-all remaining candidates cannot beat the incumbent.  The incumbent is
-seeded by the deterministic greedy sweep.  Sets that a swap of twin
-vertices (equal neighbourhoods) maps onto each other are searched once,
-and once the branch of a root vertex is done, the vertices that a
-symmetry carried by the vertex roles (``role_symmetries``) maps it to
-leave the later branches; under a root, so do a done child's images
-under the symmetries that fix the root.  Enumeration still lists every
-set.  Results are deterministic.
+that vertex is revisited, and a child is entered only when it and its
+candidates could beat the incumbent; the candidate filter stops as soon
+as they cannot, so such a child is settled at its parent.  The
+incumbent is seeded by the deterministic greedy sweep.  Sets that a
+swap of twin vertices (equal neighbourhoods) maps onto each other are
+searched once, and once the branch of a root vertex is done, the
+vertices that a symmetry carried by the vertex roles
+(``role_symmetries``) maps it to leave the later branches; under a
+root, so do a done child's images under the symmetries that fix the
+root.  Enumeration still lists every set.  Results are deterministic.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ class InvariantResult:
 
     ``stopped_by`` records why a lower-bound result stopped early:
     "target" or "time"; it is None for exact results.
+    ``nodes_explored`` counts the search nodes entered: the root and each
+    child that could still beat the incumbent, not the children settled
+    at their parent.
     """
 
     kind: PropertyKind

@@ -1,7 +1,8 @@
 """The pure kernel's cached tables (balls, geodesic intervals, geodesic
-triples): bounded, read-only, built once per solve and without effect on
-any result; and the backend choice, validated once per value
-but read on every call.  Pure kernel only, so these never skip."""
+triples, symmetry orbits): bounded, read-only, built once per solve and
+without effect on any result; and the backend choice, validated once
+per value but read on every call.  Pure kernel only, so these never
+skip."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 
 from gpvis import all_pairs_distances, parse_graph_spec
 from gpvis._kernel import get_kernel, pure
+from gpvis.graphs import role_symmetries
 from gpvis.report import corpus_graphs
 
 KINDS = (pure.MV, pure.OUTER, pure.TOTAL, pure.GP)
@@ -111,6 +113,29 @@ def test_a_solve_builds_its_table_once():
     assert pure.solve_max(g.n, g.adj, dist, pure.TOTAL) == total
     assert search_tables(g, dist).through is through
     assert pure._search_copy.cache_info().misses == 1
+
+
+def test_orbits_follow_the_latest_symmetries():
+    """The search copy keeps the orbits of the symmetries it was last
+    given; a solve with other symmetries, fewer or none, sets them
+    afresh, so each solve equals one on a fresh copy."""
+    for spec in ("myc(cycle:7)", "double(cycle:6)"):
+        g = parse_graph_spec(spec)
+        dist = all_pairs_distances(g).data
+        both = role_symmetries(g)
+        assert len(both) == 2, spec
+        sets = [(), both, both[:1]]
+        fresh = {}
+        for syms in sets:
+            for kind in KINDS:
+                pure._search_copy.cache_clear()
+                fresh[syms, kind] = pure.solve_max(g.n, g.adj, dist, kind, 0, 0.0, syms)
+        assert fresh[both, pure.MV][2] < fresh[both[:1], pure.MV][2] < fresh[(), pure.MV][2], spec
+        pure._search_copy.cache_clear()
+        for syms in [both, both, (), both, both[:1], both]:
+            for kind in KINDS:
+                assert pure.solve_max(g.n, g.adj, dist, kind, 0, 0.0, syms) == fresh[syms, kind], (spec, syms)
+        assert pure._search_copy.cache_info().misses == 1
 
 
 def test_a_list_distance_table_is_accepted():

@@ -140,6 +140,39 @@ def test_filter_equals_one_candidate_at_a_time():
     assert sole_causes[pure.GP]["triple"] > 0
 
 
+def test_filter_stops_only_below_its_threshold(monkeypatch):
+    """On the states that the search reaches (twin-rich double graphs,
+    Mycielskians with their role symmetries, the corpus), the filter given
+    a threshold ``need`` returns its exact mask whenever that has at least
+    ``need`` bits, and a mask of fewer than ``need`` bits otherwise.  Some
+    MV, OUTER and TOTAL calls stop early (GP's filter never does)."""
+    states = []
+    extensions = pure._Ctx.extensions
+
+    def record(ctx, smask, w, cmask, need=0):
+        states.append((ctx.tables, ctx.kind, smask, w, cmask))
+        return extensions(ctx, smask, w, cmask, need)
+
+    monkeypatch.setattr(pure._Ctx, "extensions", record)
+    for g in graphs_under_test():
+        dist = all_pairs_distances(g).data
+        for kind in KINDS:
+            pure.solve_max(g.n, g.adj, dist, kind, 0, 0.0, role_symmetries(g))
+    monkeypatch.undo()
+    early = Counter()
+    for tables, kind, smask, w, cmask in states:
+        ctx = pure._Ctx(tables, kind)
+        exact = ctx.extensions(smask, w, cmask)
+        for need in range(cmask.bit_count() + 2):
+            got = ctx.extensions(smask, w, cmask, need)
+            if exact.bit_count() >= need:
+                assert got == exact, (tables.adj, kind, smask, w, cmask, need)
+            else:
+                assert got.bit_count() < need, (tables.adj, kind, smask, w, cmask, need)
+                early[kind] += got != exact
+    assert min(early[kind] for kind in (pure.MV, pure.OUTER, pure.TOTAL)) > 0, early
+
+
 def test_greedy_and_roots_equal_one_vertex_sweeps():
     """The greedy seed walks the filter's leftmost path; it equals the
     sweep that adds each vertex of the default order when the set stays
@@ -314,10 +347,10 @@ def test_stabilizer_orbits_equal_a_closure():
 # (size, mask, nodes, status) with the role symmetries.  These are the
 # benchmark's instances at their identity labelling.
 PINNED_SYMMETRIC = [
-    ("double(cycle:8)", pure.TOTAL, 80, (8, 255, 34, 0)),
-    ("double(cycle:8)", pure.OUTER, 93, (8, 255, 37, 0)),
-    ("myc(cycle:12)", pure.MV, 2074, (15, 7828821, 851, 0)),
-    ("double(cycle:10)", pure.MV, 511, (10, 1023, 194, 0)),
+    ("double(cycle:8)", pure.TOTAL, 34, (8, 255, 17, 0)),
+    ("double(cycle:8)", pure.OUTER, 38, (8, 255, 18, 0)),
+    ("myc(cycle:12)", pure.MV, 1065, (15, 7828821, 487, 0)),
+    ("double(cycle:10)", pure.MV, 186, (10, 1023, 66, 0)),
 ]
 
 
@@ -431,13 +464,13 @@ def test_twin_rule_keeps_the_optimum(spec):
 # double graphs and myc(kbip:3,3) have twin classes, which solve_max
 # prunes and enumerate_exact does not.
 PINNED = [
-    ("double(cycle:7)", pure.MV, (7, 127, 113, 0), 0, 938, "6a414acd412c54bd"),
-    ("myc(cycle:7)", pure.MV, (9, 15253, 218, 0), 154, 168, "b41f4b079bd01713"),
-    ("myc(kbip:3,3)", pure.OUTER, (8, 1755, 20, 0), 11, 342, "10726e1ec2db19dd"),
-    ("myc(cycle:7)", pure.OUTER, (7, 16256, 54, 0), 54, 7, "6b82d46ec24d2476"),
-    ("myc(kbip:3,3)", pure.TOTAL, (8, 1755, 16, 0), 0, 324, "98dc976c78f995a2"),
-    ("double(balloon:1)", pure.TOTAL, (7, 2111, 19, 0), 0, 144, "1c73e91515a8d8da"),
-    ("myc(cycle:7)", pure.GP, (7, 16256, 112, 0), 112, 28, "0a224a21c286f145"),
+    ("double(cycle:7)", pure.MV, (7, 127, 50, 0), 0, 938, "6a414acd412c54bd"),
+    ("myc(cycle:7)", pure.MV, (9, 15253, 107, 0), 69, 168, "b41f4b079bd01713"),
+    ("myc(kbip:3,3)", pure.OUTER, (8, 1755, 17, 0), 11, 342, "10726e1ec2db19dd"),
+    ("myc(cycle:7)", pure.OUTER, (7, 16256, 39, 0), 39, 7, "6b82d46ec24d2476"),
+    ("myc(kbip:3,3)", pure.TOTAL, (8, 1755, 13, 0), 0, 324, "98dc976c78f995a2"),
+    ("double(balloon:1)", pure.TOTAL, (7, 2111, 8, 0), 0, 144, "1c73e91515a8d8da"),
+    ("myc(cycle:7)", pure.GP, (7, 16256, 49, 0), 49, 28, "0a224a21c286f145"),
     ("double(kminus:6)", pure.GP, (5, 61, 16, 0), 0, 145, "d14595ce6921a58f"),
 ]
 

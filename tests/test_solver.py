@@ -97,8 +97,8 @@ def test_target_mode_stops_early():
 
 
 def test_time_limit_mode():
-    # Twin-free and carrying only a reflection, so its search runs past
-    # the first deadline check at node 1024 (1675 nodes).
+    # The deadline is checked at the first node, so a limit that the
+    # greedy seed has already used up stops the search there.
     g = parse_graph_spec("myc(path:12)")
     d = all_pairs_distances(g)
     res = max_property_set(g, PropertyKind.MV, time_limit=1e-9)
