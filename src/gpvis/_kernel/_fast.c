@@ -15,8 +15,8 @@
    differs: masks are uint64_t and the tables are flat arrays built per
    call.
 
-   pure._Ctx.extensions(smask, w, cmask, need) -> mask filters a child's
-   candidate mask from two sides at once, on a copy of the graph
+   pure._Tables.extensions(kind, smask, w, cmask, need) -> mask filters a
+   child's candidate mask from two sides at once, on a copy of the graph
    renumbered into search order; here each candidate is tested on its
    own with extend_ok, whose definition is pure.extend_ok (set_ok of the
    grown set).  Both keep exactly the candidates x for which S + w + x
@@ -371,7 +371,7 @@ typedef struct {
 static void stabilizer_orbits(Search *s, int w);
 
 /* pure.solve_max's run, with the per-candidate test in place of
-   pure._Ctx.extensions.  Returns EXACT when the subtree is done.  A child
+   pure._Tables.extensions.  Returns EXACT when the subtree is done.  A child
    is entered only with need = best - size candidates or more, enough to
    beat best; its loop of tests stops once the candidates kept and those
    left to test number fewer, as pure's filter stops, so a dead child is

@@ -38,14 +38,14 @@ candidate that leaves fewer), so a dead child costs part of a filter
 and no node.  ``enumerate_exact`` passes the same threshold.
 
 ``solve_max``, ``greedy_set`` and ``enumerate_exact`` run on a copy of
-the graph relabelled so that this order becomes 0..n-1, and build their
-context on it (the renumbering of BBMC, San Segundo et al. 2011).  Every
-candidate set is then a plain int mask whose lowest bit is the next
-vertex in the search order; the bound reads ``bit_count()``, and each
-returned mask is mapped back to the caller's labels.  The copy owns its
-tables (``_Tables``), each built on first use, its twin classes, and the
-orbits of the symmetries it was last given; only the latest copy is
-kept: the solves of one graph and their greedy seeds share one build of
+the graph relabelled so that this order becomes 0..n-1 (the renumbering
+of BBMC, San Segundo et al. 2011).  Every candidate set is then a plain
+int mask whose lowest bit is the next vertex in the search order; the
+bound reads ``bit_count()``, and each returned mask is mapped back to
+the caller's labels.  The copy (``_Tables``) owns its tables, each built
+on first use, its twin classes, the orbits of the symmetries it was last
+given, and the search's memo; only the latest copy is kept: the solves
+of one graph, of every kind, and their greedy seeds share one build of
 each.  The ball rows cached for ``set_ok`` are not touched.
 
 A node's candidates are filtered once per child from two facts the search
@@ -98,13 +98,15 @@ is btw[u][v] | inw[v][u] | inw[u][v]: the vertices between u and v,
 beyond v from u, and beyond u from v.  TOTAL's pairs through w do not
 depend on S, so each w's list is built once per copy.
 
-Each solve keeps a memo on its ``_Ctx``: OUTER's pair tests and the
-cuts are keyed by (u, v, blocked & btw[u][v]) with u < v, since
-visibility is symmetric and depends on nothing else.  The memo lives as
-long as the context.
-A pair test whose blocked part settles it at sight (all of the interval:
-hidden; none of it, or not all of it at distance 2: seen) is neither
-run nor stored, so small solves do not pay for the memo.
+The copy keeps a memo: OUTER's pair tests and the cuts are keyed by
+(u, v, blocked & btw[u][v]) with u < v, since visibility is symmetric
+and a pair's visibility and cut depend on nothing else.  So one memo is
+exact for every kind and every run on the copy, and lives as long as
+the copy: a solve reads the cuts that its greedy seed, on the tree's
+leftmost path, has just made.  A pair test whose blocked part settles it
+at sight (all of the interval: hidden; none of it, or not all of it at
+distance 2: seen) is neither run nor stored, so small solves do not pay
+for the memo.
 
 This filter is the kernel's only one.  The greedy seed (``greedy_set``,
 which ``solve_max`` calls) is the search tree's leftmost path: it takes
@@ -374,7 +376,9 @@ _all_balls = lru_cache(maxsize=_TABLES_KEPT)(_ball_rows)
 
 class _Tables:
     """The geodesic tables of one search copy (see the module notes), each
-    built on first use but the ball rows; callers never change them."""
+    built on first use but the ball rows, and the search's memo, which
+    every kind and run on the copy fills and reads.  Vertex sets are int
+    masks in the copy's labels; callers never change the tables."""
 
     def __init__(self, n, adj, dist):
         self.n = n
@@ -382,6 +386,10 @@ class _Tables:
         self.dist = dist
         self.balls = _ball_rows(n, dist)
         self._orbit_gens = self._orbit = None
+        # the memo (see the module notes): pair tests and cuts by
+        # (u, v, blocked & btw[u][v]) with u < v
+        self.seen = {}
+        self.cuts = {}
 
     @cached_property
     def edges(self):
@@ -481,94 +489,12 @@ class _Tables:
             for iw in self.inw
         ]
 
-
-def set_ok(n, adj, dist, mask, kind):
-    """Full from-scratch verification of ``mask`` for the given kind
-    (one layer sweep per source for MV, OUTER and TOTAL; see the module
-    notes)."""
-    key = _table_of(n, adj, dist)
-    _check_mask(mask, n, "mask")
-    members = list(_bits(mask))
-    if kind == GP:
-        # each triple once: the three-way "between" test is symmetric
-        for i, u in enumerate(members):
-            du = u * n
-            for j, v in enumerate(members[i + 1 :], i + 1):
-                duv = dist[du + v]
-                dv = v * n
-                for x in members[j + 1 :]:
-                    dux = dist[du + x]
-                    dxv = dist[dv + x]
-                    if dux + dxv == duv or duv + dxv == dux or dux + duv == dxv:
-                        return False
-        return True
-    full = (1 << n) - 1
-    if kind == MV:
-        sources, wanted = members, mask
-    elif kind == OUTER:
-        sources, wanted = members, full
-    elif kind == TOTAL:
-        sources, wanted = range(n), full
-    else:
-        raise ValueError(f"unknown property kind code {kind}")
-    outside = full & ~mask
-    balls = _all_balls(n, key)
-    for u in sources:
-        want = wanted & ~((2 << u) - 1)
-        if kind == OUTER:
-            want |= outside
-        if _unreached(adj, balls[u], 1 << u, want, outside):
-            return False
-    return True
-
-
-def _unreached(adj, ball, front, want, free):
-    """The vertices of ``want`` that the layer sweep from a source does
-    not reach (see the module notes): ``ball`` is the source's ball rows,
-    ``front`` its bit, and only the ``free`` vertices carry the walk on."""
-    missed = 0
-    for t in range(1, len(ball)):
-        if not want:
-            break
-        layer = ball[t]
-        if front == ball[t - 1]:
-            # a whole layer reaches the whole next one
-            reach = layer
-        else:
-            acc = 0
-            while front:
-                low = front & -front
-                acc |= adj[low.bit_length() - 1]
-                front ^= low
-            reach = acc & layer
-        missed |= want & layer & ~reach
-        want &= ~layer
-        front = reach & free
-    return missed
-
-
-class _Ctx:
-    """The memo of one solve/enumerate run on a search copy's tables.
-    Vertex sets are int masks in the copy's labels."""
-
-    def __init__(self, tables, kind):
-        if kind not in (MV, OUTER, TOTAL, GP):
-            raise ValueError(f"unknown property kind code {kind}")
-        self.tables = tables
-        self.kind = kind
-        # the search's memo (see the module notes): pair tests and cuts by
-        # (u, v, blocked & btw[u][v]) with u < v
-        self.seen = {}
-        self.cuts = {}
-
-    def roots(self):
+    def roots(self, kind):
         """The w for which {w} has the property, as a mask: all of them,
         but for TOTAL only those that no pair has on all its geodesics."""
-        if self.kind != TOTAL:
-            return (1 << self.tables.n) - 1
-        return self.tables.total_roots
+        return self.total_roots if kind == TOTAL else (1 << self.n) - 1
 
-    def extensions(self, smask, w, cmask, need=0):
+    def extensions(self, kind, smask, w, cmask, need=0):
         """The x in ``cmask`` for which smask ∪ {w, x} keeps the property,
         given that smask ∪ {w} and every smask ∪ {x} already have it, as a
         mask.  Only the pairs that neither of those two sets settles are
@@ -578,23 +504,22 @@ class _Ctx:
         has fewer than ``need`` bits."""
         if not cmask:
             return 0
-        kind, tables = self.kind, self.tables
         if kind == GP:
-            bad = tables.pairbad[w]
+            bad = self.pairbad[w]
             forbid = 0
             while smask:
                 low = smask & -smask
                 forbid |= bad[low.bit_length() - 1]
                 smask ^= low
             return cmask & ~forbid
-        n, adj, dist, balls, btw = tables.n, tables.adj, tables.dist, tables.balls, tables.btw
+        n, adj, dist, balls, btw = self.n, self.adj, self.dist, self.balls, self.btw
         new = smask | 1 << w
         bw = btw[w]
-        iw = tables.inw[w]
+        iw = self.inw[w]
         # watch: pairs that smask ∪ {x} does not settle, re-checked when x
         # lies in their interval, as (u, v, btw[u][v]) with u < v
         if kind == TOTAL:
-            watch = tables.through[w]
+            watch = self.through[w]
         else:
             # (s, y) with w in its interval: y a later member, or for
             # OUTER any vertex outside smask ∪ {w}
@@ -681,9 +606,8 @@ class _Ctx:
         blocked, settles all of y's pairs at once (``_unreached``, as in
         ``set_ok``); x is an end of the pair, so it need not be blocked.
         It stops once fewer than ``need`` are left."""
-        tables = self.tables
-        adj, balls, iw = tables.adj, tables.balls, tables.inw[w]
-        free = ((1 << tables.n) - 1) & ~new
+        adj, balls, iw = self.adj, self.balls, self.inw[w]
+        free = ((1 << self.n) - 1) & ~new
         r = new
         while r and keep:
             yb = r & -r
@@ -700,6 +624,71 @@ class _Ctx:
         return keep
 
 
+def set_ok(n, adj, dist, mask, kind):
+    """Full from-scratch verification of ``mask`` for the given kind
+    (one layer sweep per source for MV, OUTER and TOTAL; see the module
+    notes)."""
+    key = _table_of(n, adj, dist)
+    _check_mask(mask, n, "mask")
+    members = list(_bits(mask))
+    if kind == GP:
+        # each triple once: the three-way "between" test is symmetric
+        for i, u in enumerate(members):
+            du = u * n
+            for j, v in enumerate(members[i + 1 :], i + 1):
+                duv = dist[du + v]
+                dv = v * n
+                for x in members[j + 1 :]:
+                    dux = dist[du + x]
+                    dxv = dist[dv + x]
+                    if dux + dxv == duv or duv + dxv == dux or dux + duv == dxv:
+                        return False
+        return True
+    full = (1 << n) - 1
+    if kind == MV:
+        sources, wanted = members, mask
+    elif kind == OUTER:
+        sources, wanted = members, full
+    elif kind == TOTAL:
+        sources, wanted = range(n), full
+    else:
+        raise ValueError(f"unknown property kind code {kind}")
+    outside = full & ~mask
+    balls = _all_balls(n, key)
+    for u in sources:
+        want = wanted & ~((2 << u) - 1)
+        if kind == OUTER:
+            want |= outside
+        if _unreached(adj, balls[u], 1 << u, want, outside):
+            return False
+    return True
+
+
+def _unreached(adj, ball, front, want, free):
+    """The vertices of ``want`` that the layer sweep from a source does
+    not reach (see the module notes): ``ball`` is the source's ball rows,
+    ``front`` its bit, and only the ``free`` vertices carry the walk on."""
+    missed = 0
+    for t in range(1, len(ball)):
+        if not want:
+            break
+        layer = ball[t]
+        if front == ball[t - 1]:
+            # a whole layer reaches the whole next one
+            reach = layer
+        else:
+            acc = 0
+            while front:
+                low = front & -front
+                acc |= adj[low.bit_length() - 1]
+                front ^= low
+            reach = acc & layer
+        missed |= want & layer & ~reach
+        want &= ~layer
+        front = reach & free
+    return missed
+
+
 def extend_ok(n, adj, dist, smask, w, kind):
     """One-shot extension check: does smask ∪ {w} have the property?"""
     _check_vertex(w, n)
@@ -711,18 +700,20 @@ def _default_order(n, adj):
 
 
 def _relabelled(n, adj, dist, kind):
-    """The search order, its inverse (label[v] is v's place in it) and a
-    context on the copy of the graph whose vertex i is the order's i-th
+    """The search order, its inverse (label[v] is v's place in it) and the
+    tables of the copy of the graph whose vertex i is the order's i-th
     vertex (see the module notes)."""
-    order, label, tables = _search_copy(n, tuple(adj), _table_of(n, adj, dist))
-    return order, label, _Ctx(tables, kind)
+    if kind not in (MV, OUTER, TOTAL, GP):
+        raise ValueError(f"unknown property kind code {kind}")
+    return _search_copy(n, tuple(adj), _table_of(n, adj, dist))
 
 
 @lru_cache(maxsize=1)
 def _search_copy(n, adj, dist):
     """(order, label, tables) of the latest graph relabelled into its
     search order, so that the solves of one graph and their greedy seeds
-    share one copy and its tables; read-only."""
+    share one copy, its tables and its memo; the order and labels are
+    read-only."""
     order = _default_order(n, adj)
     label = [0] * n
     for i, v in enumerate(order):
@@ -734,12 +725,12 @@ def _search_copy(n, adj, dist):
 def greedy_set(n, adj, dist, kind):
     """Deterministic greedy sweep: descending degree, ties by index.  It
     walks the leftmost path of the search tree (see the module notes)."""
-    order, _, ctx = _relabelled(n, adj, dist, kind)
+    order, _, tables = _relabelled(n, adj, dist, kind)
     smask = 0
-    cands = ctx.roots()
+    cands = tables.roots(kind)
     while cands:
         low = cands & -cands
-        cands = ctx.extensions(smask, low.bit_length() - 1, cands ^ low)
+        cands = tables.extensions(kind, smask, low.bit_length() - 1, cands ^ low)
         smask |= low
     return _mapped(smask, order)
 
@@ -847,13 +838,12 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
         raise ValueError(f"target must be 0 (none) or more, got {target}")
     if not 0.0 <= time_limit < math.inf:
         raise ValueError(f"time limit must be 0 (none) or finite, got {time_limit}")
-    order, label, ctx = _relabelled(n, adj, dist, kind)
-    tables = ctx.tables
+    order, label, tables = _relabelled(n, adj, dist, kind)
     gens = _search_symmetries(tables, order, label, symmetries)
     deadline = time.monotonic() + time_limit if time_limit else 0.0
     pred, twins = tables.twin_pred, tables.twins
     orbit = tables.orbits(gens)
-    extensions = ctx.extensions
+    extensions = tables.extensions
     best_mask = _mapped(greedy_set(n, adj, dist, kind), label)
     best = best_mask.bit_count()
     nodes = 0
@@ -881,7 +871,7 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
                     raise _Found
             # the child beats best only with at least need candidates
             need = best - size
-            rest = extensions(smask, w, cands, need)
+            rest = extensions(kind, smask, w, cands, need)
             # the twin-prefix rule: pred[x] < x, so the bits below x are
             # already settled when x is
             t = rest & twins
@@ -910,13 +900,13 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
         status = 1
     else:
         try:
-            run(0, 0, ctx.roots())
+            run(0, 0, tables.roots(kind))
         except _Found:
             status = 1
         except _TimeUp:
             status = 2
-    # run refers to itself; without it the context and its memo would
-    # wait for the cycle collector
+    # run refers to itself; without it a search copy that a later graph
+    # replaces would wait, with its memo, for the cycle collector
     del run
     return best, _mapped(best_mask, order), nodes, status
 
@@ -925,7 +915,7 @@ def enumerate_exact(n, adj, dist, kind, size):
     """All sets of exactly ``size`` with the property, as masks (DFS order)."""
     if size < 0:
         raise ValueError(f"size must be 0 or more, got {size}")
-    order, _, ctx = _relabelled(n, adj, dist, kind)
+    order, _, tables = _relabelled(n, adj, dist, kind)
     if size == 0:
         return [0]
     out = []
@@ -941,10 +931,10 @@ def enumerate_exact(n, adj, dist, kind, size):
                 out.append(new)
             else:
                 need = size - cur - 1
-                rest = ctx.extensions(smask, low.bit_length() - 1, cands, need)
+                rest = tables.extensions(kind, smask, low.bit_length() - 1, cands, need)
                 if rest.bit_count() >= need:
                     rec(new, cur + 1, rest)
 
-    rec(0, 0, ctx.roots())
+    rec(0, 0, tables.roots(kind))
     del rec  # it refers to itself, as the search in solve_max does
     return [_mapped(m, order) for m in out]

@@ -65,8 +65,9 @@ def _cmd_invariant(args) -> int:
     g = parse_graph_spec(args.spec)
     kind = PropertyKind.from_token(args.kind)
     res = max_property_set(g, kind, target=args.target, time_limit=args.time_limit)
+    stop = f" stopped_by={res.stopped_by}" if res.stopped_by else ""
     print(
-        f"value={res.value} status={res.status} "
+        f"value={res.value} status={res.status}{stop} "
         f"witness={_format_set(g, res.witness)} "
         f"nodes={res.nodes_explored} elapsed={res.elapsed:.3f}s"
     )

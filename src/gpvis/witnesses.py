@@ -153,7 +153,12 @@ def format_witness_set(g: Graph, s: VertexSet) -> str:
     return " ".join(s.labels(g))
 
 def parse_witness_set(g: Graph, line: str) -> VertexSet:
-    return VertexSet.of(g.n, [g.index(tok) for tok in line.split()])
+    """The set that one witness line names; a label named twice is an
+    error, as in ``gpvis check-set``."""
+    vertices = [g.index(tok) for tok in line.split()]
+    if len(set(vertices)) < len(vertices):
+        raise ValueError(f"witness line names a vertex twice: {line}")
+    return VertexSet.of(g.n, vertices)
 
 
 def save_witness_file(path: str, g: Graph, sets: list[VertexSet]) -> None:

@@ -1,8 +1,8 @@
 """The pure kernel's cached tables (balls, geodesic intervals, geodesic
-triples, symmetry orbits): bounded, read-only, built once per solve and
-without effect on any result; and the backend choice, validated once
-per value but read on every call.  Pure kernel only, so these never
-skip."""
+triples, symmetry orbits) and the search copy's memo: bounded, built
+once per graph and shared by its solves, and without effect on any
+result; and the backend choice, validated once per value but read on
+every call.  Pure kernel only, so these never skip."""
 
 from __future__ import annotations
 
@@ -113,6 +113,36 @@ def test_a_solve_builds_its_table_once():
     assert pure.solve_max(g.n, g.adj, dist, pure.TOTAL) == total
     assert search_tables(g, dist).through is through
     assert pure._search_copy.cache_info().misses == 1
+
+
+def test_one_memo_serves_the_seed_every_solve_and_every_kind():
+    """The memo's entries depend on the graph alone, so the search copy
+    keeps one for every kind and run.  The greedy seed fills it for the
+    solve; a greedy_set or a second solve_max after a solve_max adds no
+    entry; and TOTAL, OUTER, MV and GP solved on one copy, in that order,
+    equal solves on fresh copies, node counts included."""
+    specs = ["double(cycle:8)", "myc(cycle:9)", "double(kminus:5)"]
+    graphs = graphs_under_test() + [parse_graph_spec(s) for s in specs]
+    seeded = 0
+    for g in graphs:
+        dist = all_pairs_distances(g).data
+        fresh = {}
+        for kind in KINDS:
+            pure._search_copy.cache_clear()
+            pure.greedy_set(g.n, g.adj, dist, kind)
+            tables = search_tables(g, dist)
+            seeded += len(tables.seen) + len(tables.cuts)
+            fresh[kind] = pure.solve_max(g.n, g.adj, dist, kind)
+            memo = dict(tables.seen), dict(tables.cuts)
+            pure.greedy_set(g.n, g.adj, dist, kind)
+            assert pure.solve_max(g.n, g.adj, dist, kind) == fresh[kind]
+            assert (tables.seen, tables.cuts) == memo, (g.adj, kind)
+            assert search_tables(g, dist) is tables
+        pure._search_copy.cache_clear()
+        for kind in (pure.TOTAL, pure.OUTER, pure.MV, pure.GP):
+            assert pure.solve_max(g.n, g.adj, dist, kind) == fresh[kind], (g.adj, kind)
+        assert pure._search_copy.cache_info().misses == 1
+    assert seeded > 0
 
 
 def test_orbits_follow_the_latest_symmetries():

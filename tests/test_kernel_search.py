@@ -121,11 +121,10 @@ def test_filter_equals_one_candidate_at_a_time():
         dist = all_pairs_distances(g).data
         tables = pure._Tables(g.n, g.adj, dist)
         for kind in KINDS:
-            ctx = pure._Ctx(tables, kind)
             for smask, w, cands in search_states(g, dist, kind, rng, 12):
                 new = smask | 1 << w
                 want = [x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)]
-                got = ctx.extensions(smask, w, mask_of(cands))
+                got = tables.extensions(kind, smask, w, mask_of(cands))
                 assert got == mask_of(want), (g.adj, kind, smask, w)
                 for x in set(cands) - set(want):
                     if kind == pure.GP:
@@ -147,13 +146,13 @@ def test_filter_stops_only_below_its_threshold(monkeypatch):
     ``need`` bits, and a mask of fewer than ``need`` bits otherwise.  Some
     MV, OUTER and TOTAL calls stop early (GP's filter never does)."""
     states = []
-    extensions = pure._Ctx.extensions
+    extensions = pure._Tables.extensions
 
-    def record(ctx, smask, w, cmask, need=0):
-        states.append((ctx.tables, ctx.kind, smask, w, cmask))
-        return extensions(ctx, smask, w, cmask, need)
+    def record(tables, kind, smask, w, cmask, need=0):
+        states.append((tables, kind, smask, w, cmask))
+        return extensions(tables, kind, smask, w, cmask, need)
 
-    monkeypatch.setattr(pure._Ctx, "extensions", record)
+    monkeypatch.setattr(pure._Tables, "extensions", record)
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
         for kind in KINDS:
@@ -161,10 +160,9 @@ def test_filter_stops_only_below_its_threshold(monkeypatch):
     monkeypatch.undo()
     early = Counter()
     for tables, kind, smask, w, cmask in states:
-        ctx = pure._Ctx(tables, kind)
-        exact = ctx.extensions(smask, w, cmask)
+        exact = tables.extensions(kind, smask, w, cmask)
         for need in range(cmask.bit_count() + 2):
-            got = ctx.extensions(smask, w, cmask, need)
+            got = tables.extensions(kind, smask, w, cmask, need)
             if exact.bit_count() >= need:
                 assert got == exact, (tables.adj, kind, smask, w, cmask, need)
             else:
@@ -187,7 +185,7 @@ def test_greedy_and_roots_equal_one_vertex_sweeps():
                 if pure.set_ok(g.n, g.adj, dist, sweep | 1 << w, kind):
                     sweep |= 1 << w
             assert pure.greedy_set(g.n, g.adj, dist, kind) == sweep, (g.adj, kind)
-            roots = pure._Ctx(pure._Tables(g.n, g.adj, dist), kind).roots()
+            roots = pure._Tables(g.n, g.adj, dist).roots(kind)
             assert roots == mask_of(w for w in order if pure.set_ok(g.n, g.adj, dist, 1 << w, kind))
             non_roots[kind] += g.n - roots.bit_count()
     assert non_roots[pure.TOTAL] > 0
@@ -408,18 +406,17 @@ def test_results_come_back_in_the_callers_labels():
 
 
 def test_warm_memo_matches_a_fresh_context():
-    """One context answers many unrelated search states with its memo
-    filling up; each answer equals a fresh context's and set_ok's.  Each
-    state also comes with one member of S dropped (still a search state,
-    as the properties are hereditary): same w and candidates, another
-    blocked set."""
+    """One search copy answers many unrelated search states of MV, OUTER
+    and TOTAL with its one memo filling up; each answer equals a fresh
+    copy's and set_ok's.  Each state also comes with one member of S
+    dropped (still a search state, as the properties are hereditary): same
+    w and candidates, another blocked set."""
     rng = random.Random(1234)
     filled = 0
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
-        tables = pure._Tables(g.n, g.adj, dist)
+        warm = pure._Tables(g.n, g.adj, dist)
         for kind in (pure.MV, pure.OUTER, pure.TOTAL):
-            warm = pure._Ctx(tables, kind)
             states = []
             for smask, w, cands in search_states(g, dist, kind, rng, 30):
                 states.append((smask, w, cands))
@@ -429,12 +426,13 @@ def test_warm_memo_matches_a_fresh_context():
             for smask, w, cands in states + rng.sample(states, len(states)):
                 new = smask | 1 << w
                 cmask = mask_of(cands)
-                got = warm.extensions(smask, w, cmask)
-                assert got == pure._Ctx(tables, kind).extensions(smask, w, cmask)
+                got = warm.extensions(kind, smask, w, cmask)
+                fresh = pure._Tables(g.n, g.adj, dist)
+                assert got == fresh.extensions(kind, smask, w, cmask)
                 assert got == mask_of(
                     x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)
                 ), (g.adj, kind, smask, w)
-            filled += len(warm.seen) + len(warm.cuts)
+        filled += len(warm.seen) + len(warm.cuts)
     assert filled > 0
 
 

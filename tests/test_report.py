@@ -174,7 +174,16 @@ def test_cli_invariant_target(capsys):
     rc = main(["invariant", "double(cycle:8)", "--kind", "mv", "--target", "6"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "status=lower_bound" in out
+    assert "status=lower_bound stopped_by=target " in out
+    # the deadline is checked at the search's first node, so this limit
+    # always stops it
+    rc = main(["invariant", "double(cycle:8)", "--kind", "mv", "--time-limit", "1e-9"])
+    assert rc == 0
+    assert "status=lower_bound stopped_by=time " in capsys.readouterr().out
+    rc = main(["invariant", "double(cycle:8)", "--kind", "mv"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "status=exact witness=" in out and "stopped_by" not in out
 
 
 def test_cli_enumerate(capsys):

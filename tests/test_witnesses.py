@@ -263,6 +263,8 @@ def test_witness_format_and_parse():
     assert parse_witness_set(g, line).members() == s.members()
     with pytest.raises(ValueError):
         parse_witness_set(g, "v1 v9")
+    with pytest.raises(ValueError, match="twice"):
+        parse_witness_set(parse_graph_spec("cycle:5"), "v1 v1 v3")
 
 
 def test_witness_file_round_trip(tmp_path):

@@ -1,11 +1,17 @@
-"""Time two builds of the compiled kernel against each other.
+"""Time two kernels against each other: two builds of the compiled
+kernel, two versions of the pure one, or one of each.
 
-    python3 tools/compare_fast.py BASE.c CHANGE.c [--runs 11] [--out FILE.json]
+    python3 tools/compare_fast.py BASE CHANGE [--runs 11] [--out FILE.json]
 
-Builds each ``_fast.c`` with the flags of the test suite's ``fast_kernel``
-fixture into a temporary directory and solves every instance with the
-graph's ``role_symmetries``, as ``solver.max_property_set`` passes them.
-It checks that both builds return the same size, mask and status, prints
+BASE and CHANGE are kernel sources, loaded by their suffix.  A ``.c``
+file (a ``_fast.c``) is built with the flags of the test suite's
+``fast_kernel`` fixture into a temporary directory; a ``.py`` file (a
+``pure.py``) is imported from its path under a module name of its own.
+Every instance is solved with the graph's ``role_symmetries``, as
+``solver.max_property_set`` passes them.  A pure kernel keeps the latest
+search copy with its tables and memo, so it is dropped before each solve,
+which is then timed as a first solve of its graph.
+It checks that both kernels return the same size, mask and status, prints
 both node counts (a change that prunes more walks a smaller tree), then
 times ``solve_max`` in alternating runs: run k times the base first when k
 is even.  A run times enough back-to-back solves to last about 20 ms and
@@ -44,22 +50,29 @@ INSTANCES = [
 ]
 
 
-def build(source: str, outdir: Path, tag: str):
-    """Compile and import one ``_fast.c``, as the ``fast_kernel`` fixture does."""
-    out = outdir / tag / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
-    out.parent.mkdir()
-    cmd = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
-    cmd += ["-O2", "-Wall", "-Werror", "-fPIC", "-I", sysconfig.get_paths()["include"], source, "-o", str(out)]
-    subprocess.run(cmd, check=True)
-    spec = importlib.util.spec_from_file_location("_fast", out)
+def load(source: str, outdir: Path, tag: str):
+    """Import one kernel: a ``pure.py`` from its path as ``_pure_<tag>``, or
+    a ``_fast.c`` compiled as the ``fast_kernel`` fixture compiles it."""
+    if source.endswith(".py"):
+        spec = importlib.util.spec_from_file_location(f"_pure_{tag}", source)
+    else:
+        out = outdir / tag / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
+        out.parent.mkdir()
+        cmd = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
+        cmd += ["-O2", "-Wall", "-Werror", "-fPIC", "-I", sysconfig.get_paths()["include"], source, "-o", str(out)]
+        subprocess.run(cmd, check=True)
+        spec = importlib.util.spec_from_file_location("_fast", out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def per_solve(kernel, args, reps: int) -> float:
+    copies = getattr(kernel, "_search_copy", None)
     start = time.perf_counter()
     for _ in range(reps):
+        if copies is not None:
+            copies.cache_clear()
         kernel.solve_max(*args)
     return (time.perf_counter() - start) / reps
 
@@ -73,7 +86,7 @@ def main(argv=None) -> None:
     ap.add_argument("--out")
     opts = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        kernels = {"base": build(opts.base, Path(tmp), "base"), "change": build(opts.change, Path(tmp), "change")}
+        kernels = {"base": load(opts.base, Path(tmp), "base"), "change": load(opts.change, Path(tmp), "change")}
         rows = []
         for instance in opts.instances:
             spec, kind = instance.split()
@@ -82,7 +95,7 @@ def main(argv=None) -> None:
             result = {side: kernels[side].solve_max(*args) for side in kernels}
             base_r, change_r = result["base"], result["change"]
             if base_r[:2] != change_r[:2] or base_r[3] != change_r[3]:
-                raise SystemExit(f"{instance}: the two builds disagree on size, mask or status")
+                raise SystemExit(f"{instance}: the two kernels disagree on size, mask or status")
             reps = max(1, round(0.02 / per_solve(kernels["base"], args, 1)))
             runs = {"base": [], "change": []}
             for k in range(opts.runs):
