@@ -18,15 +18,16 @@
    pure._Tables.extensions(kind, smask, w, cmask, need) -> mask filters a
    child's candidate mask from two sides at once, on a copy of the graph
    renumbered into search order; here each candidate is tested on its
-   own with extend_ok, whose definition is pure.extend_ok (set_ok of the
-   grown set).  Both keep exactly the candidates x for which S + w + x
-   has the property whenever at least need of them do, and both give up
-   on the child otherwise, so both walk the same tree.  OUTER and TOTAL
-   test the definition itself.  MV and GP, whose searches extend only sets
-   that have the property, re-test just what the new vertex can break:
-   for GP one pairbad lookup per member is far cheaper than a triple
-   scan, and for MV the pairs through the new vertex measured faster
-   than set_ok of the grown set on twin-free graphs (see extend_ok).
+   own with extends, which the search, the greedy sweep and the root loop
+   call only on a set that has the property.  Both keep exactly the
+   candidates x for which S + w + x has the property whenever at least
+   need of them do, and both give up on the child otherwise, so both walk
+   the same tree.  OUTER and TOTAL test set_ok of the grown set.  MV and
+   GP re-test just what the new vertex can break: for GP one pairbad
+   lookup per member is far cheaper than a triple scan, and for MV the
+   pairs through the new vertex measured faster than set_ok of the grown
+   set on twin-free graphs (see extends).  The exported extend_ok assumes
+   nothing of its base: it is pure.extend_ok, set_ok of the grown set.
 
    setup.py builds this file as gpvis._kernel._fast; without a C compiler
    the package runs on pure.py alone. */
@@ -116,7 +117,7 @@ static void ctx_free(Ctx *c)
 }
 
 /* Read the graph and build its tables: distances, balls, and the pair
-   table that extend_ok reads for kind (btw for MV, pairbad for GP, none
+   table that extends reads for kind (btw for MV, pairbad for GP, none
    otherwise).  On failure nothing is left allocated and an exception is
    set. */
 static int ctx_init(Ctx *c, int n, PyObject *adj, PyObject *dist, int kind)
@@ -287,15 +288,14 @@ static int set_ok(const Ctx *c, int kind, u64 mask)
     return 1;
 }
 
-/* Does smask + w keep the property?  Its definition is pure.extend_ok,
-   set_ok of smask + w, and OUTER and TOTAL use it as it stands.  GP and
-   MV, given that smask already has the property, re-test only what w
-   can break: GP the triples through w, MV the pairs with an end at w or
-   with w inside their geodesic interval.  For MV this is the faster
-   test on twin-free graphs: solves with set_ok of the grown set took
+/* Does smask + w keep the property, given that smask has it?  OUTER and
+   TOTAL test set_ok of smask + w as it stands.  GP and MV re-test only
+   what w can break: GP the triples through w, MV the pairs with an end
+   at w or with w inside their geodesic interval.  For MV this is the
+   faster test on twin-free graphs: solves with set_ok of the grown set took
    1.12-1.34x as long on M(C12), M(C16) and M(C20), 1.02-1.05x on D(C14)
    and 0.92-0.93x on D(C10). */
-static int extend_ok(const Ctx *c, int kind, u64 smask, int w)
+static int extends(const Ctx *c, int kind, u64 smask, int w)
 {
     int n = c->n, x, y;
     u64 wbit = BIT(w), new = smask | wbit, r, r2;
@@ -342,7 +342,7 @@ static u64 greedy(const Ctx *c, int kind, const int *order)
     u64 smask = 0;
     int i;
     for (i = 0; i < c->n; i++)
-        if (extend_ok(c, kind, smask, order[i]))
+        if (extends(c, kind, smask, order[i]))
             smask |= BIT(order[i]);
     return smask;
 }
@@ -414,7 +414,7 @@ static int search(Search *s, u64 smask, int size, int *cands, int ncands, int de
             x = cands[j];
             if (s->pred[x] >= 0 && !(have & BIT(s->pred[x])))
                 continue;
-            if (extend_ok(s->c, s->kind, new, x)) {
+            if (extends(s->c, s->kind, new, x)) {
                 rest[nrest++] = x;
                 have |= BIT(x);
             }
@@ -650,8 +650,7 @@ static PyObject *py_set_ok(PyObject *self, PyObject *args, PyObject *kw)
 
 PyDoc_STRVAR(extend_ok_doc,
 "extend_ok(n, adj, dist, smask, w, kind)\n--\n\n"
-"One-shot extension check: does smask + w have the property?\n"
-"For MV and GP it assumes that smask already has it.");
+"One-shot extension check: does smask + w have the property?");
 
 static PyObject *py_extend_ok(PyObject *self, PyObject *args, PyObject *kw)
 {
@@ -664,13 +663,13 @@ static PyObject *py_extend_ok(PyObject *self, PyObject *args, PyObject *kw)
     if (!PyArg_ParseTupleAndKeywords(args, kw, "iOOOii:extend_ok", kwlist,
                                      &n, &adj, &dist, &smask_obj, &w, &kind))
         return NULL;
-    if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, kind) < 0)
+    if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, NO_KIND) < 0)
         return NULL;
     if (read_mask(smask_obj, n, "smask", &smask) < 0 || check_vertex(w, n) < 0) {
         ctx_free(&c);
         return NULL;
     }
-    ok = extend_ok(&c, kind, smask, w);
+    ok = set_ok(&c, kind, smask | BIT(w));
     ctx_free(&c);
     return PyBool_FromLong(ok);
 }
@@ -767,7 +766,7 @@ static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
         goto done;
     }
     for (i = 0; i < n; i++)
-        if (extend_ok(&c, kind, 0, order[i]))
+        if (extends(&c, kind, 0, order[i]))
             roots[nroots++] = order[i];
     s.scratch = malloc(((size_t)n + 1) * (n ? n : 1) * sizeof(int));
     if (s.scratch == NULL) {

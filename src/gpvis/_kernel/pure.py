@@ -43,10 +43,10 @@ of BBMC, San Segundo et al. 2011).  Every candidate set is then a plain
 int mask whose lowest bit is the next vertex in the search order; the
 bound reads ``bit_count()``, and each returned mask is mapped back to
 the caller's labels.  The copy (``_Tables``) owns its tables, each built
-on first use, its twin classes, the orbits of the symmetries it was last
-given, and the search's memo; only the latest copy is kept: the solves
-of one graph, of every kind, and their greedy seeds share one build of
-each.  The ball rows cached for ``set_ok`` are not touched.
+on first use, its twin classes, the checked symmetries it was last given
+with their orbits, and the search's memo; only the latest copy is kept:
+the solves of one graph, of every kind, and their greedy seeds share one
+build of each.  The ball rows kept for ``set_ok`` are not touched.
 
 A node's candidates are filtered once per child from two facts the search
 already holds: S ∪ {w} has the property (w was a candidate of S), and so
@@ -177,8 +177,9 @@ unchanged.
 
 Inputs.  Every entry point raises ``ValueError`` for an ``adj`` or
 ``dist`` whose length does not fit n, an ``adj`` row, mask or vertex
-outside 0..n-1, or an unknown kind.  Distance values (-1..n) are checked
-where a table is built, so a cached table costs a set check nothing.
+outside 0..n-1, a distance outside -1..n, or an unknown kind.  A tuple
+``dist`` is checked once, by its record (``_checked``), and ``adj`` rows
+equal to the tuple last checked with it are not checked again.
 ``solve_max`` also rejects a negative target and a negative or
 non-finite time limit, and ``enumerate_exact`` a negative size.
 """
@@ -217,18 +218,6 @@ def _mapped(mask, labels):
     return out
 
 
-def _check_lengths(n, adj, dist):
-    if len(adj) != n:
-        raise ValueError(f"adj has {len(adj)} rows for order {n}")
-    if len(dist) != n * n:
-        raise ValueError(f"dist has {len(dist)} entries for order {n}")
-
-
-def _check_rows(n, adj):
-    if adj and (min(adj) < 0 or max(adj) >> n):
-        raise ValueError(f"an adj row has a vertex outside 0..{n - 1}")
-
-
 def _check_mask(mask, n, what):
     if mask < 0 or mask >> n:
         raise ValueError(f"{what} has a vertex outside 0..{n - 1}")
@@ -237,11 +226,6 @@ def _check_mask(mask, n, what):
 def _check_vertex(v, n):
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} is outside 0..{n - 1}")
-
-
-def _check_distances(n, dist):
-    if dist and (min(dist) < -1 or max(dist) > n):
-        raise ValueError(f"a distance is outside -1..{n}")
 
 
 def _pv_balls(n, adj, dist, balls, u, v, blocked):
@@ -304,88 +288,85 @@ def _pv_cut(n, adj, dist, balls, u, v, blocked):
 
 def pair_visible(n, adj, dist, u, v, blocked):
     """Some u,v-geodesic avoids ``blocked`` internally; endpoints exempt."""
-    balls = _all_balls(n, _table_of(n, adj, dist))
+    balls = _checked(n, adj, dist).balls
     _check_vertex(u, n)
     _check_vertex(v, n)
     _check_mask(blocked, n, "blocked")
     return _pv_balls(n, adj, dist, balls, u, v, blocked)
 
 
-class _Table(tuple):
-    """A distance table that hashes once, so the caches below find it in
-    constant time; a tuple would be hashed in full on every lookup."""
+class _Record:
+    """The distance table ``dist`` of a graph of order n, the ``adj`` tuple
+    last checked with it, and its ball rows, built on first use."""
 
-    def __hash__(self):
-        return self._hash
+    def __init__(self, n, dist):
+        self.n = n
+        self.dist = dist
+        self.adj = None
+
+    @cached_property
+    def balls(self):
+        """balls[u][t]: the vertices at distance t from u, for every u.  Rows
+        are tuples, so callers that share them cannot change them."""
+        n, dist = self.n, self.dist
+        maxd = max(dist) if dist else 0
+        balls = []
+        for u in range(n):
+            row = [0] * (maxd + 1)
+            base = u * n
+            for x in range(n):
+                d = dist[base + x]
+                if d >= 0:
+                    row[d] |= 1 << x
+            balls.append(tuple(row))
+        return tuple(balls)
 
 
-def _table(dist):
-    key = _Table(dist)
-    key._hash = tuple.__hash__(key)
-    return key
-
-
-# id(dist) -> [dist, its _Table, the adj tuple last checked with it] for
-# the most recent tuples; holding dist keeps its id from being reused
-# while the entry lives
+# id(dist) -> the _Record of dist, for the most recently used tuples; the
+# record holds dist, which keeps its id from being reused while it lives
 _recent = {}
 
 
-def _table_of(n, adj, dist):
-    """Check the graph against order n and return ``dist`` as a key for
-    the caches below.  A tuple cannot change, so a tuple ``dist`` is found
-    by identity, and rows equal to the ``adj`` tuple last checked with it
-    are not checked again (comparing them is cheaper than checking them);
-    a list is read afresh and keyed by value."""
-    _check_lengths(n, adj, dist)
-    if type(dist) is not tuple:
-        _check_rows(n, adj)
-        return _table(dist)
-    entry = _recent.get(id(dist))
-    if entry is None:
-        entry = _recent[id(dist)] = [dist, _table(dist), None]
-        if len(_recent) > _TABLES_KEPT:
-            _recent.pop(next(iter(_recent)), None)
-    if entry[2] != adj:
-        _check_rows(n, adj)
+def _checked(n, adj, dist):
+    """The record of ``dist``, checked against order n and ``adj``.  A tuple
+    cannot change, so its record is made once, and found again by identity;
+    rows equal to the ``adj`` tuple last checked with it are not checked
+    again (comparing them is cheaper than checking them).  A list gets a
+    record of its own on every call, so it is read afresh."""
+    if len(adj) != n:
+        raise ValueError(f"adj has {len(adj)} rows for order {n}")
+    if len(dist) != n * n:
+        raise ValueError(f"dist has {len(dist)} entries for order {n}")
+    record = _recent.pop(id(dist), None) if type(dist) is tuple else None
+    if record is None:
+        if dist and (min(dist) < -1 or max(dist) > n):
+            raise ValueError(f"a distance is outside -1..{n}")
+        record = _Record(n, dist)
+    if type(dist) is tuple:
+        if len(_recent) >= _TABLES_KEPT:
+            del _recent[next(iter(_recent))]
+        _recent[id(dist)] = record
+    if record.adj != adj:
+        if adj and (min(adj) < 0 or max(adj) >> n):
+            raise ValueError(f"an adj row has a vertex outside 0..{n - 1}")
         if type(adj) is tuple:
-            entry[2] = adj
-    return entry[1]
-
-
-def _ball_rows(n, dist):
-    """balls[u][t]: the vertices at distance t from u, for every u.  Rows
-    are tuples, so callers that share them cannot change them."""
-    _check_distances(n, dist)
-    maxd = max(dist) if dist else 0
-    balls = []
-    for u in range(n):
-        row = [0] * (maxd + 1)
-        base = u * n
-        for x in range(n):
-            d = dist[base + x]
-            if d >= 0:
-                row[d] |= 1 << x
-        balls.append(tuple(row))
-    return tuple(balls)
-
-
-# the ball rows of the most recent distance tables, for set checks
-_all_balls = lru_cache(maxsize=_TABLES_KEPT)(_ball_rows)
+            record.adj = adj
+    return record
 
 
 class _Tables:
-    """The geodesic tables of one search copy (see the module notes), each
-    built on first use but the ball rows, and the search's memo, which
-    every kind and run on the copy fills and reads.  Vertex sets are int
-    masks in the copy's labels; callers never change the tables."""
+    """One search copy (see the module notes): its ball rows, its geodesic
+    tables, each built on first use, its checked symmetries with their
+    orbits, and the search's memo, which every kind and run on the copy
+    fills and reads.  Vertex sets are int masks in the copy's labels;
+    callers never change the tables."""
 
     def __init__(self, n, adj, dist):
         self.n = n
         self.adj = adj
         self.dist = dist
-        self.balls = _ball_rows(n, dist)
-        self._orbit_gens = self._orbit = None
+        self.balls = _Record(n, dist).balls
+        self._symmetries = None
         # the memo (see the module notes): pair tests and cuts by
         # (u, v, blocked & btw[u][v]) with u < v
         self.seen = {}
@@ -472,12 +453,17 @@ class _Tables:
         """The vertices with a twin predecessor, as a mask."""
         return sum(1 << v for v, p in enumerate(self.twin_pred) if p >= 0)
 
-    def orbits(self, gens):
-        """orbit[v] under ``gens`` and the twin swaps (``_orbits``), kept
-        for the generators of the latest call."""
-        if gens != self._orbit_gens:
-            self._orbit_gens, self._orbit = gens, _orbits(self.n, gens, self.twin_pred)
-        return self._orbit
+    def symmetries(self, order, label, symmetries):
+        """(gens, orbit): the caller's ``symmetries``, checked and in the
+        copy's labels (``_search_symmetries``), and orbit[v] under them and
+        the twin swaps (``_orbits``); kept for the latest call's symmetries,
+        compared by value, so equal ones are not checked again."""
+        key = tuple(map(tuple, symmetries))
+        if key != self._symmetries:
+            gens = _search_symmetries(self, order, label, key)
+            orbit = _orbits(self.n, gens, self.twin_pred)
+            self._symmetries, self._gens, self._orbit = key, gens, orbit
+        return self._gens, self._orbit
 
     @cached_property
     def through(self):
@@ -628,7 +614,7 @@ def set_ok(n, adj, dist, mask, kind):
     """Full from-scratch verification of ``mask`` for the given kind
     (one layer sweep per source for MV, OUTER and TOTAL; see the module
     notes)."""
-    key = _table_of(n, adj, dist)
+    record = _checked(n, adj, dist)
     _check_mask(mask, n, "mask")
     members = list(_bits(mask))
     if kind == GP:
@@ -654,7 +640,7 @@ def set_ok(n, adj, dist, mask, kind):
     else:
         raise ValueError(f"unknown property kind code {kind}")
     outside = full & ~mask
-    balls = _all_balls(n, key)
+    balls = record.balls
     for u in sources:
         want = wanted & ~((2 << u) - 1)
         if kind == OUTER:
@@ -705,15 +691,16 @@ def _relabelled(n, adj, dist, kind):
     vertex (see the module notes)."""
     if kind not in (MV, OUTER, TOTAL, GP):
         raise ValueError(f"unknown property kind code {kind}")
-    return _search_copy(n, tuple(adj), _table_of(n, adj, dist))
+    return _search_copy(n, tuple(adj), _checked(n, adj, dist))
 
 
 @lru_cache(maxsize=1)
-def _search_copy(n, adj, dist):
+def _search_copy(n, adj, record):
     """(order, label, tables) of the latest graph relabelled into its
     search order, so that the solves of one graph and their greedy seeds
     share one copy, its tables and its memo; the order and labels are
     read-only."""
+    dist = record.dist
     order = _default_order(n, adj)
     label = [0] * n
     for i, v in enumerate(order):
@@ -744,7 +731,7 @@ class _TimeUp(Exception):
 
 
 def _search_symmetries(tables, order, label, symmetries):
-    """The symmetries, given in the caller's labels, as tuples in the
+    """The symmetries, tuples in the caller's labels, as tuples in the
     search copy's labels; raises ``ValueError`` for an entry that is not a
     permutation of 0..n-1 or that maps some edge onto a non-edge.  A
     bijection that maps every edge onto an edge is an automorphism, as it
@@ -754,7 +741,6 @@ def _search_symmetries(tables, order, label, symmetries):
     every = list(range(n))
     gens = []
     for perm in symmetries:
-        perm = tuple(perm)
         if len(perm) != n or sorted(perm) != every:
             raise ValueError(f"a symmetry is not a permutation of 0..{n - 1}")
         gens.append(tuple([label[perm[v]] for v in order]))
@@ -839,10 +825,9 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
     if not 0.0 <= time_limit < math.inf:
         raise ValueError(f"time limit must be 0 (none) or finite, got {time_limit}")
     order, label, tables = _relabelled(n, adj, dist, kind)
-    gens = _search_symmetries(tables, order, label, symmetries)
+    gens, orbit = tables.symmetries(order, label, symmetries)
     deadline = time.monotonic() + time_limit if time_limit else 0.0
     pred, twins = tables.twin_pred, tables.twins
-    orbit = tables.orbits(gens)
     extensions = tables.extensions
     best_mask = _mapped(greedy_set(n, adj, dist, kind), label)
     best = best_mask.bit_count()

@@ -16,7 +16,7 @@ from importlib import resources
 
 from .catalog import FormulaId, formula_value
 from .families import FamilySpec, double_graph, generate, mycielskian
-from .graphs import Graph, VertexSet, all_pairs_distances
+from .graphs import Graph, VertexSet, all_pairs_distances, require_vertices
 from .visibility import (
     is_mutual_visibility_set,
     is_outer_mutual_visibility_set,
@@ -100,6 +100,7 @@ def witness_universal(g: Graph, v: int, operator: str) -> VertexSet:
     n = g.n
     if n < 2:
         raise ValueError("witness_universal needs order >= 2")
+    require_vertices(n, v)
     if g.adj[v] != ((1 << n) - 1) ^ (1 << v):
         raise ValueError(f"vertex {v} is not universal")
     if operator == "double":

@@ -1,6 +1,7 @@
-"""The pure kernel's cached tables (balls, geodesic intervals, geodesic
-triples, symmetry orbits) and the search copy's memo: bounded, built
-once per graph and shared by its solves, and without effect on any
+"""The pure kernel's cached tables (each distance tuple's checked record
+with its balls; the search copy's geodesic intervals, geodesic triples,
+checked symmetries and orbits) and the search copy's memo: bounded,
+built once per graph and shared by its solves, and without effect on any
 result; and the backend choice, validated once per value but read on
 every call.  Pure kernel only, so these never skip."""
 
@@ -43,32 +44,45 @@ def test_results_are_the_same_cold_and_warm():
     calls = calls_under_test()
     cold = []
     for fn, args in calls:
-        pure._all_balls.cache_clear()
+        pure._recent.clear()
         cold.append(fn(*args))
-    # Warm: every graph's table is cached, graphs of one order side by side.
-    pure._all_balls.cache_clear()
-    warm = [fn(*args) for fn, args in reversed(calls)][::-1]
-    assert warm == cold
-    info = pure._all_balls.cache_info()
-    assert info.hits > 0 and info.currsize == len(graphs_under_test())
+    # Warm: every graph's record is kept, graphs of one order side by side.
+    pure._recent.clear()
+    warm = []
+    records = {}
+    for fn, args in reversed(calls):
+        warm.append(fn(*args))
+        records.setdefault(id(args[2]), []).append(pure._recent[id(args[2])])
+    assert warm[::-1] == cold
+    assert len(pure._recent) == len(records) == len(graphs_under_test())
+    # each graph's record is made once and found again on every later call
+    assert all(r is found[0] for found in records.values() for r in found)
+    assert max(map(len, records.values())) > 1
 
 
 def test_ball_cache_stays_bounded():
-    pure._all_balls.cache_clear()
-    limit = pure._all_balls.cache_info().maxsize
-    graphs = corpus_graphs(23, count=limit + 40, n_lo=6, n_hi=9)
-    assert len({g.adj for g in graphs}) > limit
-    for g in graphs:
-        pure.set_ok(g.n, g.adj, all_pairs_distances(g).data, 0b11, pure.MV)
-    info = pure._all_balls.cache_info()
-    assert info.misses > limit and info.currsize == limit
+    """At most _TABLES_KEPT records are kept, the most recently used: a
+    record found again outlives those made after it but used before."""
+    pure._recent.clear()
+    limit = pure._TABLES_KEPT
+    graphs = list({g.adj: g for g in corpus_graphs(23, count=limit + 40, n_lo=6, n_hi=9)}.values())
+    assert limit < len(graphs) < 2 * limit
+    dists = [all_pairs_distances(g).data for g in graphs]
+    used = list(range(limit)) + [0] + list(range(limit, len(graphs)))
+    for i in used:
+        pure.set_ok(graphs[i].n, graphs[i].adj, dists[i], 0b11, pure.MV)
+        assert len(pure._recent) <= limit
+    last = {i: k for k, i in enumerate(used)}
+    kept = sorted(last, key=last.get)[-limit:]
+    assert 0 in kept and 1 not in kept
+    assert list(pure._recent) == [id(dists[i]) for i in kept]
 
 
 def test_cached_ball_rows_are_tuples():
     g = parse_graph_spec("double(cycle:6)")
     dist = all_pairs_distances(g).data
-    balls = pure._all_balls(g.n, dist)
-    assert pure._all_balls(g.n, dist) is balls
+    balls = pure._checked(g.n, g.adj, dist).balls
+    assert pure._checked(g.n, g.adj, dist).balls is balls
     assert isinstance(balls, tuple) and len(balls) == g.n
     assert all(isinstance(row, tuple) for row in balls)
     with pytest.raises(TypeError):
@@ -81,7 +95,7 @@ def test_cached_ball_rows_are_tuples():
 
 def search_tables(g, dist):
     """The tables of g's search copy, as the searches find them."""
-    return pure._search_copy(g.n, tuple(g.adj), pure._table_of(g.n, g.adj, dist))[2]
+    return pure._search_copy(g.n, tuple(g.adj), pure._checked(g.n, g.adj, dist))[2]
 
 
 def test_a_solve_builds_its_table_once():
@@ -178,9 +192,9 @@ def test_a_list_distance_table_is_accepted():
 
 
 def test_tables_are_matched_by_value_and_lists_read_afresh():
-    """A tuple equal by value to a cached table gives the same answers as
-    the cached one; a list is read again on every call, so a change made
-    to it between calls shows in the next answer."""
+    """A tuple equal to a kept table but a distinct object gives the same
+    answers as the kept one; a list is read again on every call, so a
+    change made to it between calls shows in the next answer."""
     rng = random.Random(3)
     g = parse_graph_spec("double(cycle:6)")
     dist = all_pairs_distances(g).data
@@ -208,15 +222,15 @@ def test_tables_are_matched_by_value_and_lists_read_afresh():
 
 def test_a_solve_adds_no_cached_balls():
     """The searches build their tables on a relabelled copy, which leaves
-    the ball rows cached for set checks as they were."""
+    the ball rows kept for set checks as they were."""
     g = parse_graph_spec("myc(path:5)")
     dist = all_pairs_distances(g).data
-    pure._all_balls.cache_clear()
+    pure._recent.clear()
     for kind in KINDS:
         size = pure.solve_max(g.n, g.adj, dist, kind)[0]
         pure.greedy_set(g.n, g.adj, dist, kind)
         pure.enumerate_exact(g.n, g.adj, dist, kind, size)
-    assert pure._all_balls.cache_info().currsize == 0
+    assert "balls" not in vars(pure._recent[id(dist)])
 
 
 def test_backend_choice_is_read_on_every_call(monkeypatch):
@@ -228,3 +242,52 @@ def test_backend_choice_is_read_on_every_call(monkeypatch):
             get_kernel(8)
     monkeypatch.setenv("GPVIS_KERNEL", "pure")
     assert get_kernel(8) is pure
+
+
+def test_symmetries_are_checked_again_only_when_they_change(monkeypatch):
+    """A solve whose symmetries equal, by value, those of the last solve
+    on the copy checks them no more; a list changed in place between two
+    solves is checked again, and rejected once it is no automorphism."""
+    checks = []
+    check = pure._search_symmetries
+
+    def counted(*args):
+        checks.append(args[3])
+        return check(*args)
+
+    monkeypatch.setattr(pure, "_search_symmetries", counted)
+    g = parse_graph_spec("myc(cycle:7)")
+    dist = all_pairs_distances(g).data
+    both = role_symmetries(g)
+    pure._search_copy.cache_clear()
+    solved = {kind: pure.solve_max(g.n, g.adj, dist, kind, 0, 0.0, both) for kind in KINDS}
+    assert len(checks) == 1
+    # equal but distinct, as a re-parsed graph carries them
+    copy = [list(p) for p in both]
+    for kind in KINDS:
+        assert pure.solve_max(g.n, g.adj, dist, kind, 0, 0.0, copy) == solved[kind]
+    assert len(checks) == 1
+    pure.solve_max(g.n, g.adj, dist, pure.MV)
+    assert len(checks) == 2
+    c5 = parse_graph_spec("cycle:5")
+    d5 = all_pairs_distances(c5).data
+    rotate = [1, 2, 3, 4, 0]
+    syms = [rotate]
+    assert pure.solve_max(5, c5.adj, d5, pure.MV, 0, 0.0, syms)[0] == 3
+    rotate[:] = [1, 0, 2, 3, 4]  # a transposition of adjacent vertices of C5
+    with pytest.raises(ValueError):
+        pure.solve_max(5, c5.adj, d5, pure.MV, 0, 0.0, syms)
+    rotate[:] = [4, 0, 1, 2, 3]
+    assert pure.solve_max(5, c5.adj, d5, pure.MV, 0, 0.0, syms)[0] == 3
+
+
+def test_a_bad_distance_table_is_rejected_for_every_kind():
+    """A distance outside -1..n is rejected on every call and for every
+    kind, GP's set check too, which reads no ball rows."""
+    g = parse_graph_spec("cycle:5")
+    bad = (9,) + all_pairs_distances(g).data[1:]
+    for kind in KINDS:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                pure.set_ok(g.n, g.adj, bad, 0, kind)
+    assert id(bad) not in pure._recent

@@ -199,7 +199,7 @@ def test_cut_equals_its_definition():
     far = near = 0
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
-        balls = pure._all_balls(g.n, tuple(dist))
+        balls = pure._checked(g.n, g.adj, dist).balls
         btw = pure._Tables(g.n, g.adj, dist).btw
         for _ in range(60):
             u, v = rng.sample(range(g.n), 2)

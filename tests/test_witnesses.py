@@ -203,6 +203,9 @@ def test_witness_universal_validation():
         witness_universal(s5, 1, "double")  # leaf is not universal
     with pytest.raises(ValueError):
         witness_universal(s5, 0, "triple")
+    for v in (4, 5, -1):  # outside 0..3 of star:4
+        with pytest.raises(ValueError):
+            witness_universal(parse_graph_spec("star:4"), v, "double")
 
 
 def test_witness_double_from_total():
