@@ -76,14 +76,21 @@ give the alive vertices of each layer (reached from u and reaching v);
 the cut is the union of the layers with exactly one alive vertex.  This
 is exact: each geodesic meets each layer once, and the pair sees itself
 under S ∪ {w}, so blocking x hides v from u iff x is the only alive
-vertex of its layer.  The cuts are ORed into one mask of forbidden
+vertex of its layer.  Two layers are read off the ball rows: layer 1
+lies in N(u), so its alive part is balls[u][1] & balls[v][d - 1] less
+the blocked vertices, and layer d - 1 lies in N(v), so all of its alive
+part reaches v, and the backward pass starts there.  A pair at distance
+2 needs no walk at all.  The cuts are ORed into one mask of forbidden
 candidates, as GP does with pairbad.  Only the pairs with x as an end
 are left.  For MV they are (x, y) for y = w, and for the y in S whose
 interval with x holds w; one layer sweep per y in S ∪ {w}, as
 ``set_ok`` sweeps, with S ∪ {w} blocked, settles all of y's pairs at
-once (x is an end of its pair, so it need not be blocked).  OUTER tests
-them per candidate: (x, y) for the y outside S ∪ {w} whose interval
-holds w.
+once (x is an end of its pair, so it need not be blocked).  A candidate
+x sees w at sight when no member lies strictly inside any w,x-geodesic,
+that is, when x is outside the union of inw[s][w] over the members s;
+the members' sweeps gather that union, and w sweeps last, only for the
+candidates left in it.  OUTER tests them per candidate: (x, y) for the
+y outside S ∪ {w} whose interval holds w.
 
 The filter finds these pairs in the reverse-interval table
 inw[w][x] = {y : w ∈ btw[x][y]} instead of scanning every member pair
@@ -91,8 +98,10 @@ and every partner: the (s, y) pairs whose interval holds w are the y in
 inw[w][s], and the partners of candidate x are the y in inw[w][x] (in S
 for MV, outside S ∪ {w} for OUTER).  inw is btw read the other way
 round, so it names exactly the pairs a scan would, and the filter stays
-exact.  Both tables are unions of ball intersections: btw[u][v] of the
-interval layers balls[u][t] & balls[v][d(u,v) - t], and inw[w][x] of
+exact.  MV and OUTER walk their pairs source by source, with no list,
+and look a pair's cut up only when its interval still holds a
+candidate.  Both tables are unions of ball intersections: btw[u][v] of
+the interval layers balls[u][t] & balls[v][d(u,v) - t], and inw[w][x] of
 balls[x][k] & balls[w][k - d(x,w)] for k > d(x,w).  GP's pairbad[u][v]
 is btw[u][v] | inw[v][u] | inw[u][v]: the vertices between u and v,
 beyond v from u, and beyond u from v.  TOTAL's pairs through w do not
@@ -254,25 +263,27 @@ def _pv_balls(n, adj, dist, balls, u, v, blocked):
 def _pv_cut(n, adj, dist, balls, u, v, blocked):
     """The interior vertices on every u,v-geodesic that avoids ``blocked``
     (endpoints exempt): the vertices whose blocking would hide v from u.
-    u and v must see each other."""
+    u and v must see each other.  Layers 1 and d - 1 are read off the
+    ball rows (see the module notes); no interior layer holds u or v, so
+    ``blocked`` needs no endpoint exemption."""
     duv = dist[u * n + v]
     if duv <= 1:
         return 0
-    blk = blocked & ~(1 << u) & ~(1 << v)
     bu, bv = balls[u], balls[v]
-    layers = []
-    reach = 1 << u
-    for t in range(1, duv):
+    free = ~blocked
+    reach = bu[1] & bv[duv - 1] & free
+    layers = [reach]
+    for t in range(2, duv):
         acc = 0
         r = reach
         while r:
             low = r & -r
             acc |= adj[low.bit_length() - 1]
             r ^= low
-        reach = acc & bu[t] & bv[duv - t] & ~blk
+        reach = acc & bu[t] & bv[duv - t] & free
         layers.append(reach)
-    cut = 0
-    back = 1 << v
+    back = layers.pop()
+    cut = 0 if back & (back - 1) else back
     for reach in reversed(layers):
         acc = 0
         r = back
@@ -500,53 +511,56 @@ class _Tables:
             return cmask & ~forbid
         n, adj, dist, balls, btw = self.n, self.adj, self.dist, self.balls, self.btw
         new = smask | 1 << w
-        bw = btw[w]
         iw = self.inw[w]
-        # watch: pairs that smask ∪ {x} does not settle, re-checked when x
-        # lies in their interval, as (u, v, btw[u][v]) with u < v
-        if kind == TOTAL:
-            watch = self.through[w]
-        else:
-            # (s, y) with w in its interval: y a later member, or for
-            # OUTER any vertex outside smask ∪ {w}
-            outside = 0
-            watch = []
-            if kind == OUTER:
-                outside = ((1 << n) - 1) & ~new
-                watch += [(w, z, bw[z]) if w < z else (z, w, bw[z]) for z in _bits(outside)]
-            r = smask
-            while r:
-                low = r & -r
-                r ^= low
-                s = low.bit_length() - 1
-                if kind == MV:
-                    watch.append((s, w, bw[s]) if s < w else (w, s, bw[s]))
-                bs = btw[s]
-                ys = iw[s] & (r | outside)
-                while ys:
-                    yb = ys & -ys
-                    ys ^= yb
-                    y = yb.bit_length() - 1
-                    watch.append((s, y, bs[y]) if s < y else (y, s, bs[y]))
-        # A watched pair sees itself under smask ∪ {w}, so x breaks it
-        # exactly when x is in its cut: one cut per pair instead of one
-        # test per candidate.
+        # The pairs that smask ∪ {x} does not settle are re-checked when x
+        # lies in their interval.  Each sees itself under smask ∪ {w}, so
+        # x breaks it exactly when x is in its cut: one cut per pair that
+        # a candidate can break, instead of one test per candidate.
         keep = cmask
         cuts = self.cuts
-        for u, v, m in watch:
-            if m & keep:
-                key = (u, v, new & m)
-                cut = cuts.get(key)
-                if cut is None:
-                    cut = cuts[key] = _pv_cut(n, adj, dist, balls, u, v, new)
-                if cut & keep:
-                    keep &= ~cut
-                    if keep.bit_count() < need:
-                        return keep
         if kind == TOTAL:
+            for u, v, m in self.through[w]:
+                if m & keep:
+                    key = (u, v, new & m)
+                    cut = cuts.get(key)
+                    if cut is None:
+                        cut = cuts[key] = _pv_cut(n, adj, dist, balls, u, v, new)
+                    if cut & keep:
+                        keep &= ~cut
+                        if keep.bit_count() < need:
+                            return keep
             return keep
+        # The pairs (u, y) for y in ys, source by source, with no list:
+        # first (w, y) for every member y (MV) or every y outside
+        # smask ∪ {w} (OUTER); then for each member s, (s, y) with w in
+        # its interval, y a later member or, for OUTER, any y outside.
+        outside = ((1 << n) - 1) & ~new if kind == OUTER else 0
+        u, ys = w, outside if kind == OUTER else smask
+        r = smask
+        while True:
+            bu = btw[u]
+            while ys:
+                yb = ys & -ys
+                ys ^= yb
+                y = yb.bit_length() - 1
+                m = bu[y]
+                if m & keep:
+                    key = (u, y, new & m) if u < y else (y, u, new & m)
+                    cut = cuts.get(key)
+                    if cut is None:
+                        cut = cuts[key] = _pv_cut(n, adj, dist, balls, u, y, new)
+                    if cut & keep:
+                        keep &= ~cut
+                        if keep.bit_count() < need:
+                            return keep
+            if not r:
+                break
+            low = r & -r
+            r ^= low
+            u = low.bit_length() - 1
+            ys = iw[u] & (r | outside)
         if kind == MV:
-            return self._mv_partners(new, w, keep, need)
+            return self._mv_partners(smask, w, keep, need)
         # OUTER's partners: the y outside smask ∪ {w, x} for which (x, y)
         # is re-checked, as w lies in its interval
         seen = self.seen
@@ -585,28 +599,36 @@ class _Tables:
                 break
         return keep
 
-    def _mv_partners(self, new, w, keep, need):
-        """The x in ``keep`` that see each y in ``new`` = smask ∪ {w} whose
-        pair with x is re-checked: the members y whose interval with x
-        holds w, and w itself.  One layer sweep per y, with ``new``
-        blocked, settles all of y's pairs at once (``_unreached``, as in
-        ``set_ok``); x is an end of the pair, so it need not be blocked.
-        It stops once fewer than ``need`` are left."""
-        adj, balls, iw = self.adj, self.balls, self.inw[w]
-        free = ((1 << self.n) - 1) & ~new
-        r = new
+    def _mv_partners(self, smask, w, keep, need):
+        """The x in ``keep`` that see each y in smask ∪ {w} whose pair with
+        x is re-checked: the members y whose interval with x holds w, and w
+        itself.  One layer sweep per y, with smask ∪ {w} blocked, settles
+        all of y's pairs at once (``_unreached``, as in ``set_ok``); x is
+        an end of the pair, so it need not be blocked.  x sees w at sight
+        when no member lies inside any w,x-geodesic, so w sweeps last, and
+        only for the x with a member inside one: the union of inw[s][w]
+        over the members s.  It stops once fewer than ``need`` are left."""
+        adj, balls, inw = self.adj, self.balls, self.inw
+        iw = inw[w]
+        free = ((1 << self.n) - 1) & ~smask & ~(1 << w)
+        near = 0
+        r = smask
         while r and keep:
             yb = r & -r
             r ^= yb
             y = yb.bit_length() - 1
-            want = keep & (iw[y] if y != w else ~adj[w])
+            near |= inw[y][w]
+            want = keep & iw[y]
             if not want:
                 continue
             missed = _unreached(adj, balls[y], yb, want, free)
             if missed:
                 keep &= ~missed
                 if keep.bit_count() < need:
-                    break
+                    return keep
+        want = keep & near
+        if want:
+            keep &= ~_unreached(adj, balls[w], 1 << w, want, free)
         return keep
 
 
@@ -706,7 +728,8 @@ def _search_copy(n, adj, record):
     for i, v in enumerate(order):
         label[v] = i
     radj = tuple(_mapped(adj[v], label) for v in order)
-    return order, label, _Tables(n, radj, tuple(dist[v * n + x] for v in order for x in order))
+    rows = [dist[v * n : v * n + n] for v in order]
+    return order, label, _Tables(n, radj, tuple([row[x] for row in rows for x in order]))
 
 
 def greedy_set(n, adj, dist, kind):

@@ -320,20 +320,23 @@ def _maps_rows(adj: tuple[int, ...], perm: tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=256)
 def _bfs_distances(n: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
-    """BFS from every vertex; bitmask frontiers, one row per source."""
+    """BFS from every vertex, one row per source, on bitmask frontiers:
+    one pass over a frontier's bits writes their distance and ORs their
+    rows into the next frontier."""
     data = [UNREACHABLE] * (n * n)
     connected = True
     for s in range(n):
         row_base = s * n
-        seen = 1 << s
-        frontier = seen
+        seen = frontier = 1 << s
         dist = 0
         while frontier:
-            for v in _bits(frontier):
-                data[row_base + v] = dist
             nxt = 0
-            for v in _bits(frontier):
+            while frontier:
+                low = frontier & -frontier
+                v = low.bit_length() - 1
+                data[row_base + v] = dist
                 nxt |= adj[v]
+                frontier ^= low
             frontier = nxt & ~seen
             seen |= frontier
             dist += 1

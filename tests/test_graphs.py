@@ -302,6 +302,34 @@ def test_bfs_cache_stays_bounded_and_correct():
     assert again.data is not first.data and again == first
 
 
+def test_distances_equal_a_list_bfs():
+    """The bitmask BFS gives the distances and the connected flag of a
+    plain BFS over neighbour lists: on the corpus graphs, their double
+    graphs and Mycielskians, a single vertex and a disconnected graph."""
+    from gpvis.families import double_graph, mycielskian
+
+    corpus = corpus_graphs(5, count=12, n_lo=4, n_hi=9)
+    graphs = corpus + [double_graph(g) for g in corpus[:6]] + [mycielskian(g) for g in corpus[6:]]
+    graphs += [build_graph(1, []), build_graph(6, [(0, 1), (1, 2), (3, 4)])]
+    for g in graphs:
+        nbrs = [[v for v in range(g.n) if g.adj[u] >> v & 1] for u in range(g.n)]
+        want = []
+        for s in range(g.n):
+            row = [UNREACHABLE] * g.n
+            row[s] = 0
+            queue = [s]
+            for u in queue:
+                for v in nbrs[u]:
+                    if row[v] == UNREACHABLE:
+                        row[v] = row[u] + 1
+                        queue.append(v)
+            want += row
+        d = all_pairs_distances(g)
+        assert d.data == tuple(want), g.adj
+        assert d.connected == (UNREACHABLE not in want), g.adj
+    assert not all_pairs_distances(graphs[-1]).connected
+
+
 def test_exists_avoiding_geodesic_simple():
     # C_4 as 0-1-2-3-0: both 0..2 geodesics pass through 1 or 3.
     c4 = parse_graph_spec("cycle:4")

@@ -114,9 +114,23 @@ def test_set_ok_equals_its_definition(small_corpus):
     assert min(verdicts[kind, ok] for kind in KINDS[:3] for ok in (True, False)) > 0, verdicts
 
 
-def test_filter_equals_one_candidate_at_a_time():
+def test_filter_equals_one_candidate_at_a_time(monkeypatch):
+    """The filter keeps exactly the candidates that keep the property.
+    Every re-check branch rejects some candidate on its own, and MV's
+    sweep from w is both skipped, when every candidate left that is not
+    w's neighbour sees w at sight, and run to drop a candidate."""
     rng = random.Random(2011)
     sole_causes = {kind: Counter() for kind in KINDS}
+    sweeps = []
+    unreached = pure._unreached
+
+    def record(adj, ball, front, want, free):
+        missed = unreached(adj, ball, front, want, free)
+        sweeps.append((front, missed))
+        return missed
+
+    monkeypatch.setattr(pure, "_unreached", record)
+    w_sweep = Counter()
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
         tables = pure._Tables(g.n, g.adj, dist)
@@ -124,8 +138,15 @@ def test_filter_equals_one_candidate_at_a_time():
             for smask, w, cands in search_states(g, dist, kind, rng, 12):
                 new = smask | 1 << w
                 want = [x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)]
+                sweeps.clear()
                 got = tables.extensions(kind, smask, w, mask_of(cands))
                 assert got == mask_of(want), (g.adj, kind, smask, w)
+                if kind == pure.MV:
+                    from_w = [missed for front, missed in sweeps if front == 1 << w]
+                    if from_w:
+                        w_sweep["dropped"] += from_w[0] != 0
+                    elif any(dist[w * g.n + x] >= 2 for x in pure._bits(got)):
+                        w_sweep["skipped"] += 1
                 for x in set(cands) - set(want):
                     if kind == pure.GP:
                         sole_causes[kind]["triple"] += 1
@@ -137,6 +158,7 @@ def test_filter_equals_one_candidate_at_a_time():
     for kind, branches in BRANCHES.items():
         assert branches <= set(sole_causes[kind]), (kind, sole_causes[kind])
     assert sole_causes[pure.GP]["triple"] > 0
+    assert w_sweep["skipped"] > 0 and w_sweep["dropped"] > 0, w_sweep
 
 
 def test_filter_stops_only_below_its_threshold(monkeypatch):
@@ -196,7 +218,7 @@ def test_cut_equals_its_definition():
     """The cut of a visible pair is the set of interior vertices whose
     blocking hides the pair."""
     rng = random.Random(7)
-    far = near = 0
+    far = near = two = ends = 0
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
         balls = pure._checked(g.n, g.adj, dist).balls
@@ -213,8 +235,10 @@ def test_cut_equals_its_definition():
                         want |= 1 << x
             assert pure._pv_cut(g.n, g.adj, dist, balls, u, v, blocked) == want, (g.adj, u, v)
             near += dist[u * g.n + v] <= 1
+            two += dist[u * g.n + v] == 2
             far += dist[u * g.n + v] >= 3
-    assert near > 0 and far > 0, (near, far)
+            ends += (blocked >> u | blocked >> v) & 1
+    assert min(near, two, far, ends) > 0, (near, two, far, ends)
 
 
 def split_graph():

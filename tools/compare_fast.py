@@ -18,8 +18,9 @@ is even.  A run times enough back-to-back solves to last about 20 ms and
 records the time per solve.  Prints per instance the base and change
 medians, the median over runs of change/base (each run times the two
 back to back, so a machine that changes speed between runs shifts both
-sides alike) and in how many runs the change was faster; ``--out``
-writes every run as JSON.  Run it from the repo
+sides alike) and in how many runs the change was faster, and last the
+sums of the base and change medians over the instances with their
+ratio; ``--out`` writes every run as JSON.  Run it from the repo
 root, with ``src`` importable (``PYTHONPATH=src``).
 """
 
@@ -46,7 +47,7 @@ INSTANCES = [
     *(f"{g} total" for g in ("double(cycle:8)", "double(cycle:10)", "double(cycle:12)", "double(path:12)",
                              "double(kbip:5,6)", "myc(balloon:2)", "double(balloon:2)", "double(path:8)")),
     *(f"{g} mv" for g in ("double(cycle:10)", "double(cycle:14)", "myc(cycle:12)", "myc(cycle:16)")),
-    *(f"{g} gp" for g in ("double(kminus:16)", "myc(cycle:20)", "double(cycle:20)")),
+    *(f"{g} gp" for g in ("double(kminus:11)", "double(kminus:16)", "myc(cycle:20)", "double(cycle:20)")),
 ]
 
 
@@ -111,8 +112,13 @@ def main(argv=None) -> None:
             nodes = f"{result['base'][2]:>6} -> {result['change'][2]:>6}"
             print(f"{instance:26} nodes {nodes}  base {base * 1e3:8.3f} ms  change {change * 1e3:8.3f} ms"
                   f"  ratio {ratio:.2f}  faster in {faster}/{opts.runs}", flush=True)
+    base = sum(row["base_median_s"] for row in rows)
+    change = sum(row["change_median_s"] for row in rows)
+    print(f"{'total':26} base {base * 1e3:8.3f} ms  change {change * 1e3:8.3f} ms  ratio {change / base:.2f}")
     if opts.out:
-        Path(opts.out).write_text(json.dumps({"runs_per_side": opts.runs, "instances": rows}, indent=1) + "\n")
+        total = {"base_s": base, "change_s": change, "ratio": change / base}
+        Path(opts.out).write_text(json.dumps({"runs_per_side": opts.runs, "instances": rows, "total": total},
+                                             indent=1) + "\n")
 
 
 if __name__ == "__main__":
