@@ -2,18 +2,18 @@
 
    Written by hand against the CPython C API.  Every algorithm here
    mirrors gpvis/_kernel/pure.py, which is the semantic reference: the
-   same geodesic-layer visibility test, the same set check (one sweep of
-   the distance layers per source answers every pair of that source),
-   the same greedy sweep and the same branch-and-bound with the
-   twin-class prefix rule and, given symmetries, the same dropped orbits:
-   a done root's orbit leaves the later roots, and a done depth-1 child's
-   orbit under its root's stabilizer (from Schreier generators, built
-   once per root when the loop goes on) leaves the later children (the
-   Symmetry notes in pure.py argue their soundness).  So the
-   two kernels return the same value, witness mask, node count and
-   status, and the parity tests hold them to it.  Only the data layout
-   differs: masks are uint64_t and the tables are flat arrays built per
-   call.
+   same layer sweep as the only visibility walk (one sweep of the
+   distance layers from a source answers every pair of that source), so
+   the same pair test and set check, the same greedy sweep and the same
+   branch-and-bound with the twin-class prefix rule and, given
+   symmetries, the same dropped orbits: a done root's orbit leaves the
+   later roots, and a done depth-1 child's orbit under its root's
+   stabilizer (from Schreier generators, built once per root when the
+   loop goes on) leaves the later children (the Symmetry notes in
+   pure.py argue their soundness).  So the two kernels return the same
+   value, witness mask, node count and status, and the parity tests hold
+   them to it.  Only the data layout differs: masks are uint64_t and the
+   tables are flat arrays built per call.
 
    pure._Tables.extensions(kind, smask, w, cmask, need) -> mask filters a
    child's candidate mask from two sides at once, on a copy of the graph
@@ -25,9 +25,11 @@
    the same tree.  OUTER and TOTAL test set_ok of the grown set.  MV and
    GP re-test just what the new vertex can break: for GP one pairbad
    lookup per member is far cheaper than a triple scan, and for MV the
-   pairs through the new vertex measured faster than set_ok of the grown
-   set on twin-free graphs (see extends).  The exported extend_ok assumes
-   nothing of its base: it is pure.extend_ok, set_ok of the grown set.
+   sweeps that reach the pairs through the new vertex (one from it, and
+   one from each member whose interval with a later member holds it)
+   cost less than set_ok of the grown set (see extends).  The exported
+   extend_ok assumes nothing of its base: it is pure.extend_ok, set_ok of
+   the grown set.
 
    setup.py builds this file as gpvis._kernel._fast; without a C compiler
    the package runs on pure.py alone. */
@@ -214,46 +216,43 @@ fail_seq:
     return -1;
 }
 
-/* Some u,v-geodesic avoids ``blocked`` internally; endpoints exempt.
-   Walks the geodesic layers from u, keeping the unblocked vertices that
-   a path from u reaches (pure._pv_balls). */
-static int pv(const Ctx *c, int u, int v, u64 blocked)
+/* The vertices of want that the layer sweep from u does not reach
+   (pure._unreached): reach holds the layer's vertices that some
+   u-geodesic reaches with only unblocked vertices inside it, so u sees
+   v exactly when v is in reach at layer d(u, v); only reached unblocked
+   vertices carry the walk on.  When they are a whole layer, they reach
+   the whole next one, which is then taken without a walk.  A vertex in
+   another component lies in no layer, so it is never missed. */
+static u64 unreached(const Ctx *c, int u, u64 want, u64 unblocked)
 {
-    int n = c->n, duv = c->dist[u * n + v], t;
-    const u64 *bu = c->balls + u * c->stride, *bv = c->balls + v * c->stride;
-    u64 reach = BIT(u);
+    const u64 *bu = c->balls + u * c->stride;
+    u64 front = BIT(u), missed = 0, acc, reach, r;
+    int t;
 
-    if (duv <= 1)
-        return 1;
-    blocked &= ~(BIT(u) | BIT(v));
-    for (t = 1; t < duv; t++) {
-        u64 layer = bu[t] & bv[duv - t] & ~blocked, acc = 0, r;
-        if (!layer)
-            return 0;
-        for (r = reach; r; r &= r - 1)
-            acc |= c->adj[lowbit(r)];
-        reach = acc & layer;
-        if (!reach)
-            return 0;
+    for (t = 1; t < c->stride && want; t++) {
+        if (front == bu[t - 1]) {
+            reach = bu[t];
+        } else {
+            for (acc = 0, r = front; r; r &= r - 1)
+                acc |= c->adj[lowbit(r)];
+            reach = acc & bu[t];
+        }
+        missed |= want & bu[t] & ~reach;
+        want &= ~bu[t];
+        front = reach & unblocked;
     }
-    return (reach & c->adj[v]) != 0;
+    return missed;
 }
 
 /* Full from-scratch verification of mask for the kind (pure.set_ok): one
-   sweep of the distance layers per source u checks every required pair
-   (u, v) with v > u.  reach holds the layer's vertices that some
-   u-geodesic reaches with no member of mask inside it, so u sees v
-   exactly when v is in reach at layer d(u, v); only reached vertices
-   outside mask carry the walk on.  When they are a whole layer, they
-   reach the whole next one, which is then taken without a walk.  GP
-   tests each triple of members once, as the three-way "between" test is
-   symmetric. */
+   sweep from each source u, with mask blocked, checks every required
+   pair (u, v) with v > u.  GP tests each triple of members once, as the
+   three-way "between" test is symmetric. */
 static int set_ok(const Ctx *c, int kind, u64 mask)
 {
-    int n = c->n, u, t;
+    int n = c->n, u;
     u64 full = n == MAXN ? ~(u64)0 : BIT(n) - 1, outside = full & ~mask;
-    u64 r, r2, r3, want, front, acc, reach;
-    const u64 *bu;
+    u64 r, r2, r3, want;
 
     if (kind == GP) {
         for (r = mask; r; r &= r - 1)
@@ -269,21 +268,8 @@ static int set_ok(const Ctx *c, int kind, u64 mask)
         want = (kind == MV ? mask : full) & (~(u64)0 << u << 1);
         if (kind == OUTER)
             want |= outside;
-        bu = c->balls + u * c->stride;
-        front = BIT(u);
-        for (t = 1; t < c->stride && want; t++) {
-            if (front == bu[t - 1]) {
-                reach = bu[t];
-            } else {
-                for (acc = 0, r2 = front; r2; r2 &= r2 - 1)
-                    acc |= c->adj[lowbit(r2)];
-                reach = acc & bu[t];
-            }
-            if (want & bu[t] & ~reach)
-                return 0;
-            want &= ~bu[t];
-            front = reach & outside;
-        }
+        if (unreached(c, u, want, outside))
+            return 0;
     }
     return 1;
 }
@@ -291,14 +277,16 @@ static int set_ok(const Ctx *c, int kind, u64 mask)
 /* Does smask + w keep the property, given that smask has it?  OUTER and
    TOTAL test set_ok of smask + w as it stands.  GP and MV re-test only
    what w can break: GP the triples through w, MV the pairs with an end
-   at w or with w inside their geodesic interval.  For MV this is the
-   faster test on twin-free graphs: solves with set_ok of the grown set took
-   1.12-1.34x as long on M(C12), M(C16) and M(C20), 1.02-1.05x on D(C14)
-   and 0.92-0.93x on D(C10). */
+   at w or with w inside their geodesic interval, with smask + w blocked:
+   one sweep from w reaches every member, and one from each member x
+   reaches the later members whose interval with x holds w.  For MV this
+   is the faster test: solves with set_ok of the grown set took
+   1.24-1.30x as long on M(C12), M(C16) and M(C20), and 1.16x and 1.24x
+   on D(C10) and D(C14) (tools/compare_fast.py, 11 runs). */
 static int extends(const Ctx *c, int kind, u64 smask, int w)
 {
-    int n = c->n, x, y;
-    u64 wbit = BIT(w), new = smask | wbit, r, r2;
+    int n = c->n, x;
+    u64 wbit = BIT(w), unblocked = ~(smask | wbit), want, r, r2;
 
     if (kind == GP) {
         for (r = smask; r; r &= r - 1) {
@@ -309,20 +297,19 @@ static int extends(const Ctx *c, int kind, u64 smask, int w)
         return 1;
     }
     if (kind == MV) {
-        for (r = smask; r; r &= r - 1)
-            if (!pv(c, lowbit(r), w, new))
-                return 0;
+        if (unreached(c, w, smask, unblocked))
+            return 0;
         for (r = smask; r; r &= r - 1) {
             x = lowbit(r);
-            for (r2 = r & (r - 1); r2; r2 &= r2 - 1) {
-                y = lowbit(r2);
-                if (c->btw[x * n + y] & wbit && !pv(c, x, y, new))
-                    return 0;
-            }
+            for (want = 0, r2 = r & (r - 1); r2; r2 &= r2 - 1)
+                if (c->btw[x * n + lowbit(r2)] & wbit)
+                    want |= r2 & -r2;
+            if (want && unreached(c, x, want, unblocked))
+                return 0;
         }
         return 1;
     }
-    return set_ok(c, kind, new);
+    return set_ok(c, kind, smask | wbit);
 }
 
 /* Descending degree, ties by index (pure._default_order). */
@@ -617,7 +604,7 @@ static PyObject *py_pair_visible(PyObject *self, PyObject *args, PyObject *kw)
         ctx_free(&c);
         return NULL;
     }
-    ok = pv(&c, u, v, blocked);
+    ok = !unreached(&c, u, BIT(v), ~blocked);
     ctx_free(&c);
     return PyBool_FromLong(ok);
 }

@@ -18,10 +18,12 @@ the sweep from u wants only the vertices above u that the kind pairs
 with it: the members of S for MV, every vertex for OUTER and TOTAL;
 OUTER also wants the vertices outside S below u.  The sweep checks each
 wanted vertex at its own layer and stops once none lies further out.
-A vertex in another component lies in no layer and is not checked, as
-``_pv_balls`` counts such a pair as seen.  Each vertex is expanded at
-most once per source, so a check costs O(|S|·n) row ORs (O(n²) for
-TOTAL) where a walk per pair cost O(|S|²) or O(n²) walks.  GP needs no
+A vertex in another component lies in no layer and is not checked, so
+such a pair counts as seen.  Each vertex is expanded at most once per
+source, so a check costs O(|S|·n) row ORs (O(n²) for TOTAL) where a
+walk per pair cost O(|S|²) or O(n²) walks.  ``pair_visible`` is the
+same sweep from u, wanting v alone, and the search's filter below runs
+it too: the sweep is the kernel's only visibility walk.  GP needs no
 walk: its triples are read from the distances.
 
 Search notes.  All four properties are hereditary (every subset of a good
@@ -89,8 +91,9 @@ once (x is an end of its pair, so it need not be blocked).  A candidate
 x sees w at sight when no member lies strictly inside any w,x-geodesic,
 that is, when x is outside the union of inw[s][w] over the members s;
 the members' sweeps gather that union, and w sweeps last, only for the
-candidates left in it.  OUTER tests them per candidate: (x, y) for the
-y outside S ∪ {w} whose interval holds w.
+candidates left in it.  For OUTER they are (x, y) for the y outside
+S ∪ {w, x} whose interval with x holds w: one sweep from each candidate
+x, with S ∪ {w} blocked, reaches all of them or drops x.
 
 The filter finds these pairs in the reverse-interval table
 inw[w][x] = {y : w ∈ btw[x][y]} instead of scanning every member pair
@@ -107,15 +110,11 @@ is btw[u][v] | inw[v][u] | inw[u][v]: the vertices between u and v,
 beyond v from u, and beyond u from v.  TOTAL's pairs through w do not
 depend on S, so each w's list is built once per copy.
 
-The copy keeps a memo: OUTER's pair tests and the cuts are keyed by
-(u, v, blocked & btw[u][v]) with u < v, since visibility is symmetric
-and a pair's visibility and cut depend on nothing else.  So one memo is
-exact for every kind and every run on the copy, and lives as long as
-the copy: a solve reads the cuts that its greedy seed, on the tree's
-leftmost path, has just made.  A pair test whose blocked part settles it
-at sight (all of the interval: hidden; none of it, or not all of it at
-distance 2: seen) is neither run nor stored, so small solves do not pay
-for the memo.
+The copy keeps a memo of the cuts, keyed by (u, v, blocked & btw[u][v])
+with u < v, since visibility is symmetric and a pair's cut depends on
+nothing else.  So one memo is exact for every kind and every run on the
+copy, and lives as long as the copy: a solve reads the cuts that its
+greedy seed, on the tree's leftmost path, has just made.
 
 This filter is the kernel's only one.  The greedy seed (``greedy_set``,
 which ``solve_max`` calls) is the search tree's leftmost path: it takes
@@ -142,13 +141,12 @@ is kept.  ``enumerate_exact`` must list every maximum set and walks the
 full tree.
 
 Symmetry.  ``solve_max`` takes automorphisms of the graph (rejected
-unless each is a permutation that maps every edge onto an edge, which
-for a bijection makes it an automorphism) and joins them with the twin
-swaps into the orbits of the group they generate.  Once the branch of a
-root w is done, w's orbit leaves the remaining roots, and so every
-later branch.  This is sound: by induction, once the roots up to w are
-done, ``best`` bounds every good set that meets them or an orbit
-dropped before.  Every vertex
+unless each is a permutation that maps every adjacency row onto its
+image's row) and joins them with the twin swaps into the orbits of the
+group they generate.  Once the branch of a root w is done, w's orbit
+leaves the remaining roots, and so every later branch.  This is sound:
+by induction, once the roots up to w are done, ``best`` bounds every
+good set that meets them or an orbit dropped before.  Every vertex
 before w in the order was dropped with its whole twin class, so w is the
 first of its class; putting a good set's members first in each twin
 class keeps w in it and keeps it clear of the dropped vertices, and w's
@@ -237,29 +235,6 @@ def _check_vertex(v, n):
         raise ValueError(f"vertex {v} is outside 0..{n - 1}")
 
 
-def _pv_balls(n, adj, dist, balls, u, v, blocked):
-    duv = dist[u * n + v]
-    if duv <= 1:
-        return True
-    blk = blocked & ~(1 << u) & ~(1 << v)
-    bu, bv = balls[u], balls[v]
-    reach = 1 << u
-    for t in range(1, duv):
-        layer = bu[t] & bv[duv - t] & ~blk
-        if not layer:
-            return False
-        acc = 0
-        r = reach
-        while r:
-            low = r & -r
-            acc |= adj[low.bit_length() - 1]
-            r ^= low
-        reach = acc & layer
-        if not reach:
-            return False
-    return bool(reach & adj[v])
-
-
 def _pv_cut(n, adj, dist, balls, u, v, blocked):
     """The interior vertices on every u,v-geodesic that avoids ``blocked``
     (endpoints exempt): the vertices whose blocking would hide v from u.
@@ -303,7 +278,7 @@ def pair_visible(n, adj, dist, u, v, blocked):
     _check_vertex(u, n)
     _check_vertex(v, n)
     _check_mask(blocked, n, "blocked")
-    return _pv_balls(n, adj, dist, balls, u, v, blocked)
+    return not _unreached(adj, balls[u], 1 << u, 1 << v, ~blocked)
 
 
 class _Record:
@@ -378,15 +353,8 @@ class _Tables:
         self.dist = dist
         self.balls = _Record(n, dist).balls
         self._symmetries = None
-        # the memo (see the module notes): pair tests and cuts by
-        # (u, v, blocked & btw[u][v]) with u < v
-        self.seen = {}
+        # the memo (see the module notes): cuts by (u, v, blocked & btw[u][v]), u < v
         self.cuts = {}
-
-    @cached_property
-    def edges(self):
-        """Every edge (u, v), u < v."""
-        return [(u, v) for u, row in enumerate(self.adj) for v in _bits(row >> u + 1 << u + 1)]
 
     @cached_property
     def btw(self):
@@ -561,42 +529,21 @@ class _Tables:
             ys = iw[u] & (r | outside)
         if kind == MV:
             return self._mv_partners(smask, w, keep, need)
-        # OUTER's partners: the y outside smask ∪ {w, x} for which (x, y)
-        # is re-checked, as w lies in its interval
-        seen = self.seen
+        # OUTER's partners: one sweep from each candidate x reaches the y
+        # outside smask ∪ {w, x} whose pair with x is re-checked, as w lies
+        # in its interval; x is an end of the pair, so it need not be blocked
         left = keep.bit_count()
         r = keep
         while r:
             xb = r & -r
             r ^= xb
             x = xb.bit_length() - 1
-            blocked = new | xb
-            bx = btw[x]
-            ys = iw[x] & ~new
-            while ys:
-                yb = ys & -ys
-                ys ^= yb
-                y = yb.bit_length() - 1
-                m = bx[y]
-                # b: the blocked part of the interval; a wholly blocked
-                # interval hides the pair, and an unblocked one, or a free
-                # middle vertex at distance 2, shows it
-                b = blocked & m
-                if b == m:
+            want = iw[x] & outside
+            if want and _unreached(adj, balls[x], xb, want, outside):
+                keep ^= xb
+                left -= 1
+                if left < need:
                     break
-                if b and dist[x * n + y] > 2:
-                    key = (x, y, b) if x < y else (y, x, b)
-                    ok = seen.get(key)
-                    if ok is None:
-                        ok = seen[key] = _pv_balls(n, adj, dist, balls, x, y, blocked)
-                    if not ok:
-                        break
-            else:
-                continue
-            keep ^= xb
-            left -= 1
-            if left < need:
-                break
         return keep
 
     def _mv_partners(self, smask, w, keep, need):
@@ -756,10 +703,9 @@ class _TimeUp(Exception):
 def _search_symmetries(tables, order, label, symmetries):
     """The symmetries, tuples in the caller's labels, as tuples in the
     search copy's labels; raises ``ValueError`` for an entry that is not a
-    permutation of 0..n-1 or that maps some edge onto a non-edge.  A
-    bijection that maps every edge onto an edge is an automorphism, as it
-    maps the edges one to one onto themselves, so each edge of the copy
-    is looked at once per symmetry."""
+    permutation of 0..n-1 or that does not map each adjacency row onto its
+    image's row (the check of ``_fast.c`` ``read_symmetry``), which for a
+    permutation makes it an automorphism."""
     n, adj = tables.n, tables.adj
     every = list(range(n))
     gens = []
@@ -768,8 +714,8 @@ def _search_symmetries(tables, order, label, symmetries):
             raise ValueError(f"a symmetry is not a permutation of 0..{n - 1}")
         gens.append(tuple([label[perm[v]] for v in order]))
     for g in gens:
-        for u, v in tables.edges:
-            if not adj[g[u]] >> g[v] & 1:
+        for v in every:
+            if _mapped(adj[v], g) != adj[g[v]]:
                 raise ValueError("a symmetry is not an automorphism of the graph")
     return gens
 

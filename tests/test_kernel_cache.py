@@ -145,12 +145,12 @@ def test_one_memo_serves_the_seed_every_solve_and_every_kind():
             pure._search_copy.cache_clear()
             pure.greedy_set(g.n, g.adj, dist, kind)
             tables = search_tables(g, dist)
-            seeded += len(tables.seen) + len(tables.cuts)
+            seeded += len(tables.cuts)
             fresh[kind] = pure.solve_max(g.n, g.adj, dist, kind)
-            memo = dict(tables.seen), dict(tables.cuts)
+            memo = dict(tables.cuts)
             pure.greedy_set(g.n, g.adj, dist, kind)
             assert pure.solve_max(g.n, g.adj, dist, kind) == fresh[kind]
-            assert (tables.seen, tables.cuts) == memo, (g.adj, kind)
+            assert tables.cuts == memo, (g.adj, kind)
             assert search_tables(g, dist) is tables
         pure._search_copy.cache_clear()
         for kind in (pure.TOTAL, pure.OUTER, pure.MV, pure.GP):

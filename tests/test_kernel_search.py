@@ -1,10 +1,11 @@
 """The pure kernel's set check and search: the per-source sweep of
-``set_ok``, the per-child candidate filter, its cuts, pair tables, reverse
-intervals and memo, the relabelled search copy, the twin-class prefix
-rule, the root and stabilizer orbits of the role symmetries and pinned
-search trees.  Pure kernel only, so these never skip, but for
-``test_compiled_role_symmetries_keep_every_value``, which skips without
-a C compiler."""
+``set_ok`` and ``pair_visible``, the per-child candidate filter, its
+cuts, pair tables, reverse intervals and memo, the relabelled search
+copy, the twin-class prefix rule, the root and stabilizer orbits of the
+role symmetries and pinned search trees.  Pure kernel only, so these
+never skip, but for ``test_compiled_role_symmetries_keep_every_value``
+and the compiled half of ``test_pair_visible_equals_its_definition``,
+which skip without a C compiler."""
 
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from gpvis._kernel import pure
 from gpvis.families import double_graph, mycielskian
 from gpvis.graphs import role_symmetries
 from gpvis.report import corpus_graphs
+
+from oracles import oracle_pair_visible
 
 KINDS = (pure.MV, pure.OUTER, pure.TOTAL, pure.GP)
 
@@ -116,9 +119,10 @@ def test_set_ok_equals_its_definition(small_corpus):
 
 def test_filter_equals_one_candidate_at_a_time(monkeypatch):
     """The filter keeps exactly the candidates that keep the property.
-    Every re-check branch rejects some candidate on its own, and MV's
-    sweep from w is both skipped, when every candidate left that is not
-    w's neighbour sees w at sight, and run to drop a candidate."""
+    Every re-check branch rejects some candidate on its own, MV's sweep
+    from w is both skipped, when every candidate left that is not w's
+    neighbour sees w at sight, and run to drop a candidate, and OUTER's
+    sweep from a candidate both drops it and reaches every partner."""
     rng = random.Random(2011)
     sole_causes = {kind: Counter() for kind in KINDS}
     sweeps = []
@@ -131,6 +135,7 @@ def test_filter_equals_one_candidate_at_a_time(monkeypatch):
 
     monkeypatch.setattr(pure, "_unreached", record)
     w_sweep = Counter()
+    outer_sweep = Counter()
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
         tables = pure._Tables(g.n, g.adj, dist)
@@ -147,6 +152,10 @@ def test_filter_equals_one_candidate_at_a_time(monkeypatch):
                         w_sweep["dropped"] += from_w[0] != 0
                     elif any(dist[w * g.n + x] >= 2 for x in pure._bits(got)):
                         w_sweep["skipped"] += 1
+                elif kind == pure.OUTER:
+                    # every OUTER sweep starts from a candidate
+                    for _, missed in sweeps:
+                        outer_sweep["dropped" if missed else "reached"] += 1
                 for x in set(cands) - set(want):
                     if kind == pure.GP:
                         sole_causes[kind]["triple"] += 1
@@ -159,6 +168,7 @@ def test_filter_equals_one_candidate_at_a_time(monkeypatch):
         assert branches <= set(sole_causes[kind]), (kind, sole_causes[kind])
     assert sole_causes[pure.GP]["triple"] > 0
     assert w_sweep["skipped"] > 0 and w_sweep["dropped"] > 0, w_sweep
+    assert outer_sweep["dropped"] > 0 and outer_sweep["reached"] > 0, outer_sweep
 
 
 def test_filter_stops_only_below_its_threshold(monkeypatch):
@@ -212,6 +222,38 @@ def test_greedy_and_roots_equal_one_vertex_sweeps():
             non_roots[kind] += g.n - roots.bit_count()
     assert non_roots[pure.TOTAL] > 0
     assert non_roots[pure.MV] == non_roots[pure.OUTER] == non_roots[pure.GP] == 0
+
+
+@pytest.mark.parametrize("backend", ["pure", "fast"])
+def test_pair_visible_equals_its_definition(request, backend):
+    """On both kernels, pair_visible answers as the oracle that lists
+    every geodesic does, for every ordered pair u != v under random
+    blocked sets, some of which hold u or v (the ends are exempt).  On a
+    disconnected graph, a vertex with itself and a pair split across
+    components read True, blocked or not."""
+    kernel = pure if backend == "pure" else request.getfixturevalue("fast_kernel")
+    rng = random.Random(19)
+    verdicts = Counter()
+    for g in graphs_under_test():
+        d = all_pairs_distances(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                if u == v:
+                    continue
+                for _ in range(3):
+                    blocked = rng.getrandbits(g.n) & rng.getrandbits(g.n)
+                    got = kernel.pair_visible(g.n, g.adj, d.data, u, v, blocked)
+                    want = oracle_pair_visible(g, d, u, v, pure._bits(blocked))
+                    assert got == want, (g.adj, u, v, blocked)
+                    verdicts[got, (blocked >> u | blocked >> v) & 1] += 1
+    assert len(verdicts) == 4 and min(verdicts.values()) > 0, verdicts
+    g = split_graph()
+    dist = all_pairs_distances(g).data
+    for blocked in (0, (1 << g.n) - 1):
+        for u in range(g.n):
+            assert kernel.pair_visible(g.n, g.adj, dist, u, u, blocked)
+        for u, v in ((0, 3), (2, 5), (1, 6), (6, 4)):
+            assert kernel.pair_visible(g.n, g.adj, dist, u, v, blocked), (u, v, blocked)
 
 
 def test_cut_equals_its_definition():
@@ -456,7 +498,7 @@ def test_warm_memo_matches_a_fresh_context():
                 assert got == mask_of(
                     x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)
                 ), (g.adj, kind, smask, w)
-        filled += len(warm.seen) + len(warm.cuts)
+        filled += len(warm.cuts)
     assert filled > 0
 
 
