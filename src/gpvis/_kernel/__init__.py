@@ -12,7 +12,6 @@ GPVIS_KERNEL=pure or GPVIS_KERNEL=fast to force a backend.  Orders above
 from __future__ import annotations
 
 import os
-from functools import lru_cache
 
 from . import pure
 
@@ -24,10 +23,8 @@ except ImportError:  # pragma: no cover - build environment dependent
 _FAST_MAX_N = 64
 
 
-@lru_cache(maxsize=8)
 def _forced(raw: str) -> str | None:
-    """The backend that a raw GPVIS_KERNEL value forces; each distinct
-    value is checked once."""
+    """The backend that a raw GPVIS_KERNEL value forces."""
     value = raw.strip().lower()
     if not value:
         return None

@@ -15,21 +15,26 @@
    them to it.  Only the data layout differs: masks are uint64_t and the
    tables are flat arrays built per call.
 
-   pure._Tables.extensions(kind, smask, w, cmask, need) -> mask filters a
-   child's candidate mask from two sides at once, on a copy of the graph
-   renumbered into search order; here each candidate is tested on its
-   own with extends, which the search, the greedy sweep and the root loop
-   call only on a set that has the property.  Both keep exactly the
-   candidates x for which S + w + x has the property whenever at least
-   need of them do, and both give up on the child otherwise, so both walk
-   the same tree.  OUTER and TOTAL test set_ok of the grown set.  MV and
-   GP re-test just what the new vertex can break: for GP one pairbad
-   lookup per member is far cheaper than a triple scan, and for MV the
-   sweeps that reach the pairs through the new vertex (one from it, and
-   one from each member whose interval with a later member holds it)
-   cost less than set_ok of the grown set (see extends).  The exported
-   extend_ok assumes nothing of its base: it is pure.extend_ok, set_ok of
-   the grown set.
+   greedy_set and solve_max run, as pure's do, on the search copy: the
+   graph renumbered so that the search order (descending degree, ties by
+   index) is 0..n-1 (pure._search_copy; BBMC's renumbering, San Segundo
+   et al. 2011).  A candidate set is one u64 whose lowest bit is the
+   next vertex tried, the symmetries are read into the copy's labels,
+   and each returned mask is mapped back once; search reads line for
+   line as pure.solve_max's run.  One step differs: the child's filter.
+   pure._Tables.extensions(kind, smask, w, cmask, need) filters the
+   candidate mask from two sides at once; here each candidate is tested
+   on its own with extends, which assumes a base that has the property.
+   Both keep exactly the candidates x for which S + w + x has the
+   property whenever at least need of them do, and both give up on the
+   child otherwise, so both walk the same tree.  OUTER and TOTAL test
+   set_ok of the grown set.  MV and GP re-test just what the new vertex
+   can break: for GP one pairbad lookup per member is far cheaper than a
+   triple scan, and for MV the sweeps that reach the pairs through the
+   new vertex (one from it, and one from each member whose interval with
+   a later member holds it) cost less than set_ok of the grown set (see
+   extends).  The exported extend_ok assumes nothing of its base: it is
+   pure.extend_ok, set_ok of the grown set.
 
    setup.py builds this file as gpvis._kernel._fast; without a C compiler
    the package runs on pure.py alone. */
@@ -62,10 +67,12 @@ static inline int popcount(u64 x) { return __builtin_popcountll(x); }
 typedef struct {
     int n, stride;
     u64 adj[MAXN];
-    int *dist;    /* n*n distances */
-    u64 *balls;   /* balls[u*stride + t]: the vertices at distance t from u */
-    u64 *btw;     /* btw[u*n + v]: vertices strictly inside some u,v-geodesic */
-    u64 *pairbad; /* pairbad[u*n + v]: third vertices of a geodesic triple with u, v */
+    int order[MAXN]; /* vertex i is the caller's order[i] */
+    int label[MAXN]; /* the caller's v is vertex label[v] */
+    int *dist;       /* n*n distances */
+    u64 *balls;      /* balls[u*stride + t]: the vertices at distance t from u */
+    u64 *btw;        /* btw[u*n + v]: vertices strictly inside some u,v-geodesic */
+    u64 *pairbad;    /* pairbad[u*n + v]: third vertices of a geodesic triple with u, v */
 } Ctx;
 
 static int check_kind(int kind)
@@ -110,6 +117,15 @@ static inline int triple_bad(const int *dist, int n, int u, int v, int x)
     return dux + dxv == duv || duv + dxv == dux || dux + duv == dxv;
 }
 
+/* mask with each vertex v moved to to[v] (pure._mapped). */
+static u64 mapped(u64 mask, const int *to)
+{
+    u64 out = 0;
+    for (; mask; mask &= mask - 1)
+        out |= BIT(to[lowbit(mask)]);
+    return out;
+}
+
 static void ctx_free(Ctx *c)
 {
     free(c->dist);
@@ -120,15 +136,19 @@ static void ctx_free(Ctx *c)
 
 /* Read the graph and build its tables: distances, balls, and the pair
    table that extends reads for kind (btw for MV, pairbad for GP, none
-   otherwise).  On failure nothing is left allocated and an exception is
-   set. */
-static int ctx_init(Ctx *c, int n, PyObject *adj, PyObject *dist, int kind)
+   otherwise).  With copy, the graph read is the search copy: vertex i
+   is the i-th of the search order, descending degree with ties by index
+   (pure._default_order); without, order is the identity.  Each adj row
+   must be ball row 1, the vertices at distance 1, so an adj of another
+   graph than dist is rejected.  On failure nothing is left allocated and
+   an exception is set. */
+static int ctx_init(Ctx *c, int n, PyObject *adj, PyObject *dist, int kind, int copy)
 {
     PyObject *seq;
-    Py_ssize_t nn = (Py_ssize_t)n * n, i;
-    int u, v, x, maxd = 0, table = kind == MV || kind == GP;
+    Py_ssize_t nn = (Py_ssize_t)n * n;
+    int u, v, x, i, maxd = 0, table = kind == MV || kind == GP;
     size_t masks;
-    u64 *pairs;
+    u64 rows[MAXN], *pairs;
 
     c->dist = NULL;
     c->balls = NULL;
@@ -145,10 +165,19 @@ static int ctx_init(Ctx *c, int n, PyObject *adj, PyObject *dist, int kind)
                      PySequence_Fast_GET_SIZE(seq), n);
         goto fail_seq;
     }
-    for (i = 0; i < n; i++)
-        if (read_mask(PySequence_Fast_GET_ITEM(seq, i), n, "an adj row", &c->adj[i]) < 0)
+    for (v = 0; v < n; v++)
+        if (read_mask(PySequence_Fast_GET_ITEM(seq, v), n, "an adj row", &rows[v]) < 0)
             goto fail_seq;
     Py_DECREF(seq);
+    for (v = 0; v < n; v++) {
+        for (i = v; i > 0 && copy && popcount(rows[c->order[i - 1]]) < popcount(rows[v]); i--)
+            c->order[i] = c->order[i - 1];
+        c->order[i] = v;
+    }
+    for (i = 0; i < n; i++)
+        c->label[c->order[i]] = i;
+    for (v = 0; v < n; v++)
+        c->adj[c->label[v]] = mapped(rows[v], c->label);
 
     seq = PySequence_Fast(dist, "dist must be a flat sequence of distances");
     if (seq == NULL)
@@ -163,18 +192,19 @@ static int ctx_init(Ctx *c, int n, PyObject *adj, PyObject *dist, int kind)
         PyErr_NoMemory();
         goto fail_seq;
     }
-    for (i = 0; i < nn; i++) {
-        long d = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
-        if (d == -1 && PyErr_Occurred())
-            goto fail_seq;
-        if (d < -1 || d > n) {
-            PyErr_Format(PyExc_ValueError, "distance %ld is outside -1..%d", d, n);
-            goto fail_seq;
+    for (u = 0; u < n; u++)
+        for (x = 0; x < n; x++) {
+            long d = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, u * n + x));
+            if (d == -1 && PyErr_Occurred())
+                goto fail_seq;
+            if (d < -1 || d > n) {
+                PyErr_Format(PyExc_ValueError, "distance %ld is outside -1..%d", d, n);
+                goto fail_seq;
+            }
+            c->dist[c->label[u] * n + c->label[x]] = (int)d;
+            if (d > maxd)
+                maxd = (int)d;
         }
-        c->dist[i] = (int)d;
-        if (d > maxd)
-            maxd = (int)d;
-    }
     Py_DECREF(seq);
 
     /* balls, then the pair table, in one block */
@@ -183,14 +213,18 @@ static int ctx_init(Ctx *c, int n, PyObject *adj, PyObject *dist, int kind)
     c->balls = calloc(masks ? masks : 1, sizeof(u64));
     if (c->balls == NULL) {
         PyErr_NoMemory();
-        ctx_free(c);
-        return -1;
+        goto fail;
     }
     for (u = 0; u < n; u++)
         for (x = 0; x < n; x++) {
             int d = c->dist[u * n + x];
             if (d >= 0)
                 c->balls[u * c->stride + d] |= BIT(x);
+        }
+    for (u = 0; u < n; u++)
+        if (c->adj[u] != c->balls[u * c->stride + 1]) {
+            PyErr_SetString(PyExc_ValueError, "adj does not match dist: a row is not the vertices at distance 1");
+            goto fail;
         }
     pairs = c->balls + (size_t)n * c->stride;
     c->btw = kind == MV ? pairs : NULL;
@@ -212,21 +246,23 @@ static int ctx_init(Ctx *c, int n, PyObject *adj, PyObject *dist, int kind)
 
 fail_seq:
     Py_DECREF(seq);
+fail:
     ctx_free(c);
     return -1;
 }
 
-/* The vertices of want that the layer sweep from u does not reach
-   (pure._unreached): reach holds the layer's vertices that some
-   u-geodesic reaches with only unblocked vertices inside it, so u sees
-   v exactly when v is in reach at layer d(u, v); only reached unblocked
-   vertices carry the walk on.  When they are a whole layer, they reach
-   the whole next one, which is then taken without a walk.  A vertex in
+/* Does the layer sweep from u miss a vertex of want (pure._unreached)?
+   reach holds the layer's vertices that some u-geodesic reaches with
+   only unblocked vertices inside it, so u sees v exactly when v is in
+   reach at layer d(u, v); only reached unblocked vertices carry the walk
+   on.  When they are a whole layer, they reach the whole next one,
+   which is then taken without a walk.  Every caller asks only whether a
+   vertex is missed, so the sweep stops at the first.  A vertex in
    another component lies in no layer, so it is never missed. */
-static u64 unreached(const Ctx *c, int u, u64 want, u64 unblocked)
+static int misses(const Ctx *c, int u, u64 want, u64 unblocked)
 {
     const u64 *bu = c->balls + u * c->stride;
-    u64 front = BIT(u), missed = 0, acc, reach, r;
+    u64 front = BIT(u), acc, reach, r;
     int t;
 
     for (t = 1; t < c->stride && want; t++) {
@@ -237,11 +273,12 @@ static u64 unreached(const Ctx *c, int u, u64 want, u64 unblocked)
                 acc |= c->adj[lowbit(r)];
             reach = acc & bu[t];
         }
-        missed |= want & bu[t] & ~reach;
+        if (want & bu[t] & ~reach)
+            return 1;
         want &= ~bu[t];
         front = reach & unblocked;
     }
-    return missed;
+    return 0;
 }
 
 /* Full from-scratch verification of mask for the kind (pure.set_ok): one
@@ -268,7 +305,7 @@ static int set_ok(const Ctx *c, int kind, u64 mask)
         want = (kind == MV ? mask : full) & (~(u64)0 << u << 1);
         if (kind == OUTER)
             want |= outside;
-        if (unreached(c, u, want, outside))
+        if (misses(c, u, want, outside))
             return 0;
     }
     return 1;
@@ -297,14 +334,14 @@ static int extends(const Ctx *c, int kind, u64 smask, int w)
         return 1;
     }
     if (kind == MV) {
-        if (unreached(c, w, smask, unblocked))
+        if (misses(c, w, smask, unblocked))
             return 0;
         for (r = smask; r; r &= r - 1) {
             x = lowbit(r);
             for (want = 0, r2 = r & (r - 1); r2; r2 &= r2 - 1)
                 if (c->btw[x * n + lowbit(r2)] & wbit)
                     want |= r2 & -r2;
-            if (want && unreached(c, x, want, unblocked))
+            if (want && misses(c, x, want, unblocked))
                 return 0;
         }
         return 1;
@@ -312,25 +349,15 @@ static int extends(const Ctx *c, int kind, u64 smask, int w)
     return set_ok(c, kind, smask | wbit);
 }
 
-/* Descending degree, ties by index (pure._default_order). */
-static void default_order(const Ctx *c, int *order)
-{
-    int i, j, v;
-    for (i = 0; i < c->n; i++) {
-        v = i;
-        for (j = i; j > 0 && popcount(c->adj[order[j - 1]]) < popcount(c->adj[v]); j--)
-            order[j] = order[j - 1];
-        order[j] = v;
-    }
-}
-
-static u64 greedy(const Ctx *c, int kind, const int *order)
+/* pure.greedy_set on the search copy: the search tree's leftmost path,
+   which heredity makes the plain sweep of vertices 0..n-1. */
+static u64 greedy(const Ctx *c, int kind)
 {
     u64 smask = 0;
-    int i;
-    for (i = 0; i < c->n; i++)
-        if (extends(c, kind, smask, order[i]))
-            smask |= BIT(order[i]);
+    int v;
+    for (v = 0; v < c->n; v++)
+        if (extends(c, kind, smask, v))
+            smask |= BIT(v);
     return smask;
 }
 
@@ -349,7 +376,6 @@ typedef struct {
     int ngens;       /* the symmetries, n images each */
     int *gens;
     u64 stab[MAXN];  /* v's orbit under the current root's stabilizer */
-    int *scratch;    /* one candidate list of n per depth */
     u64 best_mask;
     long long nodes;
     double deadline;
@@ -358,20 +384,18 @@ typedef struct {
 static void stabilizer_orbits(Search *s, int w);
 
 /* pure.solve_max's run, with the per-candidate test in place of
-   pure._Tables.extensions.  Returns EXACT when the subtree is done.  A child
-   is entered only with need = best - size candidates or more, enough to
-   beat best; its loop of tests stops once the candidates kept and those
-   left to test number fewer, as pure's filter stops, so a dead child is
-   settled here and both kernels count the same nodes.  The deadline and
-   signals are checked at the first node and every 1024 after it.  At the
-   root, a done branch takes its root's orbit out of cands; at depth 1,
-   given symmetries, a done child takes its orbit under the root's
-   stabilizer, built once per root when the loop goes on. */
-static int search(Search *s, u64 smask, int size, int *cands, int ncands, int depth)
+   pure._Tables.extensions; vertices are the search copy's, so the lowest
+   bit of cands is the next one tried.  Returns EXACT when the subtree is
+   done.  A child is entered only with need = best - size candidates or
+   more, enough to beat best; its loop of tests stops once the candidates
+   kept and those left to test number fewer, as pure's filter stops, so a
+   dead child is settled here and both kernels count the same nodes.  The
+   deadline and signals are checked at the first node and every 1024
+   after it. */
+static int search(Search *s, u64 smask, int size, u64 cands)
 {
-    int n = s->c->n, i, j, k, w, x, need, nrest, rc, stab_built = 0;
-    int *rest = s->scratch + (size_t)depth * n;
-    u64 new, have;
+    int left = popcount(cands), w, x, kept, togo, need, rc, stab_built = 0;
+    u64 new, rest, r;
 
     s->nodes++;
     if ((s->nodes & TIME_CHECK_MASK) == 1) {
@@ -380,51 +404,48 @@ static int search(Search *s, u64 smask, int size, int *cands, int ncands, int de
         if (s->deadline != 0.0 && monotonic() > s->deadline)
             return TIME_UP;
     }
-    for (i = 0; i < ncands; i++) {
-        if (size + ncands - i <= s->best)
-            break;
-        w = cands[i];
+    while (size + left > s->best) {
+        w = lowbit(cands);
+        cands &= cands - 1;
+        left--;
         if (s->pred[w] >= 0 && !(smask & BIT(s->pred[w])))
             continue;
         new = smask | BIT(w);
-        if (size + 1 > s->best) {
+        if (size >= s->best) {
             s->best = size + 1;
             s->best_mask = new;
             if (s->target && s->best >= s->target)
                 return TARGET;
         }
-        /* the child beats best only with at least need candidates */
+        /* the child beats best only with at least need candidates; the
+           twin-prefix rule keeps x only after pred[x], a lower bit */
         need = s->best - size;
-        nrest = 0;
-        have = new;
-        for (j = i + 1; j < ncands && nrest + ncands - j >= need; j++) {
-            x = cands[j];
-            if (s->pred[x] >= 0 && !(have & BIT(s->pred[x])))
+        rest = 0;
+        for (r = cands, kept = 0, togo = left; r && kept + togo >= need; r &= r - 1, togo--) {
+            x = lowbit(r);
+            if (s->pred[x] >= 0 && !((new | rest) & BIT(s->pred[x])))
                 continue;
             if (extends(s->c, s->kind, new, x)) {
-                rest[nrest++] = x;
-                have |= BIT(x);
+                rest |= BIT(x);
+                kept++;
             }
         }
-        if (nrest >= need && (rc = search(s, new, size + 1, rest, nrest, depth + 1)) != EXACT)
+        if (kept >= need && (rc = search(s, new, size + 1, rest)) != EXACT)
             return rc;
-        if (depth == 0) {
+        if (!smask) {
             /* the root w is done, and no larger set meets its orbit */
-            for (j = k = i + 1; j < ncands; j++)
-                if (!(s->orbit[w] & BIT(cands[j])))
-                    cands[k++] = cands[j];
-            ncands = k;
-        } else if (depth == 1 && s->ngens && size + ncands - i - 1 > s->best) {
+            cands &= ~s->orbit[w];
+            left = popcount(cands);
+        } else if (size == 1 && s->ngens && size + left > s->best && (cands & s->orbit[w])) {
             /* the child w of the root is done, and no larger set that
-               holds the root meets w's orbit under its stabilizer */
+               holds the root meets w's orbit under its stabilizer, which
+               lies in its orbit under the whole group */
             if (!stab_built) {
                 stabilizer_orbits(s, lowbit(smask));
                 stab_built = 1;
             }
-            for (j = k = i + 1; j < ncands; j++)
-                if (!(s->stab[w] & BIT(cands[j])))
-                    cands[k++] = cands[j];
-            ncands = k;
+            cands &= ~s->stab[w];
+            left = popcount(cands);
         }
     }
     return EXACT;
@@ -499,11 +520,11 @@ static void stabilizer_orbits(Search *s, int w)
 
 /* One symmetry: the images of 0..n-1, which must be a permutation that
    maps every adjacency row onto its image's row; pure._search_symmetries
-   checks the same edge by edge. */
+   checks the same.  perm gets it in the search copy's labels. */
 static int read_symmetry(const Ctx *c, PyObject *obj, int *perm)
 {
     int n = c->n, v;
-    u64 seen = 0, img, r;
+    u64 seen = 0;
     PyObject *seq = PySequence_Fast(obj, "a symmetry must be a sequence of vertices");
 
     if (seq == NULL)
@@ -521,17 +542,14 @@ static int read_symmetry(const Ctx *c, PyObject *obj, int *perm)
         if (x < 0 || x >= n || seen & BIT(x))
             goto not_perm;
         seen |= BIT(x);
-        perm[v] = (int)x;
+        perm[c->label[v]] = c->label[x];
     }
     Py_DECREF(seq);
-    for (v = 0; v < n; v++) {
-        for (img = 0, r = c->adj[v]; r; r &= r - 1)
-            img |= BIT(perm[lowbit(r)]);
-        if (c->adj[perm[v]] != img) {
+    for (v = 0; v < n; v++)
+        if (c->adj[perm[v]] != mapped(c->adj[v], perm)) {
             PyErr_SetString(PyExc_ValueError, "a symmetry is not an automorphism of the graph");
             return -1;
         }
-    }
     return 0;
 
 not_perm:
@@ -597,14 +615,14 @@ static PyObject *py_pair_visible(PyObject *self, PyObject *args, PyObject *kw)
     if (!PyArg_ParseTupleAndKeywords(args, kw, "iOOiiO:pair_visible", kwlist,
                                      &n, &adj, &dist, &u, &v, &blocked_obj))
         return NULL;
-    if (ctx_init(&c, n, adj, dist, NO_KIND) < 0)
+    if (ctx_init(&c, n, adj, dist, NO_KIND, 0) < 0)
         return NULL;
     if (check_vertex(u, n) < 0 || check_vertex(v, n) < 0
         || read_mask(blocked_obj, n, "blocked", &blocked) < 0) {
         ctx_free(&c);
         return NULL;
     }
-    ok = !unreached(&c, u, BIT(v), ~blocked);
+    ok = !misses(&c, u, BIT(v), ~blocked);
     ctx_free(&c);
     return PyBool_FromLong(ok);
 }
@@ -624,7 +642,7 @@ static PyObject *py_set_ok(PyObject *self, PyObject *args, PyObject *kw)
     if (!PyArg_ParseTupleAndKeywords(args, kw, "iOOOi:set_ok", kwlist,
                                      &n, &adj, &dist, &mask_obj, &kind))
         return NULL;
-    if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, NO_KIND) < 0)
+    if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, NO_KIND, 0) < 0)
         return NULL;
     if (read_mask(mask_obj, n, "mask", &mask) < 0) {
         ctx_free(&c);
@@ -650,7 +668,7 @@ static PyObject *py_extend_ok(PyObject *self, PyObject *args, PyObject *kw)
     if (!PyArg_ParseTupleAndKeywords(args, kw, "iOOOii:extend_ok", kwlist,
                                      &n, &adj, &dist, &smask_obj, &w, &kind))
         return NULL;
-    if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, NO_KIND) < 0)
+    if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, NO_KIND, 0) < 0)
         return NULL;
     if (read_mask(smask_obj, n, "smask", &smask) < 0 || check_vertex(w, n) < 0) {
         ctx_free(&c);
@@ -669,17 +687,16 @@ static PyObject *py_greedy_set(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *kwlist[] = {"n", "adj", "dist", "kind", NULL};
     PyObject *adj, *dist;
-    int n, kind, order[MAXN];
+    int n, kind;
     u64 smask;
     Ctx c;
 
     if (!PyArg_ParseTupleAndKeywords(args, kw, "iOOi:greedy_set", kwlist,
                                      &n, &adj, &dist, &kind))
         return NULL;
-    if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, kind) < 0)
+    if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, kind, 1) < 0)
         return NULL;
-    default_order(&c, order);
-    smask = greedy(&c, kind, order);
+    smask = mapped(greedy(&c, kind), c.order);
     ctx_free(&c);
     return PyLong_FromUnsignedLongLong(smask);
 }
@@ -702,10 +719,10 @@ static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *kwlist[] = {"n", "adj", "dist", "kind", "target", "time_limit", "symmetries", NULL};
     PyObject *adj, *dist, *target_obj = NULL, *symmetries = NULL, *out = NULL;
-    int n, kind, order[MAXN], roots[MAXN], nroots = 0, i, j, rc, overflow = 0;
+    int n, kind, v, x, rc, overflow = 0;
     long long target = 0;
     double time_limit = 0.0;
-    u64 seed;
+    u64 roots = 0;
     Ctx c;
     Search s;
 
@@ -724,47 +741,30 @@ static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
         PyErr_SetString(PyExc_ValueError, "target and time limit must be 0 (none) or more and finite");
         return NULL;
     }
-    if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, kind) < 0)
+    if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, kind, 1) < 0)
         return NULL;
-    default_order(&c, order);
     s.c = &c;
     s.kind = kind;
     /* a target above n is never reached, as none is */
     s.target = target > n ? 0 : (int)target;
     s.nodes = 0;
     s.deadline = time_limit ? monotonic() + time_limit : 0.0;
-    s.scratch = NULL;
     /* twin classes: vertices with equal adj rows, in search order */
-    for (i = 0; i < n; i++) {
-        s.pred[order[i]] = -1;
-        for (j = i - 1; j >= 0; j--)
-            if (c.adj[order[j]] == c.adj[order[i]]) {
-                s.pred[order[i]] = order[j];
-                break;
-            }
-    }
+    for (v = 0; v < n; v++)
+        for (s.pred[v] = -1, x = 0; x < v; x++)
+            if (c.adj[x] == c.adj[v])
+                s.pred[v] = x;
     if (set_orbits(&s, symmetries) < 0)
         goto done;
-    seed = greedy(&c, kind, order);
-    s.best = popcount(seed);
-    s.best_mask = seed;
-    if (s.target && s.best >= s.target) {
-        out = Py_BuildValue("iKii", s.best, (unsigned long long)seed, 0, TARGET);
-        goto done;
-    }
-    for (i = 0; i < n; i++)
-        if (extends(&c, kind, 0, order[i]))
-            roots[nroots++] = order[i];
-    s.scratch = malloc(((size_t)n + 1) * (n ? n : 1) * sizeof(int));
-    if (s.scratch == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    rc = search(&s, 0, 0, roots, nroots, 0);
+    s.best_mask = greedy(&c, kind);
+    s.best = popcount(s.best_mask);
+    for (v = 0; v < n; v++)
+        if (extends(&c, kind, 0, v))
+            roots |= BIT(v);
+    rc = s.target && s.best >= s.target ? TARGET : search(&s, 0, 0, roots);
     if (rc != ERROR)
-        out = Py_BuildValue("iKLi", s.best, (unsigned long long)s.best_mask, s.nodes, rc);
+        out = Py_BuildValue("iKLi", s.best, (unsigned long long)mapped(s.best_mask, c.order), s.nodes, rc);
 done:
-    free(s.scratch);
     free(s.gens);
     ctx_free(&c);
     return out;

@@ -186,7 +186,11 @@ Inputs.  Every entry point raises ``ValueError`` for an ``adj`` or
 ``dist`` whose length does not fit n, an ``adj`` row, mask or vertex
 outside 0..n-1, a distance outside -1..n, or an unknown kind.  A tuple
 ``dist`` is checked once, by its record (``_checked``), and ``adj`` rows
-equal to the tuple last checked with it are not checked again.
+equal to the tuple last checked with it are not checked again.  Every
+reader of the ball rows (``pair_visible``, ``set_ok`` but for GP, which
+reads no ``adj``, and the search copy) also rejects an ``adj`` that is
+not the graph of ``dist``: each row must be ball row 1, the vertices at
+distance 1, which takes n comparisons where an edge scan takes n².
 ``solve_max`` also rejects a negative target and a negative or
 non-finite time limit, and ``enumerate_exact`` a negative size.
 """
@@ -274,7 +278,7 @@ def _pv_cut(n, adj, dist, balls, u, v, blocked):
 
 def pair_visible(n, adj, dist, u, v, blocked):
     """Some u,v-geodesic avoids ``blocked`` internally; endpoints exempt."""
-    balls = _checked(n, adj, dist).balls
+    balls = _checked(n, adj, dist).balls_for(adj)
     _check_vertex(u, n)
     _check_vertex(v, n)
     _check_mask(blocked, n, "blocked")
@@ -283,19 +287,22 @@ def pair_visible(n, adj, dist, u, v, blocked):
 
 class _Record:
     """The distance table ``dist`` of a graph of order n, the ``adj`` tuple
-    last checked with it, and its ball rows, built on first use."""
+    last checked with it, the one last found to match it, and its ball
+    rows, built on first use."""
 
     def __init__(self, n, dist):
         self.n = n
         self.dist = dist
         self.adj = None
+        self.matched = None
 
     @cached_property
     def balls(self):
-        """balls[u][t]: the vertices at distance t from u, for every u.  Rows
-        are tuples, so callers that share them cannot change them."""
+        """balls[u][t]: the vertices at distance t from u, for every u, with
+        a row 1 even when no vertex has a neighbour.  Rows are tuples, so
+        callers that share them cannot change them."""
         n, dist = self.n, self.dist
-        maxd = max(dist) if dist else 0
+        maxd = max(1, max(dist, default=0))
         balls = []
         for u in range(n):
             row = [0] * (maxd + 1)
@@ -306,6 +313,19 @@ class _Record:
                     row[d] |= 1 << x
             balls.append(tuple(row))
         return tuple(balls)
+
+    def balls_for(self, adj):
+        """The ball rows, once ``adj`` is found to be the graph of ``dist``:
+        each row must be ball row 1, the vertices at distance 1 (n
+        comparisons; rows equal to the tuple that matched last are not
+        compared again, as ``_checked`` does)."""
+        balls = self.balls
+        if self.matched != adj:
+            if tuple(adj) != tuple([ball[1] for ball in balls]):
+                raise ValueError("adj does not match dist: a row is not the vertices at distance 1")
+            if type(adj) is tuple:
+                self.matched = adj
+        return balls
 
 
 # id(dist) -> the _Record of dist, for the most recently used tuples; the
@@ -351,7 +371,7 @@ class _Tables:
         self.n = n
         self.adj = adj
         self.dist = dist
-        self.balls = _Record(n, dist).balls
+        self.balls = _Record(n, dist).balls_for(adj)
         self._symmetries = None
         # the memo (see the module notes): cuts by (u, v, blocked & btw[u][v]), u < v
         self.cuts = {}
@@ -609,7 +629,7 @@ def set_ok(n, adj, dist, mask, kind):
     else:
         raise ValueError(f"unknown property kind code {kind}")
     outside = full & ~mask
-    balls = record.balls
+    balls = record.balls_for(adj)
     for u in sources:
         want = wanted & ~((2 << u) - 1)
         if kind == OUTER:

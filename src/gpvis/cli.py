@@ -20,16 +20,14 @@ from .graphs import VertexSet, all_pairs_distances, graph_to_edge_list_text
 from .report import DEFAULT_CORPUS_SEED, SCOPES, run_verification_suite
 from .solver import enumerate_maximum_sets, max_property_set
 from .visibility import PropertyKind, is_property_set
+from .witnesses import parse_witness_set
 
 
 def _parse_set(g, text: str) -> VertexSet:
-    labels = [tok for tok in text.split(",") if tok.strip()]
-    if not labels:
+    line = text.replace(",", " ")
+    if not line.split():
         raise ValueError("empty vertex set argument")
-    vertices = [g.index(tok) for tok in labels]
-    if len(set(vertices)) < len(vertices):
-        raise ValueError(f"vertex set names a vertex twice: {text}")
-    return VertexSet.of(g.n, vertices)
+    return parse_witness_set(g, line)
 
 
 def _format_set(g, s: VertexSet) -> str:

@@ -154,11 +154,12 @@ def format_witness_set(g: Graph, s: VertexSet) -> str:
     return " ".join(s.labels(g))
 
 def parse_witness_set(g: Graph, line: str) -> VertexSet:
-    """The set that one witness line names; a label named twice is an
-    error, as in ``gpvis check-set``."""
+    """The set that a line of labels names: a witness line, or the
+    ``--set`` of ``gpvis check-set`` with its commas read as spaces.  A
+    label named twice is an error."""
     vertices = [g.index(tok) for tok in line.split()]
     if len(set(vertices)) < len(vertices):
-        raise ValueError(f"witness line names a vertex twice: {line}")
+        raise ValueError(f"vertex set names a vertex twice: {line}")
     return VertexSet.of(g.n, vertices)
 
 

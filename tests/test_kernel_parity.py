@@ -39,9 +39,7 @@ def fast(fast_kernel):
 def fast_backend(fast_kernel, monkeypatch):
     """``gpvis._kernel`` with the built compiled kernel in place."""
     monkeypatch.setattr(kernels, "fast", fast_kernel)
-    kernels._forced.cache_clear()
-    yield fast_kernel
-    kernels._forced.cache_clear()
+    return fast_kernel
 
 
 def graphs_under_test():
@@ -289,8 +287,9 @@ def test_compiled_kernel_rejects_bad_inputs(fast):
 def test_kernel_rejects_bad_inputs(request, backend):
     """Both kernels raise ValueError for rows or a table whose length does
     not fit n, for a mask, vertex, adj row or distance out of range, a
-    negative mask and one wider than 64 bits included, and for a negative
-    target or a negative or non-finite time limit."""
+    negative mask and one wider than 64 bits included, for an adj of
+    another graph than dist, and for a negative target or a negative or
+    non-finite time limit."""
     kernel = pure if backend == "pure" else request.getfixturevalue("fast_kernel")
     g = parse_graph_spec("cycle:5")
     adj, d = g.adj, all_pairs_distances(g).data
@@ -329,6 +328,24 @@ def test_kernel_rejects_bad_inputs(request, backend):
             pure.enumerate_exact(5, adj[:4], d, pure.MV, 2)
         with pytest.raises(ValueError):
             pure.enumerate_exact(5, adj, d, pure.MV, -1)
+    # the rows of cycle:5 with the distances of path:5; a GP set check
+    # reads no adj, so only the compiled one rejects it there
+    path = all_pairs_distances(parse_graph_spec("path:5")).data
+    with pytest.raises(ValueError, match="does not match"):
+        kernel.pair_visible(5, adj, path, 0, 2, 0)
+    for kind in KINDS:
+        with pytest.raises(ValueError, match="does not match"):
+            kernel.greedy_set(5, adj, path, kind)
+        with pytest.raises(ValueError, match="does not match"):
+            kernel.solve_max(5, adj, path, kind)
+        if kind != pure.GP:
+            with pytest.raises(ValueError, match="does not match"):
+                kernel.set_ok(5, adj, path, 0, kind)
+            with pytest.raises(ValueError, match="does not match"):
+                kernel.extend_ok(5, adj, path, 0, 1, kind)
+        if backend == "pure":
+            with pytest.raises(ValueError, match="does not match"):
+                pure.enumerate_exact(5, adj, path, kind, 2)
 
 
 @pytest.mark.parametrize("backend", ["pure", "fast"])

@@ -4,8 +4,9 @@ cuts, pair tables, reverse intervals and memo, the relabelled search
 copy, the twin-class prefix rule, the root and stabilizer orbits of the
 role symmetries and pinned search trees.  Pure kernel only, so these
 never skip, but for ``test_compiled_role_symmetries_keep_every_value``
-and the compiled half of ``test_pair_visible_equals_its_definition``,
-which skip without a C compiler."""
+and the compiled halves of ``test_pair_visible_equals_its_definition``
+and ``test_results_come_back_in_the_callers_labels``, which skip without
+a C compiler."""
 
 from __future__ import annotations
 
@@ -441,11 +442,16 @@ def relabelled_graphs():
     return [parse_graph_spec("myc(cycle:7)"), star, shuffled]
 
 
-def test_results_come_back_in_the_callers_labels():
-    """The searches run on a copy relabelled into search order and map
-    their masks back: every set they return passes set_ok in the caller's
-    labels, and equals the result on an explicitly relabelled copy (whose
-    search order is the identity), mapped back."""
+@pytest.mark.parametrize("backend", ["pure", "fast"])
+def test_results_come_back_in_the_callers_labels(request, backend):
+    """The searches of both kernels run on a copy relabelled into search
+    order and map their masks back: every set they return passes set_ok
+    in the caller's labels, and equals the result on an explicitly
+    relabelled copy (whose search order is the identity), mapped back.
+    The shuffled D(P5) is solved with its role symmetries too, read into
+    the copy's labels, which are not the identity on it.  enumerate_exact
+    is the pure kernel's alone."""
+    kernel = pure if backend == "pure" else request.getfixturevalue("fast_kernel")
     for g in relabelled_graphs():
         dist = all_pairs_distances(g).data
         order = pure._default_order(g.n, g.adj)
@@ -454,21 +460,28 @@ def test_results_come_back_in_the_callers_labels():
         copy = build_graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
         cdist = all_pairs_distances(copy).data
         assert pure._default_order(copy.n, copy.adj) == list(range(g.n))
+        syms = role_symmetries(g)
+        csyms = [tuple(label[perm[v]] for v in order) for perm in syms]
 
         def back(mask):
             return mask_of(order[i] for i in range(g.n) if mask >> i & 1)
 
         for kind in KINDS:
-            size, mask, nodes, status = pure.solve_max(g.n, g.adj, dist, kind)
-            assert mask.bit_count() == size and pure.set_ok(g.n, g.adj, dist, mask, kind)
-            size_c, mask_c, nodes_c, status_c = pure.solve_max(copy.n, copy.adj, cdist, kind)
-            assert (size, mask, nodes, status) == (size_c, back(mask_c), nodes_c, status_c)
-            greedy = pure.greedy_set(g.n, g.adj, dist, kind)
+            for symmetries, csymmetries in (((), ()), (syms, csyms)):
+                size, mask, nodes, status = kernel.solve_max(g.n, g.adj, dist, kind, 0, 0.0, symmetries)
+                assert mask.bit_count() == size and pure.set_ok(g.n, g.adj, dist, mask, kind)
+                size_c, mask_c, nodes_c, status_c = kernel.solve_max(
+                    copy.n, copy.adj, cdist, kind, 0, 0.0, csymmetries
+                )
+                assert (size, mask, nodes, status) == (size_c, back(mask_c), nodes_c, status_c)
+            greedy = kernel.greedy_set(g.n, g.adj, dist, kind)
             assert pure.set_ok(g.n, g.adj, dist, greedy, kind)
-            assert greedy == back(pure.greedy_set(copy.n, copy.adj, cdist, kind))
-            sets = pure.enumerate_exact(g.n, g.adj, dist, kind, size)
-            assert mask in sets and all(pure.set_ok(g.n, g.adj, dist, m, kind) for m in sets)
-            assert sets == [back(m) for m in pure.enumerate_exact(copy.n, copy.adj, cdist, kind, size)]
+            assert greedy == back(kernel.greedy_set(copy.n, copy.adj, cdist, kind))
+            if backend == "pure":
+                sets = pure.enumerate_exact(g.n, g.adj, dist, kind, size)
+                assert mask in sets and all(pure.set_ok(g.n, g.adj, dist, m, kind) for m in sets)
+                assert sets == [back(m) for m in pure.enumerate_exact(copy.n, copy.adj, cdist, kind, size)]
+    assert syms  # the shuffled D(P5), last, has role symmetries
 
 
 def test_warm_memo_matches_a_fresh_context():
