@@ -10,7 +10,9 @@
    later roots, and a done depth-1 child's orbit under its root's
    stabilizer (from Schreier generators, built once per root when the
    loop goes on) leaves the later children (the Symmetry notes in
-   pure.py argue their soundness).  So the two kernels return the same
+   pure.py argue their soundness).  Given a start set, solve_max checks
+   it with set_ok and takes it as the first incumbent in place of the
+   greedy seed, as pure's does.  So the two kernels return the same
    value, witness mask, node count and status, and the parity tests hold
    them to it.  Only the data layout differs: masks are uint64_t and the
    tables are flat arrays built per call.
@@ -702,7 +704,7 @@ static PyObject *py_greedy_set(PyObject *self, PyObject *args, PyObject *kw)
 }
 
 PyDoc_STRVAR(solve_max_doc,
-"solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=())\n--\n\n"
+"solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=(), start=None)\n--\n\n"
 "Exact maximum set for the kind; returns (size, mask, nodes, status).\n\n"
 "status: 0 exact, 1 stopped early at target size, 2 time limit hit.\n"
 "With an early stop the reported size is a lower bound on the optimum.\n"
@@ -711,14 +713,16 @@ PyDoc_STRVAR(solve_max_doc,
 "root's branch is done, and a depth-1 child's orbit under its root's\n"
 "stabilizer once the child's branch is.  ``target`` and ``time_limit``\n"
 "0 mean none; a negative or non-finite one raises ValueError, and a\n"
-"target above n is never reached.\n"
+"target above n is never reached.  ``start``, a mask with the property,\n"
+"is the first incumbent in place of the greedy seed; a start with a\n"
+"vertex outside 0..n-1 or without the property raises ValueError.\n"
 "A signal handler that raises (Ctrl-C) stops the search within 1024\n"
 "nodes, and its exception propagates.");
 
 static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *kwlist[] = {"n", "adj", "dist", "kind", "target", "time_limit", "symmetries", NULL};
-    PyObject *adj, *dist, *target_obj = NULL, *symmetries = NULL, *out = NULL;
+    static char *kwlist[] = {"n", "adj", "dist", "kind", "target", "time_limit", "symmetries", "start", NULL};
+    PyObject *adj, *dist, *target_obj = NULL, *symmetries = NULL, *start = NULL, *out = NULL;
     int n, kind, v, x, rc, overflow = 0;
     long long target = 0;
     double time_limit = 0.0;
@@ -726,8 +730,8 @@ static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
     Ctx c;
     Search s;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "iOOi|OdO:solve_max", kwlist,
-                                     &n, &adj, &dist, &kind, &target_obj, &time_limit, &symmetries))
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "iOOi|OdOO:solve_max", kwlist,
+                                     &n, &adj, &dist, &kind, &target_obj, &time_limit, &symmetries, &start))
         return NULL;
     if (target_obj != NULL) {
         /* a target of any size: one past 64 bits is as unreachable as n + 1 */
@@ -756,7 +760,18 @@ static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
                 s.pred[v] = x;
     if (set_orbits(&s, symmetries) < 0)
         goto done;
-    s.best_mask = greedy(&c, kind);
+    if (start == NULL || start == Py_None) {
+        s.best_mask = greedy(&c, kind);
+    } else {
+        /* the caller's start, checked once, as the first incumbent */
+        if (read_mask(start, n, "start", &s.best_mask) < 0)
+            goto done;
+        s.best_mask = mapped(s.best_mask, c.label);
+        if (!set_ok(&c, kind, s.best_mask)) {
+            PyErr_SetString(PyExc_ValueError, "start does not have the property");
+            goto done;
+        }
+    }
     s.best = popcount(s.best_mask);
     for (v = 0; v < n; v++)
         if (extends(&c, kind, 0, v))

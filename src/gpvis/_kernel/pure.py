@@ -117,14 +117,27 @@ copy, and lives as long as the copy: a solve reads the cuts that its
 greedy seed, on the tree's leftmost path, has just made.
 
 This filter is the kernel's only one.  The greedy seed (``greedy_set``,
-which ``solve_max`` calls) is the search tree's leftmost path: it takes
-the first candidate and filters the rest against it, and heredity makes
-that the plain sweep, since a candidate dropped once fails every
-superset.  The roots are the w for which {w} has the property: every
-vertex, but for TOTAL none in a pair's cut under the empty set.  With
-nothing blocked, a cut is the union of the pair's interval layers that
-hold one vertex, so TOTAL's roots come from the ball rows without a
-walk, once per copy, and a solve shares them with its seed.
+which ``solve_max`` calls when it is given no start set) is the search
+tree's leftmost path: it takes the first candidate and filters the rest
+against it, and heredity makes that the plain sweep, since a candidate
+dropped once fails every superset.  The roots are the w for which {w}
+has the property: every vertex, but for TOTAL none in a pair's cut
+under the empty set.  With nothing blocked, a cut is the union of the
+pair's interval layers that hold one vertex, so TOTAL's roots come from
+the ball rows without a walk, once per copy, and a solve shares them
+with its seed.
+
+Start set.  ``solve_max`` may be given a set with the property, checked
+once by ``set_ok``, as its first incumbent in place of the greedy seed:
+a known construction, such as a witness set of the paper's lower bounds,
+lets the bound cut from the first node on.  The value stays exact: the
+start is a lower bound, and the search proves that nothing larger exists
+or finds a larger set.  An optimal start walks no node that the greedy
+start does not: best is then the optimum throughout, so every child it
+enters has at least as many candidates as the greedy start's search
+needs there, and its filter returns them exactly.  A start that meets
+the target returns at once.  Without a start the tree is the one
+searched from the greedy seed.
 
 Twin classes.  Vertices with equal ``adj`` rows (false twins: every v
 and its copy v' in a double graph) form a class, ordered along the
@@ -797,7 +810,7 @@ def _stabilizer_orbits(n, gens, w):
     return _orbit_masks(n, [pair for perm in schreier for pair in enumerate(perm)])
 
 
-def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
+def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=(), start=None):
     """Exact maximum set for the kind; returns (size, mask, nodes, status).
 
     status: 0 exact, 1 stopped early at target size, 2 time limit hit.
@@ -807,7 +820,9 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
     root's branch is done, and a depth-1 child's orbit under its root's
     stabilizer once the child's branch is (see the module notes).
     ``target`` and ``time_limit`` 0 mean none; a target above n is never
-    reached.
+    reached.  ``start``, a mask with the property, is the first incumbent
+    in place of the greedy seed (see the module notes); a start with a
+    vertex outside 0..n-1 or without the property raises ``ValueError``.
     """
     if target < 0:
         raise ValueError(f"target must be 0 (none) or more, got {target}")
@@ -818,7 +833,13 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=()):
     deadline = time.monotonic() + time_limit if time_limit else 0.0
     pred, twins = tables.twin_pred, tables.twins
     extensions = tables.extensions
-    best_mask = _mapped(greedy_set(n, adj, dist, kind), label)
+    if start is None:
+        start = greedy_set(n, adj, dist, kind)
+    else:
+        _check_mask(start, n, "start")
+        if not set_ok(n, adj, dist, start, kind):
+            raise ValueError("start does not have the property")
+    best_mask = _mapped(start, label)
     best = best_mask.bit_count()
     nodes = 0
 

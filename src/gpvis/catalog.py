@@ -5,7 +5,10 @@ checked in, the property kind, the parameter domain, the closed form,
 whether it is an exact value (``==``) or a lower bound (``>=``), and
 the suite checks that recompute it.  ``formula_value``, the suite's
 value checks and the witness constructors' size checks all read these
-rows, so each closed form is written once.
+rows, so each closed form is written once.  A family whose value the
+paper constructs names that construction as its ``witness``; the suite
+starts the family's solves from it and gates it, so each construction
+has one home too.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .families import double_graph, mycielskian, wheel_graph
-from .graphs import Graph
+from .families import FamilySpec, double_graph, generate, mycielskian, wheel_graph
+from .graphs import Graph, VertexSet
 from .visibility import PropertyKind
 
 
@@ -25,13 +28,16 @@ class Family:
 
     ``name`` and ``spec`` are ``str.format`` templates.  ``graph`` builds
     graphs the spec grammar cannot express (``spec`` then describes
-    them); it calls its builders by name, so they resolve at call time.
+    them).  ``witness`` builds the paper's construction of a set of the
+    row's value in the family's graph, with no solve.  Both call their
+    builders by name, so they resolve at call time.
     """
 
     name: str
     spec: str
     params: tuple[dict[str, int], ...]
     graph: Callable[[dict[str, int]], Graph] | None = None
+    witness: Callable[[dict[str, int]], VertexSet] | None = None
 
 
 def _ns(values) -> tuple[dict[str, int], ...]:
@@ -42,6 +48,29 @@ def _ns(values) -> tuple[dict[str, int], ...]:
 _STARS = tuple({"m": m, "n": m + 1} for m in range(2, 6))
 _WHEELS = tuple({"m": m, "n": m + 1} for m in range(4, 7))
 _WHEEL = "W{m} (hub plus C{m}, built inline)"
+
+
+def _from_total(family: str, total: Callable[[int], tuple[int, ...]]):
+    """The witness in D(G), G the family's graph of order n: V(G') plus
+    the total mutual-visibility set ``total(n)`` of G."""
+    def build(p):
+        g = generate(FamilySpec(family, (p["n"],)))
+        return witnesses.witness_double_from_total(g, VertexSet.of(g.n, total(g.n)))
+    return build
+
+
+def _star(p) -> Graph:
+    return generate(FamilySpec("star", (p["n"],)))
+
+
+def _wheel(p) -> Graph:
+    return wheel_graph(p["m"])
+
+
+def _universal(base: Callable[[dict[str, int]], Graph], operator: str):
+    """The witness at the universal vertex v1 of G = ``base(p)``, in D(G)
+    or M(G) as ``operator`` says."""
+    return lambda p: witnesses.witness_universal(base(p), 0, operator)
 
 
 class FormulaId(Enum):
@@ -57,12 +86,15 @@ class FormulaId(Enum):
         self.op = op
 
     MU_DOUBLE_CYCLE = ("double", PropertyKind.MV, {"n": (7, None)}, lambda n: n,
-                       (Family("mu_D_C{n}", "double(cycle:{n})", _ns(range(7, 11))),))
+                       (Family("mu_D_C{n}", "double(cycle:{n})", _ns(range(7, 11)),
+                               witness=_from_total("cycle", lambda n: ())),))
     MU_DOUBLE_CYCLE_SMALL = ("double", PropertyKind.MV, {"n": (4, 6)},
                              lambda n: {4: 6, 5: 6, 6: 7}[n],
-                             (Family("mu_D_C{n}", "double(cycle:{n})", _ns(range(4, 7))),))
+                             (Family("mu_D_C{n}", "double(cycle:{n})", _ns(range(4, 7)),
+                                     witness=lambda p: witnesses.fixed_witness(f"dc{p['n']}")[1]),))
     MU_DOUBLE_PATH = ("double", PropertyKind.MV, {"n": (3, None)}, lambda n: n + 2,
-                      (Family("mu_D_P{n}", "double(path:{n})", _ns(range(3, 9))),))
+                      (Family("mu_D_P{n}", "double(path:{n})", _ns(range(3, 9)),
+                             witness=_from_total("path", lambda n: (0, n - 1))),))
     GP_DOUBLE_PATH = ("double", PropertyKind.GP, {"n": (3, None)}, lambda n: 4,
                       (Family("gp_D_P{n}", "double(path:{n})", _ns(range(3, 9))),))
     GP_DOUBLE_CYCLE = ("double", PropertyKind.GP, {"n": (6, None)}, lambda n: 6,
@@ -73,9 +105,10 @@ class FormulaId(Enum):
     GP_DOUBLE_KMINUS = ("double", PropertyKind.GP, {"n": (5, None)}, lambda n: n,
                         (Family("gp_D_Kminus{n}", "double(kminus:{n})", _ns(range(5, 9))),))
     MU_UNIVERSAL_DOUBLE = ("double", PropertyKind.MV, {"n": (2, None)}, lambda n: 2 * n - 1,
-                           (Family("mu_D_K1_{m}", "double(star:{n})", _STARS),
-                            Family("mu_D_W{m}", _WHEEL, _WHEELS,
-                                   lambda p: double_graph(wheel_graph(p["m"])))))
+                           (Family("mu_D_K1_{m}", "double(star:{n})", _STARS,
+                                   witness=_universal(_star, "double")),
+                            Family("mu_D_W{m}", _WHEEL, _WHEELS, lambda p: double_graph(_wheel(p)),
+                                   _universal(_wheel, "double"))))
     # balloon:n is n five-cycles on a hub
     MU_DOUBLE_BALLOON = ("double", PropertyKind.MV, {"n": (1, None)}, lambda n: 6 * n,
                          (Family("mu_D_balloon{n}_target", "double(balloon:{n})", _ns((2,))),),
@@ -85,19 +118,22 @@ class FormulaId(Enum):
     MU_MYC_PATH_SMALL = ("mycielskian", PropertyKind.MV, {"n": (4, 4)}, lambda n: 6,
                          (Family("mu_M_P{n}", "myc(path:{n})", _ns((4,))),))
     MU_MYC_PATH = ("mycielskian", PropertyKind.MV, {"n": (5, None)}, lambda n: n + (n + 1) // 4,
-                   (Family("mu_M_P{n}", "myc(path:{n})", _ns(range(5, 11))),))
+                   (Family("mu_M_P{n}", "myc(path:{n})", _ns(range(5, 11)),
+                          witness=lambda p: witnesses.witness_myc_path(p["n"])),))
     MU_MYC_CYCLE_SMALL = ("mycielskian", PropertyKind.MV, {"n": (4, 7)}, lambda n: n + 2,
                           (Family("mu_M_C{n}", "myc(cycle:{n})", _ns(range(4, 8))),))
     MU_MYC_CYCLE = ("mycielskian", PropertyKind.MV, {"n": (8, None)}, lambda n: n + n // 4,
-                    (Family("mu_M_C{n}", "myc(cycle:{n})", _ns(range(8, 11))),))
+                    (Family("mu_M_C{n}", "myc(cycle:{n})", _ns(range(8, 11)),
+                           witness=lambda p: witnesses.witness_myc_cycle(p["n"])),))
     MU_MYC_KBIP = ("mycielskian", PropertyKind.MV, {"r1": (3, None), "r2": (3, None)},
                    lambda r1, r2: 2 * (r1 + r2) - 2,
                    (Family("mu_M_K{r1}{r2}", "myc(kbip:{r1},{r2})",
                            ({"r1": 3, "r2": 3}, {"r1": 4, "r2": 3})),))
     MU_UNIVERSAL_MYC = ("mycielskian", PropertyKind.MV, {"n": (2, None)}, lambda n: 2 * n - 1,
-                        (Family("mu_M_K1_{m}", "myc(star:{n})", _STARS),
-                         Family("mu_M_W{m}", _WHEEL, _WHEELS,
-                                lambda p: mycielskian(wheel_graph(p["m"])))))
+                        (Family("mu_M_K1_{m}", "myc(star:{n})", _STARS,
+                                witness=_universal(_star, "myc")),
+                         Family("mu_M_W{m}", _WHEEL, _WHEELS, lambda p: mycielskian(_wheel(p)),
+                                _universal(_wheel, "myc"))))
 
     def at(self, params: dict[str, int | None]) -> int:
         """The value at ``params``; keys outside the domain are ignored,
@@ -115,3 +151,8 @@ def formula_value(formula: FormulaId, n: int | None = None,
                   r1: int | None = None, r2: int | None = None) -> int:
     """The closed-form value for the formula on in-domain parameters."""
     return formula.at({"n": n, "r1": r1, "r2": r2})
+
+
+# last: witnesses imports FormulaId and formula_value from this module, and
+# the families' witness callables above look it up only when called
+from . import witnesses  # noqa: E402

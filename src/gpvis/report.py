@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Callable, TextIO
 
 from .catalog import FormulaId
@@ -25,7 +26,6 @@ from .families import (
     generate,
     mycielskian,
     parse_graph_spec,
-    wheel_graph,
 )
 from .graphs import Graph, VertexSet, all_pairs_distances, build_graph
 from .solver import check_time_limit, enumerate_maximum_sets, max_property_set
@@ -38,15 +38,7 @@ from .visibility import (
     true_twin_extend,
     false_twin_swap,
 )
-from .witnesses import (
-    balloon_double_witness,
-    fixed_witness,
-    witness_diam3,
-    witness_double_from_total,
-    witness_myc_cycle,
-    witness_myc_path,
-    witness_universal,
-)
+from .witnesses import balloon_double_witness, witness_diam3, witness_double_from_total
 
 DEFAULT_CORPUS_SEED = 1729
 CORPUS_SIZE = 50
@@ -183,13 +175,25 @@ def corpus_graphs(
 
 
 def random_connected_graph(rng: random.Random, n_lo: int, n_hi: int, p: float = 0.4) -> Graph:
+    """A G(n, p) sample, order uniform in [n_lo, n_hi], drawn again until
+    it is connected; one BFS from vertex 0 decides that, so a rejected
+    sample costs no distance matrix."""
     while True:
         n = rng.randint(n_lo, n_hi)
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
         ]
         g = build_graph(n, edges)
-        if all_pairs_distances(g).connected:
+        seen = frontier = 1
+        while frontier:
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= g.adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & ~seen
+            seen |= frontier
+        if seen == (1 << n) - 1:
             return g
 
 
@@ -214,8 +218,11 @@ class _Suite:
         expected: Expected,
         graph: Graph | None = None,
         target: int | None = None,
+        start: Callable[[], VertexSet] | None = None,
     ) -> None:
-        """Solve one invariant and compare against its expected value."""
+        """Solve one invariant and compare against its expected value.
+        ``start`` builds the solve's first incumbent; if it raises, the
+        check fails with the error as its note."""
         try:
             g = graph if graph is not None else parse_graph_spec(spec_text)
         except ValueError as exc:
@@ -225,10 +232,11 @@ class _Suite:
             self.report.skipped.append(name)
             return
         check = Check(name, spec_text, kind, expected)
-        start = time.perf_counter()
+        t0 = time.perf_counter()
         try:
             res = max_property_set(
-                g, kind, target=target, time_limit=self.time_limit
+                g, kind, target=target, time_limit=self.time_limit,
+                start=None if start is None else start(),
             )
             check.actual = res.value
             if res.stopped_by == "time" and not expected.satisfied(res.value):
@@ -239,7 +247,7 @@ class _Suite:
         except Exception as exc:
             check.status = "fail"
             check.note = str(exc)
-        check.elapsed = time.perf_counter() - start
+        check.elapsed = time.perf_counter() - t0
         self._emit(check)
 
     def aggregate_check(
@@ -267,7 +275,8 @@ class _Suite:
     # scope sections
 
     def run_catalog(self, scope: str) -> None:
-        """One value check per catalog parameter, in table order."""
+        """One value check per catalog parameter, in table order, each
+        solve started from its family's witness when it has one."""
         for row in FormulaId:
             if row.scope != scope:
                 continue
@@ -279,6 +288,7 @@ class _Suite:
                         Expected(row.op, value),
                         graph=None if fam.graph is None else fam.graph(params),
                         target=value if row.op == ">=" else None,
+                        start=None if fam.witness is None else partial(fam.witness, params),
                     )
 
     def run_double(self) -> None:
@@ -298,9 +308,11 @@ class _Suite:
     def run_bounds(self) -> None:
         graphs = corpus_graphs(self.seed)
         corpus_text = f"corpus({len(graphs)} graphs, seed={self.seed})"
+        # solved once for the two checks that read them; a failure is retried
+        gp_pairs = cache(lambda: _gp_pairs(graphs))
         self.aggregate_check(
             "gp_double_sandwich", corpus_text, PropertyKind.GP, exactly(0),
-            lambda: self._gp_sandwich_violations(graphs),
+            lambda: self._gp_sandwich_violations(gp_pairs()),
         )
         self.aggregate_check(
             "mu_double_total_lb", corpus_text, PropertyKind.MV, exactly(0),
@@ -329,18 +341,13 @@ class _Suite:
         )
         self.aggregate_check(
             "gp_equality_structure", corpus_text, PropertyKind.GP, exactly(0),
-            lambda: self._equality_structure_violations(graphs),
+            lambda: self._equality_structure_violations(graphs, gp_pairs()),
         )
 
     # aggregate bodies
 
-    def _gp_sandwich_violations(self, graphs) -> tuple[int, str]:
-        viol = 0
-        for g in graphs:
-            gp_g = max_property_set(g, PropertyKind.GP).value
-            gp_d = max_property_set(double_graph(g), PropertyKind.GP).value
-            if not gp_g <= gp_d <= 2 * gp_g:
-                viol += 1
+    def _gp_sandwich_violations(self, gp_pairs) -> tuple[int, str]:
+        viol = sum(1 for gp_g, _, gp_d in gp_pairs if not gp_g <= gp_d <= 2 * gp_g)
         return viol, ""
 
     def _double_lower_bound_violations(self, graphs) -> tuple[int, str]:
@@ -349,9 +356,10 @@ class _Suite:
             if g.is_complete():
                 continue
             checked += 1
-            mu_t = max_property_set(g, PropertyKind.TOTAL).value
-            mu_d = max_property_set(double_graph(g), PropertyKind.MV).value
-            if not mu_d >= g.n + mu_t:
+            total = max_property_set(g, PropertyKind.TOTAL)
+            seed = witness_double_from_total(g, total.witness)
+            mu_d = max_property_set(double_graph(g), PropertyKind.MV, start=seed).value
+            if not mu_d >= g.n + total.value:
                 viol += 1
         return viol, f"{checked} non-complete graphs checked"
 
@@ -361,10 +369,12 @@ class _Suite:
             if g.is_complete() or all_pairs_distances(g).diameter() > 3:
                 continue
             checked += 1
-            mu_o = max_property_set(g, PropertyKind.OUTER).value
-            mu = max_property_set(g, PropertyKind.MV).value
-            mu_m = max_property_set(mycielskian(g), PropertyKind.MV).value
-            if not (g.n + mu_o <= mu_m <= g.n + mu + 1):
+            outer = max_property_set(g, PropertyKind.OUTER)
+            # an outer mutual-visibility set is a mutual-visibility set
+            mu = max_property_set(g, PropertyKind.MV, start=outer.witness).value
+            seed = witness_diam3(g, outer.witness)
+            mu_m = max_property_set(mycielskian(g), PropertyKind.MV, start=seed).value
+            if not (g.n + outer.value <= mu_m <= g.n + mu + 1):
                 viol += 1
         return viol, f"{checked} graphs with diam <= 3 checked"
 
@@ -433,15 +443,10 @@ class _Suite:
         # adding the true twin must break mutual visibility here
         return (1 if is_mutual_visibility_set(g, d, t) else 0), ""
 
-    def _equality_structure_violations(self, graphs) -> tuple[int, str]:
+    def _equality_structure_violations(self, graphs, gp_pairs) -> tuple[int, str]:
         viol = checked = 0
-        for g in graphs:
-            dg = double_graph(g)
-            if dg.n > 14:
-                continue
-            gp_g = max_property_set(g, PropertyKind.GP).value
-            gp_d = max_property_set(dg, PropertyKind.GP).value
-            if gp_d != 2 * gp_g:
+        for g, (gp_g, dg, gp_d) in zip(graphs, gp_pairs):
+            if dg.n > 14 or gp_d != 2 * gp_g:
                 continue
             checked += 1
             base_mask = (1 << g.n) - 1
@@ -456,24 +461,43 @@ class _Suite:
         return viol, f"{checked} graphs with gp(D(G)) = 2 gp(G)"
 
     def _witness_failures_double(self) -> tuple[int, str]:
-        rows = [(name, lambda name=name: fixed_witness(name)) for name in ("dc4", "dc5", "dc6")]
-        rows += _universal_witness_rows("double")
-        rows += [
-            (f"from-total {spec}", lambda spec=spec, total=total: _from_total_witness(spec, total))
-            for spec, total in (("path:5", (0, 4)), ("cycle:7", ()), ("cycle:9", ()))
-        ]
+        rows = _witness_rows(FormulaId.MU_DOUBLE_CYCLE_SMALL)
+        rows += _witness_rows(FormulaId.MU_UNIVERSAL_DOUBLE)
+        rows += _witness_rows(FormulaId.MU_DOUBLE_PATH, (5,))
+        rows += _witness_rows(FormulaId.MU_DOUBLE_CYCLE, (7, 9))
         rows.append(("balloon file", lambda: balloon_double_witness(2)))
         return _failures(rows)
 
     def _witness_failures_myc(self) -> tuple[int, str]:
-        rows = [(f"path {n}", lambda n=n: witness_myc_path(n)) for n in range(5, 13)]
-        rows += [(f"cycle {n}", lambda n=n: witness_myc_cycle(n)) for n in range(8, 13)]
-        rows += _universal_witness_rows("myc")
+        rows = _witness_rows(FormulaId.MU_MYC_PATH, range(5, 13))
+        rows += _witness_rows(FormulaId.MU_MYC_CYCLE, range(8, 13))
+        rows += _witness_rows(FormulaId.MU_UNIVERSAL_MYC)
         rows += [
             (f"diam3 {spec}", lambda spec=spec: _diam3_witness(spec))
             for spec in ("cycle:5", "kbip:3,3", "path:4")
         ]
         return _failures(rows)
+
+
+def _witness_rows(row: FormulaId, ns=None) -> list:
+    """(label, thunk) rows that build the witness of each of the row's
+    families at each of its parameters, or at order n for each n in
+    ``ns``."""
+    return [
+        (fam.name.format(**p), partial(fam.witness, p))
+        for fam in row.families
+        for p in (fam.params if ns is None else [{"n": n} for n in ns])
+    ]
+
+
+def _gp_pairs(graphs) -> list[tuple[int, Graph, int]]:
+    """(gp(G), D(G), gp(D(G))) for each corpus graph G."""
+    out = []
+    for g in graphs:
+        dg = double_graph(g)
+        out.append((max_property_set(g, PropertyKind.GP).value, dg,
+                    max_property_set(dg, PropertyKind.GP).value))
+    return out
 
 
 def _failures(rows) -> tuple[int, str]:
@@ -485,24 +509,6 @@ def _failures(rows) -> tuple[int, str]:
         except Exception as exc:
             notes.append(f"{label}: {exc}")
     return len(notes), "; ".join(notes)
-
-
-def _universal_witness_rows(operator: str) -> list:
-    rows = [
-        (f"star {m + 1} {operator}",
-         lambda m=m: witness_universal(generate(FamilySpec("star", (m + 1,))), 0, operator))
-        for m in range(2, 6)
-    ]
-    rows += [
-        (f"wheel {n} {operator}", lambda n=n: witness_universal(wheel_graph(n), 0, operator))
-        for n in range(4, 7)
-    ]
-    return rows
-
-
-def _from_total_witness(spec: str, total: tuple[int, ...]) -> VertexSet:
-    g = parse_graph_spec(spec)
-    return witness_double_from_total(g, VertexSet.of(g.n, total))
 
 
 def _diam3_witness(spec: str) -> VertexSet:

@@ -6,7 +6,9 @@ the pruning: once a single-vertex extension fails, no superset through
 that vertex is revisited, and a child is entered only when it and its
 candidates could beat the incumbent; the candidate filter stops as soon
 as they cannot, so such a child is settled at its parent.  The
-incumbent is seeded by the deterministic greedy sweep.  Sets that a
+incumbent is seeded by the deterministic greedy sweep, or by a caller's
+start set with the property: a known construction that lets the bound
+cut from the first node, while the search still proves the value.  Sets that a
 swap of twin vertices (equal neighbourhoods) maps onto each other are
 searched once, and once the branch of a root vertex is done, the
 vertices that a symmetry carried by the vertex roles
@@ -22,7 +24,14 @@ import time
 from dataclasses import dataclass
 
 from ._kernel import get_kernel, pure
-from .graphs import Graph, VertexSet, all_pairs_distances, require_connected, role_symmetries
+from .graphs import (
+    Graph,
+    VertexSet,
+    all_pairs_distances,
+    require_connected,
+    require_order,
+    role_symmetries,
+)
 from .visibility import PropertyKind, is_property_set
 
 HARD_CAP = 26
@@ -68,6 +77,7 @@ def max_property_set(
     *,
     target: int | None = None,
     time_limit: float | None = None,
+    start: VertexSet | None = None,
 ) -> InvariantResult:
     """Maximum set of the given kind; exact unless target/time stop early.
 
@@ -75,17 +85,21 @@ def max_property_set(
     least that size and report a lower bound; a hit ``time_limit`` (in
     seconds) likewise downgrades the result to a lower bound.  A target
     below 1 or a time limit that is not a finite number above 0 is
-    rejected.
+    rejected.  ``start``, a set of the kind in ``g``, is the search's
+    first incumbent in place of the greedy seed; the value stays exact.
+    A start of another order, or one without the property, is rejected.
     """
     if target is not None and target < 1:
         raise ValueError(f"target must be at least 1, got {target}")
     check_time_limit(time_limit)
+    if start is not None:
+        require_order(g, start)
     if g.n > HARD_CAP:
         raise ValueError(f"order {g.n} exceeds the solver cap of {HARD_CAP}")
     d = all_pairs_distances(g)
     require_connected(d)
     kernel = get_kernel(g.n)
-    start = time.perf_counter()
+    t0 = time.perf_counter()
     size, mask, nodes, code = kernel.solve_max(
         g.n,
         g.adj,
@@ -94,8 +108,9 @@ def max_property_set(
         target or 0,
         time_limit or 0.0,
         role_symmetries(g),
+        None if start is None else start.mask,
     )
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - t0
     witness = VertexSet(g.n, mask)
     if not is_property_set(g, d, witness, kind):
         raise AssertionError("solver returned a witness that fails its verifier")
@@ -110,7 +125,8 @@ def invariant(g: Graph, kind: PropertyKind) -> int:
 
 
 def greedy_lower_bound(g: Graph, kind: PropertyKind) -> VertexSet:
-    """Deterministic greedy set; the branch-and-bound's initial incumbent."""
+    """Deterministic greedy set; the branch-and-bound's initial incumbent
+    when no start set is given."""
     d = all_pairs_distances(g)
     require_connected(d)
     kernel = get_kernel(g.n)

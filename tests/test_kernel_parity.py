@@ -400,3 +400,93 @@ def test_forced_backend_env(fast_backend, monkeypatch):
     monkeypatch.setenv("GPVIS_KERNEL", "nonsense")
     with pytest.raises(ValueError):
         get_kernel(8)
+
+
+def start_sets(kernel, g, d, kind):
+    """Sets with the property to start a solve from: the optimum, the
+    greedy set, the empty set and a few subsets of the optimum (the
+    properties are hereditary)."""
+    optimum = kernel.solve_max(g.n, g.adj, d, kind)[1]
+    rng = random.Random(g.n * 4 + kind)
+    subsets = [optimum & rng.getrandbits(g.n) for _ in range(3)]
+    return optimum, [optimum, kernel.greedy_set(g.n, g.adj, d, kind), 0, *subsets]
+
+
+@pytest.mark.parametrize("backend", ["pure", "fast"])
+def test_start_keeps_every_value(request, backend):
+    """On the corpus and operator graphs, with and without role
+    symmetries, every valid start gives the value of the greedy start,
+    and the optimum as start explores no more nodes than it."""
+    kernel = pure if backend == "pure" else request.getfixturevalue("fast_kernel")
+    fewer = 0
+    for g in graphs_under_test():
+        d = all_pairs_distances(g).data
+        for kind in KINDS:
+            optimum, starts = start_sets(kernel, g, d, kind)
+            for symmetries in ((), role_symmetries(g)):
+                size, _, nodes, status = kernel.solve_max(g.n, g.adj, d, kind, 0, 0.0, symmetries)
+                for start in starts:
+                    got = kernel.solve_max(g.n, g.adj, d, kind, 0, 0.0, symmetries, start)
+                    assert got[0] == size and got[3] == status == 0, (g.adj, kind, start)
+                    assert got[1].bit_count() == size and pure.set_ok(g.n, g.adj, d, got[1], kind)
+                    if start == optimum:
+                        assert got[1] == optimum and got[2] <= nodes, (g.adj, kind)
+                        fewer += got[2] < nodes
+    assert fewer > 0
+
+
+def test_start_parity(fast):
+    """Both kernels return the same (size, mask, nodes, status) from the
+    same start, at order 64 too."""
+    cases = [(g, kind) for g in graphs_under_test() for kind in KINDS]
+    cases += [(parse_graph_spec("double(path:32)"), pure.GP)]
+    for g, kind in cases:
+        d = all_pairs_distances(g).data
+        symmetries = role_symmetries(g)
+        for start in start_sets(pure, g, d, kind)[1]:
+            for args in ((), (0, 0.0, symmetries)):
+                a = pure.solve_max(g.n, g.adj, d, kind, *args, start=start)
+                assert a == fast.solve_max(g.n, g.adj, d, kind, *args, start=start), (g.adj, kind, start)
+    g = order_64_graphs()[0]
+    d = all_pairs_distances(g).data
+    top = 1 << 63 | 1 << 31  # D(P32)'s leaf v32 and its copy
+    assert pure.set_ok(g.n, g.adj, d, top, pure.MV)
+    a = pure.solve_max(g.n, g.adj, d, pure.MV, 3, 0.0, (), top)
+    assert a == fast.solve_max(g.n, g.adj, d, pure.MV, 3, 0.0, (), top) and a[3] == 1
+
+
+@pytest.mark.parametrize("backend", ["pure", "fast"])
+def test_start_at_the_target_returns_at_once(request, backend):
+    """A start of at least the target size is returned as it is, with no
+    node explored and status 1."""
+    kernel = pure if backend == "pure" else request.getfixturevalue("fast_kernel")
+    g = parse_graph_spec("myc(cycle:12)")
+    d = all_pairs_distances(g).data
+    size, optimum, _, _ = kernel.solve_max(g.n, g.adj, d, pure.MV)
+    for target in (1, size - 1, size):
+        assert kernel.solve_max(g.n, g.adj, d, pure.MV, target, 0.0, (), optimum) == (size, optimum, 0, 1)
+    # below the target the search runs on from the start
+    low = optimum & ~(optimum & -optimum)
+    got = kernel.solve_max(g.n, g.adj, d, pure.MV, size, 0.0, (), low)
+    assert got[0] == size and got[2] > 0 and got[3] == 1
+
+
+@pytest.mark.parametrize("backend", ["pure", "fast"])
+def test_kernels_reject_bad_starts(request, backend):
+    """A start with a vertex outside 0..n-1, a negative one included, or
+    one without the property raises ValueError with the same message in
+    both kernels."""
+    kernel = pure if backend == "pure" else request.getfixturevalue("fast_kernel")
+    g = parse_graph_spec("cycle:5")
+    d = all_pairs_distances(g).data
+    for start in (1 << 5, -1, 1 << 64, 1 | 1 << 7):
+        with pytest.raises(ValueError, match=r"^start has a vertex outside 0\.\.4$"):
+            kernel.solve_max(5, g.adj, d, pure.MV, 0, 0.0, (), start)
+    # all of C5 fails MV, {v1, v3} fails TOTAL and {v1, v2, v3} fails GP
+    for kind, start in ((pure.MV, 0b11111), (pure.OUTER, 0b11111), (pure.TOTAL, 0b101), (pure.GP, 0b111)):
+        assert not pure.set_ok(5, g.adj, d, start, kind)
+        with pytest.raises(ValueError, match="^start does not have the property$"):
+            kernel.solve_max(5, g.adj, d, kind, 0, 0.0, (), start)
+        with pytest.raises(ValueError, match="^start does not have the property$"):
+            kernel.solve_max(5, g.adj, d, kind, 1, 0.0, role_symmetries(g), start)
+    assert kernel.solve_max(5, g.adj, d, pure.MV, 0, 0.0, (), None) == kernel.solve_max(5, g.adj, d, pure.MV)

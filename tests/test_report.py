@@ -3,14 +3,33 @@
 from __future__ import annotations
 
 import io
+import random
 import re
 
 import pytest
 
-from gpvis import DEFAULT_CORPUS_SEED, corpus_graphs, run_verification_suite
+from gpvis import (
+    DEFAULT_CORPUS_SEED,
+    FormulaId,
+    PropertyKind,
+    build_graph,
+    corpus_graphs,
+    max_property_set,
+    parse_graph_spec,
+    report,
+    run_verification_suite,
+    witnesses,
+)
 from gpvis.cli import main
 from gpvis.graphs import all_pairs_distances
-from gpvis.report import CORPUS_SIZE, SCOPES, Expected, at_least, exactly
+from gpvis.report import (
+    CORPUS_SIZE,
+    SCOPES,
+    Expected,
+    at_least,
+    exactly,
+    random_connected_graph,
+)
 
 MACHINE_RE = re.compile(
     r"^CHECK [a-zA-Z0-9_]+ expected=(\d+|>=\d+) "
@@ -128,6 +147,111 @@ def test_suite_deterministic():
     a = run_verification_suite("bounds", seed=DEFAULT_CORPUS_SEED)
     b = run_verification_suite("bounds", seed=DEFAULT_CORPUS_SEED)
     assert a.machine_lines() == b.machine_lines()
+
+
+SEEDED_ROWS = {
+    FormulaId.MU_DOUBLE_CYCLE, FormulaId.MU_DOUBLE_CYCLE_SMALL, FormulaId.MU_DOUBLE_PATH,
+    FormulaId.MU_UNIVERSAL_DOUBLE, FormulaId.MU_MYC_PATH, FormulaId.MU_MYC_CYCLE,
+    FormulaId.MU_UNIVERSAL_MYC,
+}
+
+
+def catalog_checks():
+    """(row, family, params, graph) for every check of the catalog."""
+    for row in FormulaId:
+        for fam in row.families:
+            for p in fam.params:
+                g = fam.graph(p) if fam.graph else parse_graph_spec(fam.spec.format(**p))
+                yield row, fam, p, g
+
+
+def test_seeded_catalog_rows_start_from_their_value():
+    """Every family with a witness builds, with no solve, a set of exactly
+    its row's value in its own graph, and the solve from it returns the
+    value of the solve from the greedy seed."""
+    seeded = set()
+    for row, fam, p, g in catalog_checks():
+        if fam.witness is None:
+            continue
+        seeded.add(row)
+        seed = fam.witness(p)
+        assert seed.n == g.n and len(seed) == row.at(p), fam.name.format(**p)
+        plain = max_property_set(g, row.kind)
+        res = max_property_set(g, row.kind, start=seed)
+        assert res.exact and res.value == plain.value == row.at(p)
+        assert res.nodes_explored <= plain.nodes_explored
+    assert seeded == SEEDED_ROWS
+
+
+def recording_solves(monkeypatch):
+    """Record (the graph's adj, kind, start) for each solve that
+    the suite makes itself, not those inside enumeration."""
+    calls = []
+
+    def solve(g, kind, **kw):
+        calls.append((g.adj, kind, kw.get("start")))
+        return max_property_set(g, kind, **kw)
+
+    monkeypatch.setattr(report, "max_property_set", solve)
+    return calls
+
+
+def test_suite_starts_each_seeded_row_from_its_witness(monkeypatch):
+    calls = recording_solves(monkeypatch)
+    for scope in ("double", "mycielskian"):
+        run_verification_suite(scope)
+    # the catalog's checks, in order, then the witness gates' diam3 solves
+    checks = list(catalog_checks())
+    assert len(calls) == len(checks) + 3
+    for (row, fam, p, g), (adj, kind, start) in zip(checks, calls):
+        assert (adj, kind) == (g.adj, row.kind)
+        if fam.witness is None:
+            assert start is None
+        else:
+            assert start == fam.witness(p)
+
+
+def test_bounds_seed_every_mv_solve_and_solve_each_gp_once(monkeypatch):
+    """The bounds scope starts μ(D(G)) from V(G') plus a μ_t set, μ(G) from
+    a μ_o set and μ(M(G)) from V(G') plus a μ_o set, and solves gp(G) and
+    gp(D(G)) of each corpus graph once for the two checks that read them."""
+    calls = recording_solves(monkeypatch)
+    assert run_verification_suite("bounds", seed=DEFAULT_CORPUS_SEED).all_pass()
+    mv = [(adj, start) for adj, kind, start in calls if kind == PropertyKind.MV]
+    gp = [adj for adj, kind, _ in calls if kind == PropertyKind.GP]
+    assert mv and all(start is not None for _, start in mv)
+    assert len(gp) == len(set(gp)) == 2 * CORPUS_SIZE
+
+
+def test_a_seed_that_raises_fails_its_check(monkeypatch):
+    def broken(n):
+        raise AssertionError(f"no witness for n={n}")
+
+    monkeypatch.setattr(witnesses, "witness_myc_cycle", broken)
+    checks = {c.name: c for c in run_verification_suite("mycielskian").checks}
+    for n in (8, 9, 10):
+        c = checks[f"mu_M_C{n}"]
+        assert (c.status, c.actual, c.note) == ("fail", None, f"no witness for n={n}")
+    assert checks["mu_M_C7"].status == "pass"
+    assert checks["witness_gate_myc"].actual == 5
+
+
+def test_random_graphs_follow_the_distance_rule():
+    """One BFS from vertex 0 accepts exactly the samples whose distance
+    matrix says they are connected, so the stream draws the same graphs."""
+    def by_distances(rng, n_lo, n_hi, p):
+        while True:
+            n = rng.randint(n_lo, n_hi)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            g = build_graph(n, edges)
+            if all_pairs_distances(g).connected:
+                return g
+
+    for n_lo, n_hi, p in ((1, 8, 0.4), (4, 10, 0.2), (3, 4, 0.4)):
+        a, b = random.Random(f"rule:{p}"), random.Random(f"rule:{p}")
+        for _ in range(60):
+            assert random_connected_graph(a, n_lo, n_hi, p).adj == by_distances(b, n_lo, n_hi, p).adj
+        assert a.random() == b.random()
 
 
 def test_unknown_scope_rejected():

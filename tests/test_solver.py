@@ -9,6 +9,7 @@ from gpvis import (
     ENUMERATION_CAP,
     HARD_CAP,
     PropertyKind,
+    VertexSet,
     all_pairs_distances,
     build_graph,
     enumerate_maximum_sets,
@@ -197,3 +198,22 @@ def test_deterministic_across_runs():
     assert a.value == b.value == 7
     assert a.witness.members() == b.witness.members()
     assert a.nodes_explored == b.nodes_explored
+
+
+def test_start_set_is_checked_and_kept_exact():
+    """max_property_set takes a start set of the graph's order and kind,
+    returns the same exact value from it, and rejects a set of another
+    order or one without the property."""
+    g = parse_graph_spec("myc(cycle:8)")
+    plain = max_property_set(g, PropertyKind.MV)
+    for start in (plain.witness, VertexSet(g.n), greedy_lower_bound(g, PropertyKind.MV)):
+        res = max_property_set(g, PropertyKind.MV, start=start)
+        assert res.exact and res.value == plain.value
+        assert is_property_set(g, all_pairs_distances(g), res.witness, PropertyKind.MV)
+    assert max_property_set(g, PropertyKind.MV, start=plain.witness).witness == plain.witness
+    with pytest.raises(ValueError, match="order"):
+        max_property_set(g, PropertyKind.MV, start=VertexSet(g.n + 1, 1))
+    with pytest.raises(ValueError, match="does not have the property"):
+        max_property_set(g, PropertyKind.GP, start=plain.witness)
+    res = max_property_set(g, PropertyKind.MV, target=plain.value, start=plain.witness)
+    assert (res.value, res.nodes_explored, res.stopped_by) == (plain.value, 0, "target")

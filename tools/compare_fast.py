@@ -1,7 +1,7 @@
 """Time two kernels against each other: two builds of the compiled
 kernel, two versions of the pure one, or one of each.
 
-    python3 tools/compare_fast.py BASE CHANGE [--runs 11] [--out FILE.json]
+    python3 tools/compare_fast.py BASE CHANGE [--runs 11] [--start] [--out FILE.json]
 
 BASE and CHANGE are kernel sources, loaded by their suffix.  A ``.c``
 file (a ``_fast.c``) is built with the flags of the test suite's
@@ -10,7 +10,9 @@ file (a ``_fast.c``) is built with the flags of the test suite's
 Every instance is solved with the graph's ``role_symmetries``, as
 ``solver.max_property_set`` passes them.  A pure kernel keeps the latest
 search copy with its tables and memo, so it is dropped before each solve,
-which is then timed as a first solve of its graph.
+which is then timed as a first solve of its graph.  With ``--start``
+both sides start every solve from the instance's optimum, the mask of
+the base's first solve without a start, in place of the greedy seed.
 It checks that both kernels return the same size, mask and status, prints
 both node counts (a change that prunes more walks a smaller tree), then
 times ``solve_max`` in alternating runs: run k times the base first when k
@@ -84,6 +86,8 @@ def main(argv=None) -> None:
     ap.add_argument("change")
     ap.add_argument("--runs", type=int, default=11)
     ap.add_argument("--instances", nargs="+", default=INSTANCES, metavar="'SPEC KIND'")
+    ap.add_argument("--start", action="store_true",
+                    help="start both sides from the optimum of the base's first solve")
     ap.add_argument("--out")
     opts = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
@@ -93,6 +97,8 @@ def main(argv=None) -> None:
             spec, kind = instance.split()
             g = parse_graph_spec(spec)
             args = (g.n, g.adj, all_pairs_distances(g).data, KIND_CODES[kind], 0, 0.0, role_symmetries(g))
+            if opts.start:
+                args += (kernels["base"].solve_max(*args)[1],)
             result = {side: kernels[side].solve_max(*args) for side in kernels}
             base_r, change_r = result["base"], result["change"]
             if base_r[:2] != change_r[:2] or base_r[3] != change_r[3]:
@@ -117,7 +123,8 @@ def main(argv=None) -> None:
     print(f"{'total':26} base {base * 1e3:8.3f} ms  change {change * 1e3:8.3f} ms  ratio {change / base:.2f}")
     if opts.out:
         total = {"base_s": base, "change_s": change, "ratio": change / base}
-        Path(opts.out).write_text(json.dumps({"runs_per_side": opts.runs, "instances": rows, "total": total},
+        Path(opts.out).write_text(json.dumps({"runs_per_side": opts.runs, "start": opts.start, "instances": rows,
+                                             "total": total},
                                              indent=1) + "\n")
 
 
