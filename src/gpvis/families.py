@@ -8,21 +8,16 @@ balloon hub is the last vertex with cycle i on 1-based positions
 
 Operators lay out vertices as the base block, then the copy block, then
 the apex (Mycielskian only), so Base(i) sits at index i and Copy(i) at
-index n + i.
+index n + i.  That layout depends only on n and the operator, so every
+graph of one shape shares one roles tuple (``layout_roles``) and one
+label table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    Graph,
-    apex_role,
-    base_role,
-    build_graph,
-    copy_role,
-    read_edge_list_file,
-)
+from .graphs import Graph, build_graph, layout_roles, read_edge_list_file
 
 FAMILIES = (
     "path",
@@ -111,10 +106,7 @@ def double_graph(g: Graph) -> Graph:
         raise ValueError("double graph needs a nonempty graph")
     row = [g.adj[i] | g.adj[i] << n for i in range(n)]
     adj = tuple(row[i % n] for i in range(2 * n))
-    roles = tuple(base_role(i) for i in range(n)) + tuple(
-        copy_role(i) for i in range(n)
-    )
-    return Graph(2 * n, adj, roles)
+    return Graph(2 * n, adj, layout_roles(n, "double"))
 
 
 def mycielskian(g: Graph) -> Graph:
@@ -130,12 +122,7 @@ def mycielskian(g: Graph) -> Graph:
     for i in range(n):
         adj.append(g.adj[i] | 1 << apex)
     adj.append(copies_mask)
-    roles = (
-        tuple(base_role(i) for i in range(n))
-        + tuple(copy_role(i) for i in range(n))
-        + (apex_role(),)
-    )
-    return Graph(2 * n + 1, tuple(adj), roles)
+    return Graph(2 * n + 1, tuple(adj), layout_roles(n, "myc"))
 
 
 def wheel_graph(n: int) -> Graph:
@@ -192,6 +179,8 @@ def _parse_expr(text: str, pos: int) -> tuple[Graph, int]:
         if name not in _OPERATORS:
             raise GraphSpecError(f"unknown operator {name!r}", start)
         inner, pos = _parse_expr(text, pos + 1)
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
         if pos >= len(text) or text[pos] != ")":
             raise GraphSpecError("expected ')'", pos)
         return _OPERATORS[name](inner), pos + 1
@@ -215,7 +204,7 @@ def _parse_expr(text: str, pos: int) -> tuple[Graph, int]:
                 raise GraphSpecError("expected ','", pos)
             pos += 1
         dstart = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if pos == dstart:
             raise GraphSpecError("expected an integer parameter", dstart)

@@ -54,18 +54,34 @@ def apex_role() -> Role:
     return Role(APEX, 0)
 
 
+@lru_cache(maxsize=128)
+def layout_roles(n: int, operator: str | None = None) -> tuple[Role, ...]:
+    """The roles of an order-n graph, v1..vn, or with ``operator`` those of
+    its double graph ("double": then v1'..vn') or its Mycielskian ("myc":
+    then v1'..vn' and v*).  Built once per (n, operator) and shared, Role
+    instances too, by every graph of that shape; kept for the latest 128."""
+    if operator is None:
+        return tuple(map(base_role, range(n)))
+    if operator == "double":
+        return layout_roles(n) + tuple(map(copy_role, range(n)))
+    if operator == "myc":
+        return layout_roles(n, "double") + (apex_role(),)
+    raise ValueError(f"unknown operator {operator!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with bitmask adjacency rows and vertex roles.
     ``_distances`` keeps the graph's matrix once it is computed,
-    ``_indices`` the vertex of each (kind, ref) role once a label is looked
-    up, and ``_symmetries`` the automorphisms that ``role_symmetries`` kept."""
+    ``_indices`` the label table of its roles tuple once a label is looked
+    up (one table per tuple, shared by the graphs of one layout), and
+    ``_symmetries`` the automorphisms that ``role_symmetries`` kept."""
 
     n: int
     adj: tuple[int, ...]
     roles: tuple[Role, ...]
     _distances: DistanceMatrix | None = field(default=None, init=False, repr=False, compare=False)
-    _indices: dict[tuple[str, int], int] | None = field(
+    _indices: dict[tuple[str, int] | str, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _symmetries: tuple[tuple[int, ...], ...] | None = field(
@@ -98,35 +114,71 @@ class Graph:
 
     def index(self, label: str) -> int:
         """Translate a 1-based label (v3, v3', v*, or bare 3) to an index."""
-        text = label.strip()
-        if not text:
-            raise ValueError("empty vertex label")
-        if text in ("v*", "V*", "*"):
-            want = (APEX, 0)
-        else:
-            body = text[1:] if text[0] in "vV" else text
-            prime = body.endswith("'")
-            if prime:
-                body = body[:-1]
-            if not body.isdigit():
-                raise ValueError(f"bad vertex label: {label!r}")
-            k = int(body)
-            if k < 1:
-                raise ValueError(f"vertex labels are 1-based: {label!r}")
-            want = (COPY if prime else BASE, k - 1)
-        if self._indices is None:
-            indices = {}
-            for i, role in enumerate(self.roles):
-                indices.setdefault((role.kind, role.ref), i)
-            object.__setattr__(self, "_indices", indices)
-        i = self._indices.get(want)
+        table = self._indices
+        if table is None:
+            table = _label_table(self.roles)
+            object.__setattr__(self, "_indices", table)
+        i = table.get(label)
         if i is None:
-            raise ValueError(f"no vertex labelled {label!r} in this graph")
+            i = table.get(_label_key(label))
+            if i is None:
+                raise ValueError(f"no vertex labelled {label!r} in this graph")
         return i
 
     def is_complete(self) -> bool:
         full = (1 << self.n) - 1
         return all(self.adj[u] == full ^ (1 << u) for u in range(self.n))
+
+
+def _label_key(label: str) -> tuple[str, int]:
+    """The (kind, ref) that a label names: v*, V* or * the apex, vK, VK or
+    K (ASCII digits, K >= 1) base vertex K-1, and with a trailing ' its copy."""
+    text = label.strip()
+    if not text:
+        raise ValueError("empty vertex label")
+    if text in ("v*", "V*", "*"):
+        return (APEX, 0)
+    body = text[1:] if text[0] in "vV" else text
+    prime = body.endswith("'")
+    if prime:
+        body = body[:-1]
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"bad vertex label: {label!r}")
+    k = int(body)
+    if k < 1:
+        raise ValueError(f"vertex labels are 1-based: {label!r}")
+    return (COPY if prime else BASE, k - 1)
+
+
+# id(roles) -> (roles, label table) for the most recently used roles tuples;
+# the entry holds its tuple, which keeps its id from being reused while it lives
+_label_tables: dict[int, tuple[tuple[Role, ...], dict]] = {}
+_LABEL_TABLES_KEPT = 256
+
+
+def _label_table(roles: tuple[Role, ...]) -> dict[tuple[str, int] | str, int]:
+    """Label table of one roles tuple: the first vertex of each (kind, ref),
+    and the same vertex under the canonical text (v3, v3', v*) that
+    ``_label_key`` reads as that key, where there is one.  A canonical label
+    then costs ``Graph.index`` one lookup; any other spelling is parsed.
+    Found by identity, so a tuple is read once while its table is kept."""
+    kept = _label_tables.pop(id(roles), None)
+    if kept is None:
+        table: dict[tuple[str, int] | str, int] = {}
+        for i, role in enumerate(roles):
+            table.setdefault((role.kind, role.ref), i)
+        for (kind, ref), i in list(table.items()):
+            if not isinstance(ref, int):
+                continue
+            if kind == APEX and ref == 0:
+                table["v*"] = i
+            elif kind in (BASE, COPY) and ref >= 0:
+                table[f"v{ref + 1}'" if kind == COPY else f"v{ref + 1}"] = i
+        kept = (roles, table)
+        if len(_label_tables) >= _LABEL_TABLES_KEPT:
+            del _label_tables[next(iter(_label_tables))]
+    _label_tables[id(roles)] = kept
+    return kept[1]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -160,7 +212,8 @@ class VertexSet:
     def of(n: int, vertices: Iterable[int]) -> "VertexSet":
         m = 0
         for v in vertices:
-            require_vertices(n, v)
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} out of range for order {n}")
             m |= 1 << v
         return VertexSet(n, m)
 
@@ -241,7 +294,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], roles=None) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     if roles is None:
-        roles = tuple(base_role(i) for i in range(n))
+        roles = layout_roles(n)
     else:
         roles = tuple(roles)
         if len(roles) != n:
@@ -416,7 +469,7 @@ def graph_from_edge_list_text(text: str) -> Graph:
     if not rows:
         raise ValueError("empty edge-list input")
     head = rows[0].split()
-    if len(head) != 2 or not all(tok.lstrip("-").isdigit() for tok in head):
+    if len(head) != 2 or not all(tok.isascii() and tok.removeprefix("-").isdigit() for tok in head):
         raise ValueError(f"bad edge-list header: {rows[0]!r}")
     n, m = int(head[0]), int(head[1])
     if len(rows) - 1 != m:
@@ -424,7 +477,7 @@ def graph_from_edge_list_text(text: str) -> Graph:
     edges = []
     for line in rows[1:]:
         parts = line.split()
-        if len(parts) != 2 or not all(tok.isdigit() for tok in parts):
+        if len(parts) != 2 or not all(tok.isascii() and tok.isdigit() for tok in parts):
             raise ValueError(f"bad edge line: {line!r}")
         u, v = int(parts[0]), int(parts[1])
         if not (1 <= u <= n and 1 <= v <= n):

@@ -96,3 +96,32 @@ def oracle_max_sets(g, d, kind: PropertyKind) -> list[tuple[int, ...]]:
 
 def random_subset(rng: random.Random, n: int) -> list[int]:
     return [i for i in range(n) if rng.random() < 0.5]
+
+
+def label_index(roles, label: str) -> int:
+    """The vertex that ``label`` names among ``roles``, parsed and looked up
+    the long way on every call (the first vertex of each (kind, ref) wins),
+    as ``Graph.index`` did before it shared one label table per layout."""
+    text = label.strip()
+    if not text:
+        raise ValueError("empty vertex label")
+    if text in ("v*", "V*", "*"):
+        want = ("apex", 0)
+    else:
+        body = text[1:] if text[0] in "vV" else text
+        prime = body.endswith("'")
+        if prime:
+            body = body[:-1]
+        if not body.isdigit():
+            raise ValueError(f"bad vertex label: {label!r}")
+        k = int(body)
+        if k < 1:
+            raise ValueError(f"vertex labels are 1-based: {label!r}")
+        want = ("copy" if prime else "base", k - 1)
+    indices = {}
+    for i, role in enumerate(roles):
+        indices.setdefault((role.kind, role.ref), i)
+    i = indices.get(want)
+    if i is None:
+        raise ValueError(f"no vertex labelled {label!r} in this graph")
+    return i

@@ -195,6 +195,10 @@ def test_nested_operators():
     assert g.n == 10  # D of a 5-vertex graph
     h = parse_graph_spec("myc(double(path:2))")
     assert h.n == 9
+    # whitespace is skipped around the spec, after '(' and before ')'
+    for spaced in ("double(cycle:5 )", "double( cycle:5)", " double( cycle:5 ) "):
+        assert parse_graph_spec(spaced) == parse_graph_spec("double(cycle:5)")
+    assert parse_graph_spec(" myc( double( path:2 )\t) ") == h
 
 
 def test_file_atom(tmp_path):
@@ -228,6 +232,11 @@ def test_file_atom(tmp_path):
         "path:3)",
         "double(path:3)x",
         "myc(path:3),",
+        # parameters are ASCII digits only
+        "cycle:\u0665",
+        "cycle:\u00b2",
+        "kbip:\u0662,3",
+        "kbip:2,\u0663",
     ],
 )
 def test_grammar_rejects(bad):

@@ -9,6 +9,9 @@ import pytest
 
 from gpvis import (
     UNREACHABLE,
+    FormulaId,
+    Graph,
+    Role,
     VertexSet,
     all_pairs_distances,
     apex_role,
@@ -24,10 +27,17 @@ from gpvis import (
     read_edge_list_file,
     require_connected,
 )
-from gpvis.graphs import role_symmetries
+from gpvis.graphs import (
+    APEX,
+    BASE,
+    _LABEL_TABLES_KEPT,
+    _label_tables,
+    layout_roles,
+    role_symmetries,
+)
 from gpvis.report import corpus_graphs
 
-from oracles import all_geodesics
+from oracles import all_geodesics, label_index
 
 
 def path_graph(n):
@@ -106,6 +116,122 @@ def test_operator_roles_and_labels():
     assert mg.label(4) == "v*"
     assert mg.index("v1'") == 2
     assert mg.index("v*") == 4
+
+
+# every spec of the check-set stream that the verify benchmark replays
+VERIFY_POOL = tuple(
+    f"{op}({fam}:{n})" for op in ("double", "myc") for fam in ("path", "cycle")
+    for n in range(6, 13)
+) + ("double(balloon:2)", "myc(balloon:2)", "double(kbip:5,6)", "myc(kbip:5,6)")
+
+SPELLINGS = ("v3", "V3", "3", " v3 ", "v3'", "v*", "V*", "*", "v0", "v99", "")
+
+
+def relabelled(g, seed):
+    """``g`` with its vertices permuted, roles moving with them, built
+    directly as a caller-given roles tuple."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    roles = [None] * g.n
+    for v, p in enumerate(perm):
+        roles[p] = g.roles[v]
+    adj = [0] * g.n
+    for u, v in g.edges():
+        adj[perm[u]] |= 1 << perm[v]
+        adj[perm[v]] |= 1 << perm[u]
+    return Graph(g.n, tuple(adj), tuple(roles))
+
+
+def label_outcome(find, label):
+    try:
+        return find(label)
+    except Exception as exc:  # the type and message are what is compared
+        return (type(exc), str(exc))
+
+
+def test_label_tables_answer_as_the_parser():
+    """One dictionary lookup for a canonical label, the parser for any other
+    spelling: every label gives the index, or the exception type and
+    message, that parsing it and scanning the roles gives."""
+    graphs = [parse_graph_spec(spec) for spec in VERIFY_POOL]
+    for formula in FormulaId:
+        for family in formula.families:
+            for p in family.params:
+                graphs.append(family.graph(p) if family.graph
+                              else parse_graph_spec(family.spec.format(**p)))
+    myc = parse_graph_spec("myc(cycle:7)")
+    graphs += [relabelled(myc, 5), build_graph(4, [(0, 1)], [base_role(0)] * 4)]
+    odd = [Role(APEX, 5), Role(BASE, -1), base_role(2), copy_role(2), base_role(2),
+           apex_role(), Role("shadow", 2), copy_role(-1)]
+    graphs += [build_graph(len(odd), [], odd), build_graph(3, [], odd[:3])]
+    for g in graphs:
+        labels = SPELLINGS + tuple(g.label(v) for v in range(g.n))
+        # twice: the lookup that builds or finds the table, then one that reads it
+        for label in labels + labels:
+            want = label_outcome(lambda text: label_index(g.roles, text), label)
+            assert label_outcome(g.index, label) == want, (g.roles, label)
+    # the odd roles: v0 and v* name no vertex, though two roles call themselves so
+    g = graphs[-2]
+    assert [g.label(v) for v in (0, 1)] == ["v*", "v0"]
+    assert g.index("v3") == 2 and g.index("v3'") == 3 and g.index("*") == 5
+    for label, message in (("v0", "1-based"), ("v2", "no vertex"), ("v0'", "1-based")):
+        with pytest.raises(ValueError, match=message):
+            g.index(label)
+
+
+def test_labels_take_ascii_digits_only():
+    g = parse_graph_spec("cycle:5")
+    for label in ("v\u0663", "\u0663", "v\u00b2", "v\u0663'"):
+        with pytest.raises(ValueError, match="bad vertex label"):
+            g.index(label)
+
+
+def test_graphs_of_one_shape_share_their_layout():
+    for spec in ("double(cycle:5)", "myc(path:6)", "kbip:2,3"):
+        g, h = parse_graph_spec(spec), parse_graph_spec(spec)
+        assert g is not h and g == h and hash(g) == hash(h) and repr(g) == repr(h)
+        assert g.roles is h.roles
+        # the shared layout equals roles built one by one, so graphs compare,
+        # hash and print as they did when each made its own
+        fresh = Graph(g.n, g.adj, tuple(Role(r.kind, r.ref) for r in g.roles))
+        assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g)
+        assert g.index("v2") == h.index("v2") == 1
+        assert g._indices is h._indices
+        assert fresh.index("v2") == 1 and fresh._indices is not g._indices
+    # the base block of D(G) and M(G) is G's own layout, Role instances included
+    base, dbl, myc = layout_roles(4), layout_roles(4, "double"), layout_roles(4, "myc")
+    assert base is parse_graph_spec("path:4").roles
+    assert dbl is parse_graph_spec("double(cycle:4)").roles
+    assert myc is parse_graph_spec("myc(star:4)").roles
+    assert all(a is b for a, b in zip(base, dbl)) and all(a is b for a, b in zip(dbl, myc))
+    assert [r.label() for r in myc] == ["v1", "v2", "v3", "v4", "v1'", "v2'", "v3'", "v4'", "v*"]
+    with pytest.raises(ValueError):
+        layout_roles(4, "triple")
+
+
+def test_layout_caches_stay_bounded():
+    layout_roles.cache_clear()
+    _label_tables.clear()
+    shapes = layout_roles.cache_info().maxsize + 10
+    tables = _LABEL_TABLES_KEPT + 10
+    graphs = [build_graph(n, []) for n in range(1, shapes + 1)]
+    assert layout_roles.cache_info().currsize <= layout_roles.cache_info().maxsize
+    # the first shape was evicted: a new graph of it gets an equal, new tuple
+    again = build_graph(1, [])
+    assert again == graphs[0] and again.roles is not graphs[0].roles
+    myc = parse_graph_spec("myc(cycle:5)")
+    relabels = [relabelled(myc, seed) for seed in range(tables)]
+    for g in relabels:
+        assert g.index("v*") == g.roles.index(apex_role())
+    assert len(_label_tables) == _LABEL_TABLES_KEPT
+    # an evicted table stays on its graph; a new graph over the tuple rebuilds it
+    first = relabels[0]
+    kept = first._indices
+    assert first.index("v1'") == first.roles.index(copy_role(0))
+    assert first._indices is kept
+    twin = Graph(first.n, first.adj, first.roles)
+    assert twin.index("v1'") == first.index("v1'") and twin._indices is not kept
+    assert twin._indices == kept
 
 
 def test_role_sort_order():
@@ -385,6 +511,10 @@ def test_edge_list_errors():
         graph_from_edge_list_text("3 1\n0 1\n")  # vertices are 1-based
     with pytest.raises(ValueError):
         graph_from_edge_list_text("3 1\n1 4\n")
+    # numbers are ASCII digits, one sign at most in the header
+    for text in ("2 1\n1 \u0662\n", "\u0662 1\n1 2\n", "2 1\n1 \u00b2\n", "--3 1\n1 2\n"):
+        with pytest.raises(ValueError, match="bad edge"):
+            graph_from_edge_list_text(text)
 
 
 def test_is_complete():

@@ -342,6 +342,9 @@ def test_cli_error_handling(capsys):
     assert err.startswith("error:")
     rc = main(["check-set", "path:4", "--kind", "mv", "--set", "v9"])
     assert rc == 2
+    # an Arabic-Indic three is not v3, nor a five the order of C5
+    assert main(["check-set", "cycle:5", "--kind", "mv", "--set", "v\u0663"]) == 2
+    assert main(["gen", "cycle:\u0665"]) == 2
     rc = main(["invariant", "path:4", "--kind", "nope"])
     assert rc == 2
 
