@@ -618,7 +618,12 @@ def set_ok(n, adj, dist, mask, kind):
     notes)."""
     record = _checked(n, adj, dist)
     _check_mask(mask, n, "mask")
-    members = list(_bits(mask))
+    members = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        members.append(low.bit_length() - 1)
+        rest ^= low
     if kind == GP:
         # each triple once: the three-way "between" test is symmetric
         for i, u in enumerate(members):

@@ -158,15 +158,33 @@ _OPERATORS = {"double": double_graph, "myc": mycielskian}
 
 def parse_graph_spec(text: str) -> Graph:
     """Parse the mini-grammar: atoms like ``cycle:7``, operators
-    ``double(...)`` and ``myc(...)`` nesting freely, and ``file:<path>``."""
-    graph, pos = _parse_expr(text, 0)
+    ``double(...)`` and ``myc(...)`` nesting freely, and ``file:<path>``.
+    Whitespace may stand around the spec, around an operator's parentheses,
+    and after ``:`` and ``,``.  At top level a ``file:`` path runs to the end
+    of the text; inside an operator it ends at the ``)`` that closes the
+    operator, so parentheses in a path must pair up there."""
+    graph, pos = _parse_expr(text, 0, False)
     rest = text[pos:].strip()
     if rest:
         raise GraphSpecError(f"trailing input {rest!r}", pos)
     return graph
 
 
-def _parse_expr(text: str, pos: int) -> tuple[Graph, int]:
+def _path_end(text: str, pos: int) -> int:
+    """Where a path from ``pos`` inside an operator ends: at the first ``)``
+    that no ``(`` of the path opened, or at the end of the text."""
+    depth = 0
+    for end in range(pos, len(text)):
+        if text[end] == "(":
+            depth += 1
+        elif text[end] == ")":
+            if not depth:
+                return end
+            depth -= 1
+    return len(text)
+
+
+def _parse_expr(text: str, pos: int, nested: bool) -> tuple[Graph, int]:
     while pos < len(text) and text[pos].isspace():
         pos += 1
     start = pos
@@ -175,10 +193,13 @@ def _parse_expr(text: str, pos: int) -> tuple[Graph, int]:
     name = text[start:pos]
     if not name:
         raise GraphSpecError("expected a family or operator name", start)
-    if pos < len(text) and text[pos] == "(":
+    paren = pos
+    while paren < len(text) and text[paren].isspace():
+        paren += 1
+    if paren < len(text) and text[paren] == "(":
         if name not in _OPERATORS:
             raise GraphSpecError(f"unknown operator {name!r}", start)
-        inner, pos = _parse_expr(text, pos + 1)
+        inner, pos = _parse_expr(text, paren + 1, True)
         while pos < len(text) and text[pos].isspace():
             pos += 1
         if pos >= len(text) or text[pos] != ")":
@@ -188,8 +209,7 @@ def _parse_expr(text: str, pos: int) -> tuple[Graph, int]:
         raise GraphSpecError(f"expected ':' after {name!r}", pos)
     pos += 1
     if name == "file":
-        end = text.find(")", pos)
-        end = len(text) if end == -1 else end
+        end = _path_end(text, pos) if nested else len(text)
         path = text[pos:end].strip()
         if not path:
             raise GraphSpecError("file spec needs a path", pos)
@@ -202,6 +222,8 @@ def _parse_expr(text: str, pos: int) -> tuple[Graph, int]:
         if k:
             if pos >= len(text) or text[pos] != ",":
                 raise GraphSpecError("expected ','", pos)
+            pos += 1
+        while pos < len(text) and text[pos].isspace():
             pos += 1
         dstart = pos
         while pos < len(text) and "0" <= text[pos] <= "9":

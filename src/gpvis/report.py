@@ -28,7 +28,7 @@ from .families import (
     parse_graph_spec,
 )
 from .graphs import Graph, VertexSet, all_pairs_distances, build_graph
-from .solver import check_time_limit, enumerate_maximum_sets, max_property_set
+from .solver import InvariantResult, check_time_limit, enumerate_maximum_sets, max_property_set
 from .visibility import (
     PropertyKind,
     is_general_position_set,
@@ -347,7 +347,7 @@ class _Suite:
     # aggregate bodies
 
     def _gp_sandwich_violations(self, gp_pairs) -> tuple[int, str]:
-        viol = sum(1 for gp_g, _, gp_d in gp_pairs if not gp_g <= gp_d <= 2 * gp_g)
+        viol = sum(1 for gp_g, _, best in gp_pairs if not gp_g <= best.value <= 2 * gp_g)
         return viol, ""
 
     def _double_lower_bound_violations(self, graphs) -> tuple[int, str]:
@@ -380,17 +380,16 @@ class _Suite:
 
     def _oracle_mismatches(self, graphs) -> tuple[int, str]:
         pool = [g for g in graphs if g.n <= 7] + _oracle_family_graphs()
-        mism = 0
-        subsets = 0
+        mism = subsets = 0
         for g in pool:
+            n = g.n
             d = all_pairs_distances(g)
-            for mask in range(1 << g.n):
-                s = VertexSet(g.n, mask)
-                a = is_general_position_set(g, d, s)
+            for mask in range(1 << n):
+                s = VertexSet(n, mask)
                 b, wit = is_general_position_set_via_characterization(g, d, s)
-                if a != b or (b and wit is None):
+                if is_general_position_set(g, d, s) != b or (b and wit is None):
                     mism += 1
-                subsets += 1
+            subsets += 1 << n
         return mism, f"{subsets} subsets over {len(pool)} graphs"
 
     def _false_twin_violations(self) -> tuple[int, str]:
@@ -445,12 +444,12 @@ class _Suite:
 
     def _equality_structure_violations(self, graphs, gp_pairs) -> tuple[int, str]:
         viol = checked = 0
-        for g, (gp_g, dg, gp_d) in zip(graphs, gp_pairs):
-            if dg.n > 14 or gp_d != 2 * gp_g:
+        for g, (gp_g, dg, best) in zip(graphs, gp_pairs):
+            if dg.n > 14 or best.value != 2 * gp_g:
                 continue
             checked += 1
             base_mask = (1 << g.n) - 1
-            for s in enumerate_maximum_sets(dg, PropertyKind.GP):
+            for s in enumerate_maximum_sets(dg, PropertyKind.GP, best=best):
                 bases = s.mask & base_mask
                 copies = s.mask >> g.n
                 if bases != copies:
@@ -490,13 +489,13 @@ def _witness_rows(row: FormulaId, ns=None) -> list:
     ]
 
 
-def _gp_pairs(graphs) -> list[tuple[int, Graph, int]]:
-    """(gp(G), D(G), gp(D(G))) for each corpus graph G."""
+def _gp_pairs(graphs) -> list[tuple[int, Graph, InvariantResult]]:
+    """(gp(G), D(G), the exact gp solve of D(G)) for each corpus graph G."""
     out = []
     for g in graphs:
         dg = double_graph(g)
         out.append((max_property_set(g, PropertyKind.GP).value, dg,
-                    max_property_set(dg, PropertyKind.GP).value))
+                    max_property_set(dg, PropertyKind.GP)))
     return out
 
 

@@ -137,17 +137,35 @@ def greedy_lower_bound(g: Graph, kind: PropertyKind) -> VertexSet:
     return s
 
 
-def enumerate_maximum_sets(g: Graph, kind: PropertyKind) -> list[VertexSet]:
+def enumerate_maximum_sets(
+    g: Graph, kind: PropertyKind, *, best: InvariantResult | None = None
+) -> list[VertexSet]:
     """All maximum sets of the kind, sorted lexicographically by members.
 
     Exhaustive regime only: orders above ENUMERATION_CAP are rejected.
+    ``best``, the caller's exact ``max_property_set`` result for ``g``
+    and this kind, spares solving the maximum again.  A result of another
+    kind or order, one that is not exact, or one whose witness is not a
+    set of the kind with ``value`` members in ``g`` is rejected.
     """
     if g.n > ENUMERATION_CAP:
         raise ValueError(
             f"enumeration is capped at order {ENUMERATION_CAP}, got {g.n}"
         )
-    best = max_property_set(g, kind)
     d = all_pairs_distances(g)
+    if best is None:
+        best = max_property_set(g, kind)
+    else:
+        if best.kind is not kind or not best.exact:
+            raise ValueError(
+                f"enumeration needs an exact {kind.value} result, "
+                f"got a {best.kind.value} {best.status} result"
+            )
+        require_order(g, best.witness)
+        if len(best.witness) != best.value or not is_property_set(g, d, best.witness, kind):
+            raise ValueError(
+                f"the given witness is not a {kind.value} set of size {best.value} in this graph"
+            )
     masks = pure.enumerate_exact(g.n, g.adj, d.data, kind.code, best.value)
     sets = [VertexSet(g.n, m) for m in masks]
     for s in sets:

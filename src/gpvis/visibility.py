@@ -13,6 +13,14 @@ All four are hereditary, and TotalMV implies OuterMV implies MV.
 
 The verifiers take the graph's distance matrix ``d`` and raise
 ValueError when it is not the one ``all_pairs_distances(g)`` gives.
+
+The GP characterization (Anand, Chandran S. V., Changat, Klavžar and
+Thomas, Appl. Math. Comput. 2019) is an oracle for the kernels' triple
+test and shares no code with them.  It works on bitmasks: the
+components of G[S] come from a BFS over ``g.adj`` restricted to S, a
+component ``comp`` is a clique when ``comp & ~(adj[u] | 1 << u)`` is
+empty for each member u, and the block distances are read from
+``d.data``.
 """
 
 from __future__ import annotations
@@ -66,8 +74,7 @@ def is_property_set(
     require_own_distances(g, d)
     require_connected(d)
     require_order(g, s)
-    kernel = get_kernel(g.n)
-    return kernel.set_ok(g.n, g.adj, d.data, s.mask, kind.code)
+    return get_kernel(g.n).set_ok(g.n, g.adj, d.data, s.mask, _CODES[kind])
 
 
 def is_mutual_visibility_set(g: Graph, d: DistanceMatrix, s: VertexSet) -> bool:
@@ -100,64 +107,64 @@ def is_general_position_set_via_characterization(
     """Decide GP via the structure of G[S]: the components must be cliques
     whose blocks form a distance-constant partition with no block distance
     equal to the sum through a third block (in-transitivity, taken over
-    pairwise-distinct block triples)."""
+    pairwise-distinct block triples).  The blocks are listed by their
+    lowest member."""
     require_own_distances(g, d)
     require_connected(d)
     require_order(g, s)
-    members = s.members()
-    blocks = _induced_components(g, members)
-    for block in blocks:
-        for i, u in enumerate(block):
-            for v in block[i + 1 :]:
-                if not g.has_edge(u, v):
-                    return False, None
+    n, adj, data, smask = g.n, g.adj, d.data, s.mask
+    blocks = []  # component masks
+    members = []  # the members of each block, ascending
+    rest = smask
+    while rest:
+        comp = 0
+        frontier = rest & -rest
+        while frontier:
+            comp |= frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & smask & ~comp
+        rest &= ~comp
+        block = []
+        m = comp
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            if comp & ~(adj[u] | low):
+                return False, None
+            block.append(u)
+            m ^= low
+        blocks.append(comp)
+        members.append(block)
     p = len(blocks)
     bd = [[0] * p for _ in range(p)]
     for i in range(p):
+        bi = members[i]
         for j in range(i + 1, p):
-            vals = {d.d(u, v) for u in blocks[i] for v in blocks[j]}
-            if len(vals) != 1:
-                return False, None
-            bd[i][j] = bd[j][i] = vals.pop()
+            bj = members[j]
+            dist = data[bi[0] * n + bj[0]]
+            for u in bi:
+                du = u * n
+                for v in bj:
+                    if data[du + v] != dist:
+                        return False, None
+            bd[i][j] = bd[j][i] = dist
+    # bd is symmetric, so the triple (i, j, k) is the triple (k, j, i)
     for i in range(p):
-        for j in range(p):
-            if j == i:
-                continue
-            for k in range(p):
-                if k == i or k == j:
-                    continue
-                if bd[i][k] == bd[i][j] + bd[j][k]:
+        row = bd[i]
+        for k in range(i + 1, p):
+            dik = row[k]
+            for j in range(p):
+                if j != i and j != k and dik == row[j] + bd[j][k]:
                     return False, None
     witness = PartitionWitness(
-        tuple(VertexSet.of(g.n, block) for block in blocks),
-        tuple(tuple(row) for row in bd),
+        tuple(VertexSet(n, comp) for comp in blocks),
+        tuple(map(tuple, bd)),
     )
     return True, witness
-
-
-def _induced_components(g: Graph, members: tuple[int, ...]) -> list[list[int]]:
-    smask = 0
-    for v in members:
-        smask |= 1 << v
-    seen = 0
-    comps = []
-    for v in members:
-        if seen >> v & 1:
-            continue
-        comp_mask = 0
-        frontier = 1 << v
-        while frontier:
-            comp_mask |= frontier
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= g.adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & smask & ~comp_mask
-        seen |= comp_mask
-        comps.append([u for u in members if comp_mask >> u & 1])
-    return comps
 
 
 def find_false_twins(g: Graph) -> list[tuple[int, int]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from gpvis import DistanceMatrix, Graph, PropertyKind
+from gpvis import DistanceMatrix, Graph, PartitionWitness, PropertyKind, VertexSet
 
 
 def all_geodesics(g: Graph, d: DistanceMatrix, u: int, v: int) -> list[tuple[int, ...]]:
@@ -125,3 +125,57 @@ def label_index(roles, label: str) -> int:
     if i is None:
         raise ValueError(f"no vertex labelled {label!r} in this graph")
     return i
+
+
+def gp_characterization(g: Graph, d: DistanceMatrix, s: VertexSet):
+    """``is_general_position_set_via_characterization`` as it was written
+    before it moved to bitmasks (without its input checks): components of
+    G[S] from member tuples, the clique test by ``has_edge``, each block
+    distance as the one value of a set of ``d.d`` lookups."""
+    members = s.members()
+    smask = s.mask
+    seen = 0
+    blocks = []
+    for v in members:
+        if seen >> v & 1:
+            continue
+        comp_mask = 0
+        frontier = 1 << v
+        while frontier:
+            comp_mask |= frontier
+            nxt = 0
+            m = frontier
+            while m:
+                low = m & -m
+                nxt |= g.adj[low.bit_length() - 1]
+                m ^= low
+            frontier = nxt & smask & ~comp_mask
+        seen |= comp_mask
+        blocks.append([u for u in members if comp_mask >> u & 1])
+    for block in blocks:
+        for i, u in enumerate(block):
+            for v in block[i + 1 :]:
+                if not g.has_edge(u, v):
+                    return False, None
+    p = len(blocks)
+    bd = [[0] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            vals = {d.d(u, v) for u in blocks[i] for v in blocks[j]}
+            if len(vals) != 1:
+                return False, None
+            bd[i][j] = bd[j][i] = vals.pop()
+    for i in range(p):
+        for j in range(p):
+            if j == i:
+                continue
+            for k in range(p):
+                if k == i or k == j:
+                    continue
+                if bd[i][k] == bd[i][j] + bd[j][k]:
+                    return False, None
+    witness = PartitionWitness(
+        tuple(VertexSet.of(g.n, block) for block in blocks),
+        tuple(tuple(row) for row in bd),
+    )
+    return True, witness

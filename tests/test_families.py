@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
@@ -209,6 +210,53 @@ def test_file_atom(tmp_path):
     assert sorted(h.edges()) == sorted(g.edges())
     dd = parse_graph_spec(f"double(file:{p})")
     assert dd.n == 12
+
+
+def test_file_path_may_hold_parentheses(tmp_path):
+    g = parse_graph_spec("cycle:6")
+    text = graph_to_edge_list_text(g)
+    paired = tmp_path / "a(b).txt"
+    paired.write_text(text)
+    unpaired = tmp_path / "c)d.txt"
+    unpaired.write_text(text)
+    # at top level the path runs to the end of the text
+    for p in (paired, unpaired):
+        assert parse_graph_spec(f"file:{p}") == g
+        assert parse_graph_spec(f"file: {p} ") == g
+    # inside operators it ends at the ')' that closes its operator
+    assert parse_graph_spec(f"double(file:{paired})") == double_graph(g)
+    assert parse_graph_spec(f"myc(double( file:{paired} ))") == mycielskian(double_graph(g))
+    # an unpaired ')' closes the operator, so the path is cut short
+    with pytest.raises(FileNotFoundError, match=re.escape(f"{tmp_path / 'c'}'")):
+        parse_graph_spec(f"double(file:{unpaired})")
+    with pytest.raises(GraphSpecError, match="trailing input"):
+        parse_graph_spec(f"double(file:{paired}))")
+
+
+def test_whitespace_after_operator_name_colon_and_comma():
+    assert parse_graph_spec("double (cycle:5)") == parse_graph_spec("double(cycle:5)")
+    assert parse_graph_spec("myc\t( double (path: 2))") == parse_graph_spec("myc(double(path:2))")
+    assert parse_graph_spec("cycle: 5") == parse_graph_spec("cycle:5")
+    assert parse_graph_spec("kbip:2, 3") == parse_graph_spec("kbip:2,3")
+    assert parse_graph_spec("kbip: 2,\t3 ") == parse_graph_spec("kbip:2,3")
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("path: x", "expected an integer parameter"),
+        ("kbip:2, ", "expected an integer parameter"),
+        ("cycle :5", "expected ':' after 'cycle'"),
+        ("kbip:2 ,3", "expected ','"),
+        ("double (", "expected a family or operator name"),
+        ("double ", "expected ':' after 'double'"),
+        ("bogus (path:3)", "unknown operator 'bogus'"),
+        ("double(file: )", "file spec needs a path"),
+    ],
+)
+def test_whitespace_leaves_real_errors_as_they_were(bad, message):
+    with pytest.raises(GraphSpecError, match=re.escape(message)):
+        parse_graph_spec(bad)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -14,10 +15,13 @@ from gpvis import (
     PropertyKind,
     build_graph,
     corpus_graphs,
+    double_graph,
+    enumerate_maximum_sets,
     max_property_set,
     parse_graph_spec,
     report,
     run_verification_suite,
+    solver,
     witnesses,
 )
 from gpvis.cli import main
@@ -221,6 +225,34 @@ def test_bounds_seed_every_mv_solve_and_solve_each_gp_once(monkeypatch):
     gp = [adj for adj, kind, _ in calls if kind == PropertyKind.GP]
     assert mv and all(start is not None for _, start in mv)
     assert len(gp) == len(set(gp)) == 2 * CORPUS_SIZE
+
+
+def test_bounds_solve_each_double_graph_once(monkeypatch):
+    """gp_equality_structure enumerates the maximum GP sets of D(G) from the
+    solve that gp_double_sandwich made, so each D(G) is solved once."""
+    calls = recording_solves(monkeypatch)
+    monkeypatch.setattr(solver, "max_property_set", report.max_property_set)
+    checks = {c.name: c for c in run_verification_suite("bounds", seed=DEFAULT_CORPUS_SEED).checks}
+    assert checks["gp_equality_structure"].status == "pass"
+    assert not checks["gp_equality_structure"].note.startswith("0 ")
+    doubles = {double_graph(g).adj for g in corpus_graphs(DEFAULT_CORPUS_SEED)}
+    gp = [adj for adj, kind, _ in calls if kind == PropertyKind.GP and adj in doubles]
+    assert len(gp) == len(set(gp)) == len(doubles)
+
+
+def test_enumeration_takes_the_callers_result():
+    g = parse_graph_spec("double(path:3)")
+    best = max_property_set(g, PropertyKind.GP)
+    assert enumerate_maximum_sets(g, PropertyKind.GP, best=best) == enumerate_maximum_sets(
+        g, PropertyKind.GP
+    )
+    smaller = replace(best, witness=best.witness.without_vertex(best.witness.members()[0]))
+    mv = max_property_set(g, PropertyKind.MV)
+    other = max_property_set(parse_graph_spec("double(cycle:3)"), PropertyKind.GP)
+    bound = max_property_set(g, PropertyKind.GP, target=1)
+    for bad in (smaller, mv, other, bound):
+        with pytest.raises(ValueError):
+            enumerate_maximum_sets(g, PropertyKind.GP, best=bad)
 
 
 def test_a_seed_that_raises_fails_its_check(monkeypatch):

@@ -13,6 +13,7 @@ from gpvis import (
     VertexSet,
     all_pairs_distances,
     build_graph,
+    corpus_graphs,
     double_graph,
     exists_avoiding_geodesic,
     false_twin_swap,
@@ -27,8 +28,10 @@ from gpvis import (
     parse_graph_spec,
     true_twin_extend,
 )
+from gpvis import _kernel, graphs, visibility
+from gpvis.report import _oracle_family_graphs
 
-from oracles import oracle_property_ok, random_subset
+from oracles import gp_characterization, oracle_property_ok, random_subset
 
 ALL_KINDS = list(PropertyKind)
 
@@ -181,6 +184,47 @@ def test_gp_characterization_witness_structure():
                 == witness.block_distances[j][i]
                 > 0
             )
+
+
+def oracle_sweep_graphs():
+    """The graphs of order at most 7 in corpus seeds 0-7, then the oracle
+    check's named families: the pool that ``gp_oracle_equivalence`` sweeps."""
+    pool = [g for seed in range(8) for g in corpus_graphs(seed) if g.n <= 7]
+    return pool + _oracle_family_graphs()
+
+
+def test_gp_characterization_matches_frozen_copy():
+    # same verdict and an equal witness on every subset, blocks in the same order
+    subsets = 0
+    for g in oracle_sweep_graphs():
+        d = all_pairs_distances(g)
+        for mask in range(1 << g.n):
+            s = VertexSet(g.n, mask)
+            assert is_general_position_set_via_characterization(g, d, s) == gp_characterization(
+                g, d, s
+            ), (g.adj, mask)
+            subsets += 1
+    assert subsets > 20000
+
+
+def test_gp_characterization_runs_without_the_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the characterization called into the kernel")
+
+    backends = [_kernel.pure] + ([_kernel.fast] if _kernel.fast is not None else [])
+    for backend in backends:
+        for name in ("set_ok", "extend_ok", "pair_visible", "greedy_set", "solve_max"):
+            monkeypatch.setattr(backend, name, refuse)
+    for module in (_kernel, graphs, visibility):
+        monkeypatch.setattr(module, "get_kernel", refuse)
+    c4 = parse_graph_spec("cycle:4")
+    with pytest.raises(AssertionError, match="kernel"):
+        is_general_position_set(c4, all_pairs_distances(c4), VertexSet.of(4, [0, 1]))
+    for g in oracle_sweep_graphs()[-12:]:
+        d = all_pairs_distances(g)
+        for mask in range(1 << g.n):
+            s = VertexSet(g.n, mask)
+            assert is_general_position_set_via_characterization(g, d, s) == gp_characterization(g, d, s)
 
 
 def test_find_false_twins_in_double():
