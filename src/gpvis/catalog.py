@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .families import FamilySpec, double_graph, generate, mycielskian, wheel_graph
-from .graphs import Graph, VertexSet
+from .families import parse_graph_spec
+from .graphs import VertexSet
 from .visibility import PropertyKind
 
 
@@ -26,17 +26,15 @@ from .visibility import PropertyKind
 class Family:
     """Suite checks on one graph family, one per parameter dict.
 
-    ``name`` and ``spec`` are ``str.format`` templates.  ``graph`` builds
-    graphs the spec grammar cannot express (``spec`` then describes
-    them).  ``witness`` builds the paper's construction of a set of the
-    row's value in the family's graph, with no solve.  Both call their
-    builders by name, so they resolve at call time.
+    ``name`` and ``spec`` are ``str.format`` templates; the spec names
+    the graph of each check.  ``witness`` builds the paper's construction
+    of a set of the row's value in the family's graph, with no solve; it
+    calls its builder by name, so the builder resolves at call time.
     """
 
     name: str
     spec: str
     params: tuple[dict[str, int], ...]
-    graph: Callable[[dict[str, int]], Graph] | None = None
     witness: Callable[[dict[str, int]], VertexSet] | None = None
 
 
@@ -47,30 +45,21 @@ def _ns(values) -> tuple[dict[str, int], ...]:
 # K_{1,m} and W_m have order n = m + 1 and the universal vertex v1
 _STARS = tuple({"m": m, "n": m + 1} for m in range(2, 6))
 _WHEELS = tuple({"m": m, "n": m + 1} for m in range(4, 7))
-_WHEEL = "W{m} (hub plus C{m}, built inline)"
 
 
-def _from_total(family: str, total: Callable[[int], tuple[int, ...]]):
-    """The witness in D(G), G the family's graph of order n: V(G') plus
-    the total mutual-visibility set ``total(n)`` of G."""
+def _from_total(base: str, total: Callable[[int], tuple[int, ...]]):
+    """The witness in D(G), G the graph of order n of the spec template
+    ``base``: V(G') plus the total mutual-visibility set ``total(n)`` of G."""
     def build(p):
-        g = generate(FamilySpec(family, (p["n"],)))
+        g = parse_graph_spec(base.format(**p))
         return witnesses.witness_double_from_total(g, VertexSet.of(g.n, total(g.n)))
     return build
 
 
-def _star(p) -> Graph:
-    return generate(FamilySpec("star", (p["n"],)))
-
-
-def _wheel(p) -> Graph:
-    return wheel_graph(p["m"])
-
-
-def _universal(base: Callable[[dict[str, int]], Graph], operator: str):
-    """The witness at the universal vertex v1 of G = ``base(p)``, in D(G)
-    or M(G) as ``operator`` says."""
-    return lambda p: witnesses.witness_universal(base(p), 0, operator)
+def _universal(base: str, operator: str):
+    """The witness at the universal vertex v1 of G, the graph of the spec
+    template ``base``, in D(G) or M(G) as ``operator`` says."""
+    return lambda p: witnesses.witness_universal(parse_graph_spec(base.format(**p)), 0, operator)
 
 
 class FormulaId(Enum):
@@ -87,14 +76,14 @@ class FormulaId(Enum):
 
     MU_DOUBLE_CYCLE = ("double", PropertyKind.MV, {"n": (7, None)}, lambda n: n,
                        (Family("mu_D_C{n}", "double(cycle:{n})", _ns(range(7, 11)),
-                               witness=_from_total("cycle", lambda n: ())),))
+                               witness=_from_total("cycle:{n}", lambda n: ())),))
     MU_DOUBLE_CYCLE_SMALL = ("double", PropertyKind.MV, {"n": (4, 6)},
                              lambda n: {4: 6, 5: 6, 6: 7}[n],
                              (Family("mu_D_C{n}", "double(cycle:{n})", _ns(range(4, 7)),
                                      witness=lambda p: witnesses.fixed_witness(f"dc{p['n']}")[1]),))
     MU_DOUBLE_PATH = ("double", PropertyKind.MV, {"n": (3, None)}, lambda n: n + 2,
                       (Family("mu_D_P{n}", "double(path:{n})", _ns(range(3, 9)),
-                             witness=_from_total("path", lambda n: (0, n - 1))),))
+                             witness=_from_total("path:{n}", lambda n: (0, n - 1))),))
     GP_DOUBLE_PATH = ("double", PropertyKind.GP, {"n": (3, None)}, lambda n: 4,
                       (Family("gp_D_P{n}", "double(path:{n})", _ns(range(3, 9))),))
     GP_DOUBLE_CYCLE = ("double", PropertyKind.GP, {"n": (6, None)}, lambda n: 6,
@@ -106,9 +95,9 @@ class FormulaId(Enum):
                         (Family("gp_D_Kminus{n}", "double(kminus:{n})", _ns(range(5, 9))),))
     MU_UNIVERSAL_DOUBLE = ("double", PropertyKind.MV, {"n": (2, None)}, lambda n: 2 * n - 1,
                            (Family("mu_D_K1_{m}", "double(star:{n})", _STARS,
-                                   witness=_universal(_star, "double")),
-                            Family("mu_D_W{m}", _WHEEL, _WHEELS, lambda p: double_graph(_wheel(p)),
-                                   _universal(_wheel, "double"))))
+                                   witness=_universal("star:{n}", "double")),
+                            Family("mu_D_W{m}", "double(wheel:{m})", _WHEELS,
+                                   witness=_universal("wheel:{m}", "double"))))
     # balloon:n is n five-cycles on a hub
     MU_DOUBLE_BALLOON = ("double", PropertyKind.MV, {"n": (1, None)}, lambda n: 6 * n,
                          (Family("mu_D_balloon{n}_target", "double(balloon:{n})", _ns((2,))),),
@@ -131,9 +120,9 @@ class FormulaId(Enum):
                            ({"r1": 3, "r2": 3}, {"r1": 4, "r2": 3})),))
     MU_UNIVERSAL_MYC = ("mycielskian", PropertyKind.MV, {"n": (2, None)}, lambda n: 2 * n - 1,
                         (Family("mu_M_K1_{m}", "myc(star:{n})", _STARS,
-                                witness=_universal(_star, "myc")),
-                         Family("mu_M_W{m}", _WHEEL, _WHEELS, lambda p: mycielskian(_wheel(p)),
-                                _universal(_wheel, "myc"))))
+                                witness=_universal("star:{n}", "myc")),
+                         Family("mu_M_W{m}", "myc(wheel:{m})", _WHEELS,
+                                witness=_universal("wheel:{m}", "myc"))))
 
     def at(self, params: dict[str, int | None]) -> int:
         """The value at ``params``; keys outside the domain are ignored,

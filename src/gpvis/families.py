@@ -1,10 +1,14 @@
 """Named graph families, the two graph operators, and the spec grammar.
 
-Canonical numbering is part of the contract so that labelled witness sets
-map deterministically to indices: paths and cycles are v1..vn in order,
-complete_minus_edge removes {v1, v2}, the star center is v1, and the
-balloon hub is the last vertex with cycle i on 1-based positions
-5(i-1)+1..5i, the spoke attached to the first vertex of each cycle.
+``_TABLE`` is the one list of families: each name maps to its grammar
+token, its number of parameters, the least value a parameter may take,
+and the builder of its graph.  Canonical numbering is part of the
+contract so that labelled witness sets map deterministically to indices:
+paths and cycles are v1..vn in order, complete_minus_edge removes
+{v1, v2}, the star center is v1, the wheel hub is v1 with the rim
+v2..v(m+1) in cycle order, and the balloon hub is the last vertex with
+cycle i on 1-based positions 5(i-1)+1..5i, the spoke attached to the
+first vertex of each cycle.
 
 Operators lay out vertices as the base block, then the copy block, then
 the apex (Mycielskian only), so Base(i) sits at index i and Copy(i) at
@@ -16,87 +20,81 @@ label table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from .graphs import Graph, build_graph, layout_roles, read_edge_list_file
 
-FAMILIES = (
-    "path",
-    "cycle",
-    "complete",
-    "complete_minus_edge",
-    "complete_bipartite",
-    "star",
-    "balloon",
-    "from_file",
-)
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _wheel(m: int) -> Graph:
+    rim = range(1, m + 1)
+    return build_graph(m + 1, [(0, i) for i in rim] + [(i, i % m + 1) for i in rim])
+
+
+def _balloon(k: int) -> Graph:
+    hub = 5 * k
+    edges = [(5 * i + j, 5 * i + (j + 1) % 5) for i in range(k) for j in range(5)]
+    return build_graph(hub + 1, edges + [(hub, 5 * i) for i in range(k)])
+
+
+class _Family(NamedTuple):
+    """A row of ``_TABLE``: the grammar token, the number of parameters,
+    the least value a parameter may take, and the graph's builder."""
+
+    token: str
+    arity: int
+    least: int
+    build: Callable[..., Graph]
+
+
+_TABLE = {
+    "path": _Family("path", 1, 1, lambda n: build_graph(n, [(i, i + 1) for i in range(n - 1)])),
+    "cycle": _Family("cycle", 1, 3, lambda n: build_graph(n, [(i, (i + 1) % n) for i in range(n)])),
+    "complete": _Family("complete", 1, 1, lambda n: build_graph(n, _pairs(n))),
+    # (0, 1) is the first pair
+    "complete_minus_edge": _Family("kminus", 1, 3, lambda n: build_graph(n, _pairs(n)[1:])),
+    "complete_bipartite": _Family("kbip", 2, 1, lambda r, s: build_graph(
+        r + s, [(i, j) for i in range(r) for j in range(r, r + s)])),
+    "star": _Family("star", 1, 2, lambda n: build_graph(n, [(0, i) for i in range(1, n)])),
+    "wheel": _Family("wheel", 1, 3, _wheel),
+    "balloon": _Family("balloon", 1, 1, _balloon),
+}
+_BY_TOKEN = {fam.token: fam for fam in _TABLE.values()}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named family plus its integer parameters (or a file path)."""
+    """A named family plus its integer parameters, or ``from_file`` plus a path."""
 
     family: str
     params: tuple[int, ...] = ()
     path: str | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _TABLE and self.family != "from_file":
             raise ValueError(f"unknown family {self.family!r}")
+
+
+def _build(fam: _Family, params: Sequence[int], name: str) -> Graph:
+    """The family's graph on ``params``; an error calls the family ``name``."""
+    if len(params) != fam.arity or min(params) < fam.least:
+        if len(params) != fam.arity:
+            plural = "" if fam.arity == 1 else "s"
+            raise ValueError(f"{name} takes {fam.arity} parameter{plural}, got {len(params)}")
+        raise ValueError(f"{name} needs each parameter >= {fam.least}")
+    return fam.build(*params)
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Instantiate a family spec with canonical vertex numbering."""
-    fam, p = spec.family, spec.params
-    if fam == "path":
-        (n,) = p
-        if n < 1:
-            raise ValueError("path needs n >= 1")
-        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    if fam == "cycle":
-        (n,) = p
-        if n < 3:
-            raise ValueError("cycle needs n >= 3")
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if fam == "complete":
-        (n,) = p
-        if n < 1:
-            raise ValueError("complete needs n >= 1")
-        return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if fam == "complete_minus_edge":
-        (n,) = p
-        if n < 3:
-            raise ValueError("complete_minus_edge needs n >= 3")
-        edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != (0, 1)
-        ]
-        return build_graph(n, edges)
-    if fam == "complete_bipartite":
-        r, s = p
-        if r < 1 or s < 1:
-            raise ValueError("complete_bipartite needs r, s >= 1")
-        return build_graph(r + s, [(i, r + j) for i in range(r) for j in range(s)])
-    if fam == "star":
-        (n,) = p
-        if n < 2:
-            raise ValueError("star needs n >= 2")
-        return build_graph(n, [(0, i) for i in range(1, n)])
-    if fam == "balloon":
-        (k,) = p
-        if k < 1:
-            raise ValueError("balloon needs k >= 1")
-        n = 5 * k + 1
-        hub = n - 1
-        edges = []
-        for i in range(k):
-            base = 5 * i
-            edges += [(base + j, base + (j + 1) % 5) for j in range(5)]
-            edges.append((hub, base))
-        return build_graph(n, edges)
-    if fam == "from_file":
+    if spec.family == "from_file":
         if not spec.path:
             raise ValueError("from_file spec needs a path")
         return read_edge_list_file(spec.path)
-    raise ValueError(f"unknown family {fam!r}")
+    return _build(_TABLE[spec.family], spec.params, spec.family)
 
 
 def double_graph(g: Graph) -> Graph:
@@ -126,13 +124,8 @@ def mycielskian(g: Graph) -> Graph:
 
 
 def wheel_graph(n: int) -> Graph:
-    """W_n: a hub (v1) adjacent to every vertex of a C_n rim.  Not part of
-    the spec grammar; used by the suite for the universal-vertex checks."""
-    if n < 3:
-        raise ValueError("wheel needs rim length >= 3")
-    edges = [(0, i) for i in range(1, n + 1)]
-    edges += [(i, i % n + 1) for i in range(1, n + 1)]
-    return build_graph(n + 1, edges)
+    """W_n: a hub (v1) adjacent to every vertex of a C_n rim, as ``wheel:n``."""
+    return generate(FamilySpec("wheel", (n,)))
 
 
 class GraphSpecError(ValueError):
@@ -142,16 +135,6 @@ class GraphSpecError(ValueError):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
 
-
-_ATOMS = {
-    "path": ("path", 1),
-    "cycle": ("cycle", 1),
-    "complete": ("complete", 1),
-    "kminus": ("complete_minus_edge", 1),
-    "kbip": ("complete_bipartite", 2),
-    "star": ("star", 1),
-    "balloon": ("balloon", 1),
-}
 
 _OPERATORS = {"double": double_graph, "myc": mycielskian}
 
@@ -214,11 +197,11 @@ def _parse_expr(text: str, pos: int, nested: bool) -> tuple[Graph, int]:
         if not path:
             raise GraphSpecError("file spec needs a path", pos)
         return generate(FamilySpec("from_file", path=path)), end
-    if name not in _ATOMS:
+    fam = _BY_TOKEN.get(name)
+    if fam is None:
         raise GraphSpecError(f"unknown family {name!r}", start)
-    family, arity = _ATOMS[name]
     params = []
-    for k in range(arity):
+    for k in range(fam.arity):
         if k:
             if pos >= len(text) or text[pos] != ",":
                 raise GraphSpecError("expected ','", pos)
@@ -232,6 +215,6 @@ def _parse_expr(text: str, pos: int, nested: bool) -> tuple[Graph, int]:
             raise GraphSpecError("expected an integer parameter", dstart)
         params.append(int(text[dstart:pos]))
     try:
-        return generate(FamilySpec(family, tuple(params))), pos
+        return _build(fam, params, name), pos
     except ValueError as exc:
         raise GraphSpecError(str(exc), start) from None

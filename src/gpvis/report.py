@@ -20,13 +20,7 @@ from functools import cache, partial
 from typing import Callable, TextIO
 
 from .catalog import FormulaId
-from .families import (
-    FamilySpec,
-    double_graph,
-    generate,
-    mycielskian,
-    parse_graph_spec,
-)
+from .families import double_graph, mycielskian, parse_graph_spec
 from .graphs import Graph, VertexSet, all_pairs_distances, build_graph
 from .solver import InvariantResult, check_time_limit, enumerate_maximum_sets, max_property_set
 from .visibility import (
@@ -216,7 +210,6 @@ class _Suite:
         spec_text: str,
         kind: PropertyKind,
         expected: Expected,
-        graph: Graph | None = None,
         target: int | None = None,
         start: Callable[[], VertexSet] | None = None,
     ) -> None:
@@ -224,7 +217,7 @@ class _Suite:
         ``start`` builds the solve's first incumbent; if it raises, the
         check fails with the error as its note."""
         try:
-            g = graph if graph is not None else parse_graph_spec(spec_text)
+            g = parse_graph_spec(spec_text)
         except ValueError as exc:
             self._emit(Check(name, spec_text, kind, expected, None, "fail", 0.0, str(exc)))
             return
@@ -286,7 +279,6 @@ class _Suite:
                     self.value_check(
                         fam.name.format(**params), fam.spec.format(**params), row.kind,
                         Expected(row.op, value),
-                        graph=None if fam.graph is None else fam.graph(params),
                         target=value if row.op == ">=" else None,
                         start=None if fam.witness is None else partial(fam.witness, params),
                     )
@@ -433,7 +425,7 @@ class _Suite:
         return viol, ""
 
     def _k4_minus_regression(self) -> tuple[int, str]:
-        g = generate(FamilySpec("complete_minus_edge", (4,)))
+        g = parse_graph_spec("kminus:4")
         d = all_pairs_distances(g)
         s = VertexSet.of(4, [0, 1, 2])
         if not is_mutual_visibility_set(g, d, s):
@@ -549,24 +541,9 @@ def run_verification_suite(
 
 def _oracle_family_graphs() -> list[Graph]:
     """Named families of order at most 7 for the oracle-equivalence sweep."""
-    out: list[Graph] = []
-    for n in range(2, 8):
-        out.append(generate(FamilySpec("path", (n,))))
-    for n in range(3, 8):
-        out.append(generate(FamilySpec("cycle", (n,))))
-    for n in range(2, 8):
-        out.append(generate(FamilySpec("complete", (n,))))
-    for n in range(3, 8):
-        out.append(generate(FamilySpec("complete_minus_edge", (n,))))
-    for n in range(2, 8):
-        out.append(generate(FamilySpec("star", (n,))))
-    for r in range(1, 4):
-        for s in range(r, 4):
-            if r + s <= 7:
-                out.append(generate(FamilySpec("complete_bipartite", (r, s))))
-    out.append(generate(FamilySpec("balloon", (1,))))
-    out.append(double_graph(generate(FamilySpec("path", (2,)))))
-    out.append(double_graph(generate(FamilySpec("path", (3,)))))
-    out.append(mycielskian(generate(FamilySpec("path", (2,)))))
-    out.append(mycielskian(generate(FamilySpec("path", (3,)))))
-    return out
+    specs = [f"path:{n}" for n in range(2, 8)] + [f"cycle:{n}" for n in range(3, 8)]
+    specs += [f"complete:{n}" for n in range(2, 8)] + [f"kminus:{n}" for n in range(3, 8)]
+    specs += [f"star:{n}" for n in range(2, 8)]
+    specs += [f"kbip:{r},{s}" for r in range(1, 4) for s in range(r, 4)]
+    specs += ["balloon:1", "double(path:2)", "double(path:3)", "myc(path:2)", "myc(path:3)"]
+    return [parse_graph_spec(spec) for spec in specs]

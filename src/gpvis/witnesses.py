@@ -15,7 +15,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .catalog import FormulaId, formula_value
-from .families import FamilySpec, double_graph, generate, mycielskian
+from .families import FamilySpec, double_graph, generate, mycielskian, parse_graph_spec
 from .graphs import Graph, VertexSet, all_pairs_distances, require_vertices
 from .visibility import (
     is_mutual_visibility_set,
@@ -43,6 +43,22 @@ def witness_double_from_total(g: Graph, total_set: VertexSet) -> VertexSet:
     return _checked_mv(double_graph(g), mask, "double-from-total witness")
 
 
+def _myc_witness(family: str, n: int, size: int, r: list[int], rprime: list[int]) -> VertexSet:
+    """The base vertices R plus every copy outside R', by 1-based label, as
+    an MV set of ``size`` vertices in M(G), G the graph of ``family:n``."""
+    mask = 0
+    for j in r:
+        mask |= 1 << (j - 1)
+    for j in range(1, n + 1):
+        if j not in rprime:
+            mask |= 1 << (n + j - 1)
+    what = f"mycielskian {family} witness (n={n})"
+    s = _checked_mv(parse_graph_spec(f"myc({family}:{n})"), mask, what)
+    if len(s) != size:
+        raise AssertionError(f"{what} has size {len(s)}, not {size}")
+    return s
+
+
 def witness_myc_path(n: int) -> VertexSet:
     """MV set of M(P_n) of the size ``MU_MYC_PATH`` gives: the odd base
     vertices plus all copies except a small blocking pattern v'_{4l+2}
@@ -53,17 +69,7 @@ def witness_myc_path(n: int) -> VertexSet:
     rprime = [4 * l + 2 for l in range((n - 3) // 4 + 1)]
     if len(r) % 2 == 1:
         rprime.append(k - 1)
-    mask = 0
-    for j in r:
-        mask |= 1 << (j - 1)
-    for j in range(1, n + 1):
-        if j not in rprime:
-            mask |= 1 << (n + j - 1)
-    s = _checked_mv(mycielskian(generate(FamilySpec("path", (n,)))), mask,
-                    f"mycielskian path witness (n={n})")
-    if len(s) != size:
-        raise AssertionError(f"mycielskian path witness (n={n}) has size {len(s)}, not {size}")
-    return s
+    return _myc_witness("path", n, size, r, rprime)
 
 
 def witness_myc_cycle(n: int) -> VertexSet:
@@ -81,17 +87,7 @@ def witness_myc_cycle(n: int) -> VertexSet:
         covered.add(j % n + 1)
     if not set(r) <= covered:
         raise AssertionError("dominating pattern failed to cover R")
-    mask = 0
-    for j in r:
-        mask |= 1 << (j - 1)
-    for j in range(1, n + 1):
-        if j not in rprime:
-            mask |= 1 << (n + j - 1)
-    s = _checked_mv(mycielskian(generate(FamilySpec("cycle", (n,)))), mask,
-                    f"mycielskian cycle witness (n={n})")
-    if len(s) != size:
-        raise AssertionError(f"mycielskian cycle witness (n={n}) has size {len(s)}, not {size}")
-    return s
+    return _myc_witness("cycle", n, size, r, rprime)
 
 
 def witness_universal(g: Graph, v: int, operator: str) -> VertexSet:
@@ -187,7 +183,7 @@ def balloon_double_witness(k: int = 2) -> VertexSet:
     text = resources.files("gpvis").joinpath("data/balloon_double_k2.txt").read_text(
         encoding="utf-8"
     )
-    g = double_graph(generate(FamilySpec("balloon", (k,))))
+    g = parse_graph_spec(f"double(balloon:{k})")
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     s = parse_witness_set(g, lines[0])
     if len(s) < formula_value(FormulaId.MU_DOUBLE_BALLOON, n=k):

@@ -18,6 +18,7 @@ from gpvis import (
     parse_graph_spec,
     wheel_graph,
 )
+from gpvis.graphs import build_graph, layout_roles
 
 
 def distance_multiset(g):
@@ -104,6 +105,54 @@ def test_wheel_graph():
     assert g.n == 6
     assert g.degree(0) == 5
     assert all(g.degree(i) == 3 for i in range(1, 6))
+
+
+def wheel_edges(m):
+    """W_m by hand: the hub v1 on every rim vertex, the rim v2..v(m+1) in order."""
+    return [(0, i) for i in range(1, m + 1)] + [(i, i % m + 1) for i in range(1, m + 1)]
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_wheel_spec_is_wheel_graph(m):
+    g = parse_graph_spec(f"wheel:{m}")
+    assert g == wheel_graph(m) == build_graph(m + 1, wheel_edges(m))
+    assert g.roles == wheel_graph(m).roles
+
+
+@pytest.mark.parametrize("m", range(4, 7))
+def test_operators_on_wheel_specs(m):
+    """D(W_m) and M(W_m) from the grammar, against both operators written
+    out edge by edge from their definitions."""
+    n = m + 1
+    double, myc = [], []
+    for u, v in wheel_edges(m):
+        for a, b in ((u, v), (v, u)):
+            double += [(a, b), (n + a, n + b), (a, n + b)]
+            myc += [(a, b), (a, n + b)]
+    myc += [(n + u, 2 * n) for u in range(n)]
+    want_d = build_graph(2 * n, double, layout_roles(n, "double"))
+    want_m = build_graph(2 * n + 1, myc, layout_roles(n, "myc"))
+    assert parse_graph_spec(f"double(wheel:{m})") == double_graph(wheel_graph(m)) == want_d
+    assert parse_graph_spec(f"myc(wheel:{m})") == mycielskian(wheel_graph(m)) == want_m
+
+
+def test_errors_name_what_the_user_typed():
+    # the domain error names the grammar token, not the family behind it
+    with pytest.raises(GraphSpecError, match=r"^kbip needs each parameter >= 1 \(at position 0\)$"):
+        parse_graph_spec("kbip:0,3")
+    with pytest.raises(GraphSpecError, match=r"^wheel needs each parameter >= 3 "):
+        parse_graph_spec("double(wheel:2)")
+    with pytest.raises(ValueError, match="^complete_bipartite needs each parameter >= 1$"):
+        generate(FamilySpec("complete_bipartite", (0, 3)))
+    with pytest.raises(ValueError, match="^wheel needs each parameter >= 3$"):
+        wheel_graph(2)
+    # an arity error says how many parameters the family takes
+    with pytest.raises(ValueError, match="^path takes 1 parameter, got 2$"):
+        generate(FamilySpec("path", (4, 5)))
+    with pytest.raises(ValueError, match="^complete_bipartite takes 2 parameters, got 1$"):
+        generate(FamilySpec("complete_bipartite", (3,)))
+    with pytest.raises(ValueError, match="^star takes 1 parameter, got 0$"):
+        generate(FamilySpec("star"))
 
 
 def test_generate_matches_parse():
@@ -273,6 +322,8 @@ def test_whitespace_leaves_real_errors_as_they_were(bad, message):
         "kbip:3,",
         "kbip:0,3",
         "balloon:0",
+        "wheel:2",
+        "wheel:",
         "double",
         "double(",
         "double(path:3",

@@ -157,8 +157,7 @@ def test_label_tables_answer_as_the_parser():
     for formula in FormulaId:
         for family in formula.families:
             for p in family.params:
-                graphs.append(family.graph(p) if family.graph
-                              else parse_graph_spec(family.spec.format(**p)))
+                graphs.append(parse_graph_spec(family.spec.format(**p)))
     myc = parse_graph_spec("myc(cycle:7)")
     graphs += [relabelled(myc, 5), build_graph(4, [(0, 1)], [base_role(0)] * 4)]
     odd = [Role(APEX, 5), Role(BASE, -1), base_role(2), copy_role(2), base_role(2),

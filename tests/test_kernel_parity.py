@@ -21,6 +21,7 @@ from gpvis import (
     build_graph,
     exists_avoiding_geodesic,
     parse_graph_spec,
+    run_verification_suite,
 )
 from gpvis._kernel import backend_name, get_kernel, pure
 from gpvis.graphs import role_symmetries
@@ -490,3 +491,16 @@ def test_kernels_reject_bad_starts(request, backend):
         with pytest.raises(ValueError, match="^start does not have the property$"):
             kernel.solve_max(5, g.adj, d, kind, 1, 0.0, role_symmetries(g), start)
     assert kernel.solve_max(5, g.adj, d, pure.MV, 0, 0.0, (), None) == kernel.solve_max(5, g.adj, d, pure.MV)
+
+
+def test_catalog_is_the_same_on_both_kernels(fast_kernel, monkeypatch):
+    """The whole verify-paper catalog gives the same CHECK lines and notes
+    on the pure kernel and on the compiled one."""
+    monkeypatch.delenv("GPVIS_KERNEL", raising=False)
+    runs = []
+    for module, name in ((None, "pure"), (fast_kernel, "fast")):
+        monkeypatch.setattr(kernels, "fast", module)
+        assert backend_name(10) == name
+        report = run_verification_suite("all")
+        runs.append((report.machine_lines(), [(c.name, c.note) for c in report.checks]))
+    assert runs[0] == runs[1]

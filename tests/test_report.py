@@ -165,7 +165,7 @@ def catalog_checks():
     for row in FormulaId:
         for fam in row.families:
             for p in fam.params:
-                g = fam.graph(p) if fam.graph else parse_graph_spec(fam.spec.format(**p))
+                g = parse_graph_spec(fam.spec.format(**p))
                 yield row, fam, p, g
 
 
