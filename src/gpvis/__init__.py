@@ -46,7 +46,7 @@ from .report import (
 )
 from .solver import (
     ENUMERATION_CAP,
-    HARD_CAP,
+    SOLVER_CAPS,
     InvariantResult,
     enumerate_maximum_sets,
     greedy_lower_bound,

@@ -54,6 +54,7 @@ typedef uint64_t u64;
 
 #define MAXN 64
 #define BIT(x) ((u64)1 << (x))
+#define ALL(n) ((n) == MAXN ? ~(u64)0 : BIT(n) - 1)
 #define TIME_CHECK_MASK 1023
 
 /* NO_KIND: a context that checks sets and pairs but extends none. */
@@ -71,6 +72,11 @@ typedef struct {
     u64 adj[MAXN];
     int order[MAXN]; /* vertex i is the caller's order[i] */
     int label[MAXN]; /* the caller's v is vertex label[v] */
+    /* the twin table (twin_table), of the whole search copy, or of the
+       sources of a set check: v's class is the vertices whose adj row
+       equals v's */
+    int pred[MAXN];  /* the vertex before v in its class, or -1 */
+    u64 below[MAXN]; /* the vertices before v in its class */
     int *dist;       /* n*n distances */
     u64 *balls;      /* balls[u*stride + t]: the vertices at distance t from u */
     u64 *btw;        /* btw[u*n + v]: vertices strictly inside some u,v-geodesic */
@@ -136,11 +142,40 @@ static void ctx_free(Ctx *c)
     c->balls = NULL;
 }
 
+/* Fill pred and below for the vertices of within, as if the graph had
+   no others: the search reads them for every vertex, a set check for
+   its sources alone.  A twin of v is a neighbour of each of v's
+   neighbours, or, when v has none, a vertex without neighbours, so only
+   those are compared. */
+static void twin_table(Ctx *c, u64 within)
+{
+    int v;
+    u64 lone = 0, r, left;
+
+    for (left = within; left; left &= left - 1) {
+        v = lowbit(left);
+        c->pred[v] = -1;
+        c->below[v] = 0;
+        r = c->adj[v] ? c->adj[lowbit(c->adj[v])] : lone;
+        for (r &= within & (BIT(v) - 1); r; r &= r - 1)
+            if (c->adj[lowbit(r)] == c->adj[v]) {
+                c->pred[v] = lowbit(r);
+                c->below[v] |= r & -r;
+            }
+        if (!c->adj[v])
+            lone |= BIT(v);
+    }
+}
+
 /* Read the graph and build its tables: distances, balls, and the pair
    table that extends reads for kind (btw for MV, pairbad for GP, none
    otherwise).  With copy, the graph read is the search copy: vertex i
    is the i-th of the search order, descending degree with ties by index
-   (pure._default_order); without, order is the identity.  Each adj row
+   (pure._default_order); without, order is the identity.  The twin
+   table is left to the callers that read it (twin_table): built here,
+   even behind a branch, it changed how this function compiles, and set
+   checks from Python read 1.02-1.10x as long (tools/compare_fast.py,
+   GP checks that never read it included).  Each adj row
    must be ball row 1, the vertices at distance 1, so an adj of another
    graph than dist is rejected.  On failure nothing is left allocated and
    an exception is set. */
@@ -260,7 +295,9 @@ fail:
    on.  When they are a whole layer, they reach the whole next one,
    which is then taken without a walk.  Every caller asks only whether a
    vertex is missed, so the sweep stops at the first.  A vertex in
-   another component lies in no layer, so it is never missed. */
+   another component lies in no layer, so it is never missed.  set_ok
+   runs it from one source per twin class, since a twin of the source
+   would see every third vertex alike. */
 static int misses(const Ctx *c, int u, u64 want, u64 unblocked)
 {
     const u64 *bu = c->balls + u * c->stride;
@@ -285,13 +322,19 @@ static int misses(const Ctx *c, int u, u64 want, u64 unblocked)
 
 /* Full from-scratch verification of mask for the kind (pure.set_ok): one
    sweep from each source u, with mask blocked, checks every required
-   pair (u, v) with v > u.  GP tests each triple of members once, as the
-   three-way "between" test is symmetric. */
+   pair (u, v) with v > u.  Two twins see each third vertex alike, under
+   any blocked set (the Twin classes notes in pure.py), so a source with
+   an earlier twin among the sources leaves its pairs to that twin's
+   sweep: TOTAL sweeps from the first vertex of each class, MV and OUTER
+   from the first member.  OUTER's search filter tests set_ok of the
+   grown set, so it gains too; MV's filter does not call it.  GP tests
+   each triple of members once, as the three-way "between" test is
+   symmetric. */
 static int set_ok(const Ctx *c, int kind, u64 mask)
 {
     int n = c->n, u;
-    u64 full = n == MAXN ? ~(u64)0 : BIT(n) - 1, outside = full & ~mask;
-    u64 r, r2, r3, want;
+    u64 full = ALL(n), outside = full & ~mask;
+    u64 r, r2, r3, want, sources = kind == TOTAL ? full : mask;
 
     if (kind == GP) {
         for (r = mask; r; r &= r - 1)
@@ -301,8 +344,10 @@ static int set_ok(const Ctx *c, int kind, u64 mask)
                         return 0;
         return 1;
     }
-    for (r = kind == TOTAL ? full : mask; r; r &= r - 1) {
+    for (r = sources; r; r &= r - 1) {
         u = lowbit(r);
+        if (sources & c->below[u])
+            continue;
         /* the vertices above u: members for MV, all for OUTER and TOTAL */
         want = (kind == MV ? mask : full) & (~(u64)0 << u << 1);
         if (kind == OUTER)
@@ -321,8 +366,12 @@ static int set_ok(const Ctx *c, int kind, u64 mask)
    reaches the later members whose interval with x holds w.  For MV this
    is the faster test: solves with set_ok of the grown set took
    1.24-1.30x as long on M(C12), M(C16) and M(C20), and 1.16x and 1.24x
-   on D(C10) and D(C14) (tools/compare_fast.py, 11 runs). */
-static int extends(const Ctx *c, int kind, u64 smask, int w)
+   on D(C10) and D(C14) (tools/compare_fast.py, 11 runs).  Its start is
+   pinned to a 64-byte boundary: it runs once per candidate, and when a
+   change to set_ok above it moved it 16 bytes, MV and GP solves read
+   1.04-1.12x as long on the same code (0-5 of 11 runs faster), and
+   0.96-1.00x with both builds aligned. */
+__attribute__((aligned(64))) static int extends(const Ctx *c, int kind, u64 smask, int w)
 {
     int n = c->n, x;
     u64 wbit = BIT(w), unblocked = ~(smask | wbit), want, r, r2;
@@ -373,7 +422,6 @@ static double monotonic(void)
 typedef struct {
     const Ctx *c;
     int kind, best, target;
-    int pred[MAXN];  /* the vertex before v in its twin class, or -1 */
     u64 orbit[MAXN]; /* v's orbit under the symmetries and twin swaps */
     int ngens;       /* the symmetries, n images each */
     int *gens;
@@ -397,6 +445,7 @@ static void stabilizer_orbits(Search *s, int w);
 static int search(Search *s, u64 smask, int size, u64 cands)
 {
     int left = popcount(cands), w, x, kept, togo, need, rc, stab_built = 0;
+    const int *pred = s->c->pred;
     u64 new, rest, r;
 
     s->nodes++;
@@ -410,7 +459,7 @@ static int search(Search *s, u64 smask, int size, u64 cands)
         w = lowbit(cands);
         cands &= cands - 1;
         left--;
-        if (s->pred[w] >= 0 && !(smask & BIT(s->pred[w])))
+        if (pred[w] >= 0 && !(smask & BIT(pred[w])))
             continue;
         new = smask | BIT(w);
         if (size >= s->best) {
@@ -425,7 +474,7 @@ static int search(Search *s, u64 smask, int size, u64 cands)
         rest = 0;
         for (r = cands, kept = 0, togo = left; r && kept + togo >= need; r &= r - 1, togo--) {
             x = lowbit(r);
-            if (s->pred[x] >= 0 && !((new | rest) & BIT(s->pred[x])))
+            if (pred[x] >= 0 && !((new | rest) & BIT(pred[x])))
                 continue;
             if (extends(s->c, s->kind, new, x)) {
                 rest |= BIT(x);
@@ -562,8 +611,8 @@ fail:
 }
 
 /* s->orbit from the symmetries (NULL for none) and the twin classes in
-   s->pred, as pure._orbits: without symmetries every orbit is v alone.
-   Keeps the symmetries in s->gens, which the caller frees. */
+   the context's pred, as pure._orbits: without symmetries every orbit is
+   v alone.  Keeps the symmetries in s->gens, which the caller frees. */
 static int set_orbits(Search *s, PyObject *symmetries)
 {
     int n = s->c->n, root[MAXN], v, k;
@@ -596,8 +645,8 @@ static int set_orbits(Search *s, PyObject *symmetries)
     }
     Py_XDECREF(seq);
     for (v = 0; v < n && s->ngens; v++)
-        if (s->pred[v] >= 0)
-            unite(root, v, s->pred[v]);
+        if (s->c->pred[v] >= 0)
+            unite(root, v, s->c->pred[v]);
     orbit_masks(n, root, s->orbit);
     return 0;
 }
@@ -650,6 +699,8 @@ static PyObject *py_set_ok(PyObject *self, PyObject *args, PyObject *kw)
         ctx_free(&c);
         return NULL;
     }
+    if (kind != GP)
+        twin_table(&c, kind == TOTAL ? ALL(n) : mask);
     ok = set_ok(&c, kind, mask);
     ctx_free(&c);
     return PyBool_FromLong(ok);
@@ -676,6 +727,8 @@ static PyObject *py_extend_ok(PyObject *self, PyObject *args, PyObject *kw)
         ctx_free(&c);
         return NULL;
     }
+    if (kind != GP)
+        twin_table(&c, kind == TOTAL ? ALL(n) : smask | BIT(w));
     ok = set_ok(&c, kind, smask | BIT(w));
     ctx_free(&c);
     return PyBool_FromLong(ok);
@@ -698,6 +751,7 @@ static PyObject *py_greedy_set(PyObject *self, PyObject *args, PyObject *kw)
         return NULL;
     if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, kind, 1) < 0)
         return NULL;
+    twin_table(&c, ALL(n));
     smask = mapped(greedy(&c, kind), c.order);
     ctx_free(&c);
     return PyLong_FromUnsignedLongLong(smask);
@@ -723,7 +777,7 @@ static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *kwlist[] = {"n", "adj", "dist", "kind", "target", "time_limit", "symmetries", "start", NULL};
     PyObject *adj, *dist, *target_obj = NULL, *symmetries = NULL, *start = NULL, *out = NULL;
-    int n, kind, v, x, rc, overflow = 0;
+    int n, kind, v, rc, overflow = 0;
     long long target = 0;
     double time_limit = 0.0;
     u64 roots = 0;
@@ -747,17 +801,13 @@ static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
     }
     if (check_kind(kind) < 0 || ctx_init(&c, n, adj, dist, kind, 1) < 0)
         return NULL;
+    twin_table(&c, ALL(n));
     s.c = &c;
     s.kind = kind;
     /* a target above n is never reached, as none is */
     s.target = target > n ? 0 : (int)target;
     s.nodes = 0;
     s.deadline = time_limit ? monotonic() + time_limit : 0.0;
-    /* twin classes: vertices with equal adj rows, in search order */
-    for (v = 0; v < n; v++)
-        for (s.pred[v] = -1, x = 0; x < v; x++)
-            if (c.adj[x] == c.adj[v])
-                s.pred[v] = x;
     if (set_orbits(&s, symmetries) < 0)
         goto done;
     if (start == NULL || start == Py_None) {

@@ -21,7 +21,8 @@ wanted vertex at its own layer and stops once none lies further out.
 A vertex in another component lies in no layer and is not checked, so
 such a pair counts as seen.  Each vertex is expanded at most once per
 source, so a check costs O(|S|·n) row ORs (O(n²) for TOTAL) where a
-walk per pair cost O(|S|²) or O(n²) walks.  ``pair_visible`` is the
+walk per pair cost O(|S|²) or O(n²) walks.  A twin of an earlier source
+does not sweep (see Twin classes below).  ``pair_visible`` is the
 same sweep from u, wanting v alone, and the search's filter below runs
 it too: the sweep is the kernel's only visibility walk.  GP needs no
 walk: its triples are read from the distances.
@@ -140,11 +141,29 @@ the target returns at once.  Without a start the tree is the one
 searched from the greedy seed.
 
 Twin classes.  Vertices with equal ``adj`` rows (false twins: every v
-and its copy v' in a double graph) form a class, ordered along the
-search order, and pred[v] is the vertex before v in its class.  Swapping
-two false twins is an automorphism, so it maps good sets onto good sets
-of the same size, and in-class permutations turn any good set into one
-whose members form a prefix of each class.  ``solve_max`` looks only
+and its copy v' in a double graph) form a class, ordered by label, and
+pred[v] is the vertex before v in its class.  Each graph has one table
+of them: the record keeps it in the caller's labels (``_Record.classes``,
+read off the rows once they match ``dist``), the search copy in its own
+(``twin_pred``).
+
+The twin lemma.  Let a ≠ b be twins and z ∉ {a, b}.  A path a, x1, ...,
+z is an a,z-geodesic exactly when b, x1, ..., z is a b,z-geodesic, as
+N(a) = N(b) and so d(a, z) = d(b, z); the two have the same interior.
+Neither twin lies inside a geodesic from the other end: b inside an
+a,z-geodesic would give d(a, z) = d(a, b) + d(b, z) > d(b, z) = d(a, z).
+So the pairs {a, z} and {b, z} have the same interval and, under every
+blocked set, either both see each other or neither does, with the same
+cut.
+Call such pairs equivalent, and close the relation under chains.  Every
+pair {u, v}, u < v, is then equivalent to one whose u is first in its
+class and whose v is first in its class or second in u's: move u to the
+first of its class (v is not it, as v > u), then v to the first of its
+class, or, when that is u, to the second of u's class.
+
+Swapping two false twins is an automorphism, so it maps good sets onto
+good sets of the same size, and in-class permutations turn any good set
+into one whose members form a prefix of each class.  ``solve_max`` looks only
 for such prefix sets: a child w is skipped when pred[w] is not in S, and
 its candidates keep x only when pred[x] is in S ∪ {w} or kept among
 them; as pred[x] comes before x in the bit order, one pass over the
@@ -152,6 +171,40 @@ bits of the vertices with a twin predecessor settles this.  The rule
 only drops candidates, so the filter above stays exact, and the optimum
 is kept.  ``enumerate_exact`` must list every maximum set and walks the
 full tree.
+
+The lemma also spares visibility work that an equivalent pair has
+already done; no tree changes, since each skip keeps every verdict.
+
+- ``set_ok`` sweeps from one source per class: for TOTAL the first
+  vertex of each class, whose sweep wants every vertex above it; by the
+  argument above, each pair is equivalent to one of those.  For MV and
+  OUTER a member with an earlier member of its class does not sweep.
+  Orient each required pair as (s, y) with s a member and y above s or
+  outside the set; if s has an earlier member a of its class, then y ≠
+  a (y is above s or not a member), and (a, y) is equivalent, required
+  and oriented the same way, with a < s, so by induction on s some
+  sweep answers it.  Unlike the search's sets, a checked set need not
+  be a prefix of each class (it may hold a later twin without the first
+  of its class), so the rule asks for an earlier member, not for pred[s].
+- TOTAL's filter keeps in through[w] only the pairs of the normal form
+  above.  Equivalent pairs have the same interval, so the kept one is in
+  through[w] too, and the same cut under S ∪ {w}, so the candidates it
+  drops are the ones the dropped pairs would drop.
+- OUTER's partner sweep: let p = pred[x] for a candidate x.  The partners
+  of x are the y outside S ∪ {w, x} whose interval with x holds w, each
+  to be seen under S ∪ {w} (x, an end, blocks none of its geodesics).
+  For y ≠ p, (x, y) is equivalent to (p, y), with the same interval.  If
+  p is in S, each such (p, y) is a pair that S ∪ {w} already satisfies,
+  so x needs no sweep; if p is w, x has no partner at all, as the
+  interval of (x, y) is that of (w, y), which does not hold w.  If p is
+  a candidate swept earlier in the same loop, the partners of x but p
+  are those of p but x, and (x, p) is a partner of both or of neither,
+  so x takes p's verdict; going up the bits, p's verdict may have been
+  taken from its own predecessor the same way.
+
+MV's filter and GP do not use the lemma: the same rule in the MV
+partner sweeps and member-pair loop saved nothing on D(C10) or D(C14)
+mv, and GP reads no visibility.
 
 Symmetry.  ``solve_max`` takes automorphisms of the graph (rejected
 unless each is a permutation that maps every adjacency row onto its
@@ -200,10 +253,13 @@ Inputs.  Every entry point raises ``ValueError`` for an ``adj`` or
 outside 0..n-1, a distance outside -1..n, or an unknown kind.  A tuple
 ``dist`` is checked once, by its record (``_checked``), and ``adj`` rows
 equal to the tuple last checked with it are not checked again.  Every
-reader of the ball rows (``pair_visible``, ``set_ok`` but for GP, which
-reads no ``adj``, and the search copy) also rejects an ``adj`` that is
-not the graph of ``dist``: each row must be ball row 1, the vertices at
-distance 1, which takes n comparisons where an edge scan takes n².
+entry point also rejects an ``adj`` that is not the graph of ``dist``
+(``_Record.match``): each row must be the vertices at distance 1.  A
+reader of the ball rows (``pair_visible``, ``set_ok`` but for GP, and
+the search copy) compares each row with ball row 1, n comparisons.  GP's
+set check reads no ball rows and builds none: it reads each edge once,
+and counts the ones in ``dist``.  A search marks the caller's rows as
+matched, since its copy has matched them in its own labels.
 ``solve_max`` also rejects a negative target and a negative or
 non-finite time limit, and ``enumerate_exact`` a negative size.
 """
@@ -300,8 +356,8 @@ def pair_visible(n, adj, dist, u, v, blocked):
 
 class _Record:
     """The distance table ``dist`` of a graph of order n, the ``adj`` tuple
-    last checked with it, the one last found to match it, and its ball
-    rows, built on first use."""
+    last checked with it, the rows last found to match it, and its ball
+    rows and twin table, each built on first use."""
 
     def __init__(self, n, dist):
         self.n = n
@@ -327,18 +383,56 @@ class _Record:
             balls.append(tuple(row))
         return tuple(balls)
 
+    def match(self, adj):
+        """Reject an ``adj`` that is not the graph of ``dist``: each row must
+        be the vertices at distance 1.  Once the ball rows are built, each
+        row is compared with ball row 1 (n comparisons); before, each edge
+        is read once, and the rows must hold as many edges as ``dist`` holds
+        ones, so that a check that needs no ball rows builds none.  Rows
+        equal to the rows that matched last are not checked again, as
+        ``_checked`` does (callers skip the call for that very tuple, and
+        an equal one is not kept in its place); a list is checked on every
+        call."""
+        if self.matched == adj:
+            return
+        n, dist = self.n, self.dist
+        if "balls" in vars(self):
+            ok = tuple(adj) == tuple([ball[1] for ball in self.balls])
+        else:
+            ok = sum(map(int.bit_count, adj)) == dist.count(1)
+            base = 0
+            for row in adj:
+                while row and ok:
+                    low = row & -row
+                    ok = dist[base + low.bit_length() - 1] == 1
+                    row ^= low
+                base += n
+        if not ok:
+            raise ValueError("adj does not match dist: a row is not the vertices at distance 1")
+        self.matched = tuple(adj)
+
     def balls_for(self, adj):
-        """The ball rows, once ``adj`` is found to be the graph of ``dist``:
-        each row must be ball row 1, the vertices at distance 1 (n
-        comparisons; rows equal to the tuple that matched last are not
-        compared again, as ``_checked`` does)."""
+        """The ball rows, once ``adj`` is found to be the graph of ``dist``."""
         balls = self.balls
-        if self.matched != adj:
-            if tuple(adj) != tuple([ball[1] for ball in balls]):
-                raise ValueError("adj does not match dist: a row is not the vertices at distance 1")
-            if type(adj) is tuple:
-                self.matched = adj
+        if self.matched is not adj:
+            self.match(adj)
         return balls
+
+    @cached_property
+    def classes(self):
+        """(firsts, below) of the graph, read off the rows that matched
+        ``dist``: the vertices that come first in their twin class (see the
+        module notes), and below[v], the class members before v, as a
+        mask, or None when no vertex has a twin."""
+        rows = self.matched
+        if len(set(rows)) == self.n:
+            return range(self.n), None
+        below, last = [], {}
+        for v, row in enumerate(rows):
+            b = last.get(row, 0)
+            below.append(b)
+            last[row] = b | 1 << v
+        return [v for v, b in enumerate(below) if not b], below
 
 
 # id(dist) -> the _Record of dist, for the most recently used tuples; the
@@ -480,10 +574,19 @@ class _Tables:
     @cached_property
     def through(self):
         """through[w]: TOTAL's pairs (u, v, btw[u][v]), u < v, whose
-        interval holds w."""
-        btw = self.btw
+        interval holds w, one of each class of equivalent pairs (see the
+        module notes): u first in its twin class, and v first in its class
+        or second in u's."""
+        n, btw, pred = self.n, self.btw, self.twin_pred
+        firsts = ((1 << n) - 1) & ~self.twins
+        ends = [0] * n  # ends[u]: the v > u kept with u
+        for u, p in enumerate(pred):
+            if p < 0:
+                ends[u] = firsts >> u + 1 << u + 1
+            elif pred[p] < 0:
+                ends[p] |= 1 << u
         return [
-            [(u, v, btw[u][v]) for u, iu in enumerate(iw) for v in _bits(iu >> u + 1 << u + 1)]
+            [(u, v, btw[u][v]) for u, iu in enumerate(iw) for v in _bits(iu & ends[u])]
             for iw in self.inw
         ]
 
@@ -564,9 +667,23 @@ class _Tables:
             return self._mv_partners(smask, w, keep, need)
         # OUTER's partners: one sweep from each candidate x reaches the y
         # outside smask ∪ {w, x} whose pair with x is re-checked, as w lies
-        # in its interval; x is an end of the pair, so it need not be blocked
+        # in its interval; x is an end of the pair, so it need not be
+        # blocked.  A candidate whose twin predecessor is in new or among
+        # the candidates is an heir: it repeats that vertex's partner pairs
+        # and takes its verdict without a sweep (see the module notes), once
+        # the others have been swept; heirs go up the bits, so a
+        # predecessor that is an heir itself is settled first.
+        heirs = keep & self.twins
+        if heirs:
+            pred, settled = self.twin_pred, new | keep
+            r = heirs
+            while r:
+                xb = r & -r
+                r ^= xb
+                if not settled >> pred[xb.bit_length() - 1] & 1:
+                    heirs ^= xb
         left = keep.bit_count()
-        r = keep
+        r = keep ^ heirs
         while r:
             xb = r & -r
             r ^= xb
@@ -576,7 +693,12 @@ class _Tables:
                 keep ^= xb
                 left -= 1
                 if left < need:
-                    break
+                    return keep
+        while heirs:
+            xb = heirs & -heirs
+            heirs ^= xb
+            if not (new | keep) >> pred[xb.bit_length() - 1] & 1:
+                keep ^= xb
         return keep
 
     def _mv_partners(self, smask, w, keep, need):
@@ -625,6 +747,8 @@ def set_ok(n, adj, dist, mask, kind):
         members.append(low.bit_length() - 1)
         rest ^= low
     if kind == GP:
+        if record.matched is not adj:
+            record.match(adj)
         # each triple once: the three-way "between" test is symmetric
         for i, u in enumerate(members):
             du = u * n
@@ -639,16 +763,19 @@ def set_ok(n, adj, dist, mask, kind):
         return True
     full = (1 << n) - 1
     if kind == MV:
-        sources, wanted = members, mask
-    elif kind == OUTER:
-        sources, wanted = members, full
-    elif kind == TOTAL:
-        sources, wanted = range(n), full
+        wanted = mask
+    elif kind in (OUTER, TOTAL):
+        wanted = full
     else:
         raise ValueError(f"unknown property kind code {kind}")
     outside = full & ~mask
     balls = record.balls_for(adj)
-    for u in sources:
+    firsts, below = record.classes
+    # one source per twin class (see the module notes): the first vertex
+    # of each class for TOTAL, the first member for MV and OUTER
+    for u in firsts if kind == TOTAL else members:
+        if below and mask & below[u]:
+            continue
         want = wanted & ~((2 << u) - 1)
         if kind == OUTER:
             want |= outside
@@ -698,7 +825,11 @@ def _relabelled(n, adj, dist, kind):
     vertex (see the module notes)."""
     if kind not in (MV, OUTER, TOTAL, GP):
         raise ValueError(f"unknown property kind code {kind}")
-    return _search_copy(n, tuple(adj), _checked(n, adj, dist))
+    record, rows = _checked(n, adj, dist), tuple(adj)
+    copy = _search_copy(n, rows, record)
+    # the copy's rows matched its distances, so these rows match dist
+    record.matched = rows
+    return copy
 
 
 @lru_cache(maxsize=1)

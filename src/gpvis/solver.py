@@ -34,7 +34,12 @@ from .graphs import (
 )
 from .visibility import PropertyKind, is_property_set
 
-HARD_CAP = 26
+# The largest order each kernel solves, by backend name.  The compiled
+# kernel takes every order up to its 64-bit word.  Pure solved the
+# double-cycle and Mycielskian families exactly in 2.5-18 s at orders 48
+# and 49 (D(C24) mv, total and outer, D(P24) mv, M(C24) mv and outer),
+# and did not prove D(C28) mv (order 56) in 20 s.
+SOLVER_CAPS = {"fast": 64, "pure": 48}
 ENUMERATION_CAP = 14
 
 STATUS_EXACT = "exact"
@@ -94,11 +99,12 @@ def max_property_set(
     check_time_limit(time_limit)
     if start is not None:
         require_order(g, start)
-    if g.n > HARD_CAP:
-        raise ValueError(f"order {g.n} exceeds the solver cap of {HARD_CAP}")
+    kernel = get_kernel(g.n)
+    cap = SOLVER_CAPS[kernel.NAME]
+    if g.n > cap:
+        raise ValueError(f"order {g.n} exceeds the solver cap of {cap} on the {kernel.NAME} kernel")
     d = all_pairs_distances(g)
     require_connected(d)
-    kernel = get_kernel(g.n)
     t0 = time.perf_counter()
     size, mask, nodes, code = kernel.solve_max(
         g.n,

@@ -11,11 +11,13 @@ import math
 import random
 import signal
 import time
+from collections import Counter
 
 import pytest
 
 import gpvis._kernel as kernels
 from gpvis import (
+    PropertyKind,
     VertexSet,
     all_pairs_distances,
     build_graph,
@@ -26,6 +28,8 @@ from gpvis import (
 from gpvis._kernel import backend_name, get_kernel, pure
 from gpvis.graphs import role_symmetries
 from gpvis.report import corpus_graphs
+
+from oracles import oracle_pair_visible, oracle_property_ok
 
 KINDS = (pure.MV, pure.OUTER, pure.TOTAL, pure.GP)
 BIT63 = 1 << 63
@@ -329,24 +333,24 @@ def test_kernel_rejects_bad_inputs(request, backend):
             pure.enumerate_exact(5, adj[:4], d, pure.MV, 2)
         with pytest.raises(ValueError):
             pure.enumerate_exact(5, adj, d, pure.MV, -1)
-    # the rows of cycle:5 with the distances of path:5; a GP set check
-    # reads no adj, so only the compiled one rejects it there
-    path = all_pairs_distances(parse_graph_spec("path:5")).data
-    with pytest.raises(ValueError, match="does not match"):
-        kernel.pair_visible(5, adj, path, 0, 2, 0)
-    for kind in KINDS:
+    # the rows of cycle:5 with the distances of path:5 (an edge too many),
+    # and the other way round (an edge too few)
+    p5 = parse_graph_spec("path:5")
+    for rows, table in ((adj, all_pairs_distances(p5).data), (p5.adj, d)):
         with pytest.raises(ValueError, match="does not match"):
-            kernel.greedy_set(5, adj, path, kind)
-        with pytest.raises(ValueError, match="does not match"):
-            kernel.solve_max(5, adj, path, kind)
-        if kind != pure.GP:
+            kernel.pair_visible(5, rows, table, 0, 2, 0)
+        for kind in KINDS:
             with pytest.raises(ValueError, match="does not match"):
-                kernel.set_ok(5, adj, path, 0, kind)
+                kernel.greedy_set(5, rows, table, kind)
             with pytest.raises(ValueError, match="does not match"):
-                kernel.extend_ok(5, adj, path, 0, 1, kind)
-        if backend == "pure":
+                kernel.solve_max(5, rows, table, kind)
             with pytest.raises(ValueError, match="does not match"):
-                pure.enumerate_exact(5, adj, path, kind, 2)
+                kernel.set_ok(5, rows, table, 0, kind)
+            with pytest.raises(ValueError, match="does not match"):
+                kernel.extend_ok(5, rows, table, 0, 1, kind)
+            if backend == "pure":
+                with pytest.raises(ValueError, match="does not match"):
+                    pure.enumerate_exact(5, rows, table, kind, 2)
 
 
 @pytest.mark.parametrize("backend", ["pure", "fast"])
@@ -382,6 +386,66 @@ def sweep_edge_cases():
         (split, 0b00101, yes), (split, 0b01001, yes), (split, 0b01000, yes),
         (split, 0b00111, no), (split, 0b11111, no),
     ]
+
+
+def twin_classes(g):
+    """The classes of vertices with equal adjacency rows, in label order."""
+    classes = {}
+    for v, row in enumerate(g.adj):
+        classes.setdefault(row, []).append(v)
+    return list(classes.values())
+
+
+def seen_from_first_members(g, d, members, kind):
+    """Whether the pairs that the kind requires of ``members`` and that have
+    as an end a member first in its twin class all see themselves: all
+    that a check which took each member's twin predecessor to be a member
+    would test, sweeping from the first vertices of the classes alone."""
+    firsts = {c[0] for c in twin_classes(g)}
+    others = members if kind is PropertyKind.MV else range(g.n)
+    return all(
+        oracle_pair_visible(g, d, u, v, members)
+        for u in members
+        if u in firsts
+        for v in others
+        if v != u
+    )
+
+
+@pytest.mark.parametrize("backend", ["pure", "fast"])
+def test_set_ok_on_twin_classes_equals_the_oracle(request, backend):
+    """On sets that break the search's twin-prefix rule, set_ok answers as
+    the oracle that lists every geodesic: every set of the graphs of up to
+    8 vertices, among them twin classes of three and more, and on larger
+    doubles random sets that hold a later twin without the first vertex
+    of its class.  Some of these fail only at a pair of a member whose
+    twin predecessor is not a member, which a check that took every
+    predecessor to be a member would pass; both kernels reject them."""
+    kernel = pure if backend == "pure" else request.getfixturevalue("fast_kernel")
+    rng = random.Random(25)
+    cases = Counter()
+    for spec in ("double(star:4)", "kbip:3,4", "double(double(path:3))", "double(cycle:5)", "double(path:5)"):
+        g = parse_graph_spec(spec)
+        d = all_pairs_distances(g)
+        classes = twin_classes(g)
+        if g.n <= 8:
+            masks = range(1 << g.n)
+        else:
+            masks = []
+            for _ in range(150):
+                c = rng.choice([c for c in classes if len(c) > 1])
+                masks.append(rng.getrandbits(g.n) & ~(1 << c[0]) | 1 << rng.choice(c[1:]))
+        for mask in masks:
+            members = [v for v in range(g.n) if mask >> v & 1]
+            broken = any(mask >> v & 1 and not mask >> c[0] & 1 for c in classes for v in c[1:])
+            for kind in PropertyKind:
+                want = oracle_property_ok(g, d, members, kind)
+                assert kernel.set_ok(g.n, g.adj, d.data, mask, kind.code) == want, (spec, mask, kind)
+                cases[kind, want, broken] += 1
+                if broken and not want and kind in (PropertyKind.MV, PropertyKind.OUTER):
+                    cases[kind, "trap"] += seen_from_first_members(g, d, members, kind)
+    assert min(cases[kind, ok, True] for kind in PropertyKind for ok in (True, False)) > 0, cases
+    assert cases[PropertyKind.MV, "trap"] > 0 and cases[PropertyKind.OUTER, "trap"] > 0, cases
 
 
 @pytest.mark.parametrize("backend", ["pure", "fast"])

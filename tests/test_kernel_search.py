@@ -11,18 +11,19 @@ a C compiler."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
-from gpvis import all_pairs_distances, build_graph, parse_graph_spec
+from gpvis import PropertyKind, all_pairs_distances, build_graph, parse_graph_spec
 from gpvis._kernel import pure
 from gpvis.families import double_graph, mycielskian
 from gpvis.graphs import role_symmetries
 from gpvis.report import corpus_graphs
 
-from oracles import oracle_pair_visible
+from oracles import oracle_pair_visible, oracle_property_ok
 
 KINDS = (pure.MV, pure.OUTER, pure.TOTAL, pure.GP)
 
@@ -292,21 +293,26 @@ def split_graph():
 def test_reverse_intervals_equal_their_definition():
     """inw[w][x] holds exactly the y with w strictly inside some
     x,y-geodesic, and through[w] lists the pairs u < v with w strictly
-    inside some u,v-geodesic, on a disconnected graph too."""
-    inside = 0
-    for g in graphs_under_test() + [split_graph()]:
+    inside some u,v-geodesic whose u is first in its twin class and whose
+    v is first in its class or second in u's, on a disconnected graph and
+    on twin classes of three and more too."""
+    inside = dropped = 0
+    twin_rich = [parse_graph_spec(s) for s in ("double(double(path:3))", "kbip:3,4")]
+    for g in graphs_under_test() + twin_rich + [split_graph()]:
         n, dist = g.n, tuple(all_pairs_distances(g).data)
         tables = pure._Tables(n, g.adj, dist)
-        btw, inw = tables.btw, tables.inw
+        btw, inw, pred = tables.btw, tables.inw, tables.twin_pred
         for w in range(n):
             for x in range(n):
                 want = mask_of(y for y in range(n) if btw[x][y] >> w & 1)
                 assert inw[w][x] == want, (g.adj, w, x)
                 inside += want.bit_count()
+            pairs = [(u, v, btw[u][v]) for u in range(n) for v in range(u + 1, n) if btw[u][v] >> w & 1]
             assert tables.through[w] == [
-                (u, v, btw[u][v]) for u in range(n) for v in range(u + 1, n) if btw[u][v] >> w & 1
+                (u, v, m) for u, v, m in pairs if pred[u] < 0 and pred[v] in (-1, u)
             ], (g.adj, w)
-    assert inside > 0
+            dropped += len(pairs) - len(tables.through[w])
+    assert inside > 0 and dropped > 0
 
 
 def test_tables_equal_their_definitions():
@@ -533,6 +539,30 @@ def test_twin_rule_keeps_the_optimum(spec):
         assert status == 0 and mask.bit_count() == size
         assert pure.set_ok(g.n, g.adj, dist, mask, kind)
         assert pure.enumerate_exact(g.n, g.adj, dist, kind, size + 1) == [], (spec, kind)
+
+
+def test_enumeration_on_twin_classes_equals_the_oracle():
+    """On graphs whose twin classes have three or more vertices,
+    enumerate_exact lists exactly the sets that the oracle finds good, one
+    above the optimum, at it and one below it.  It walks the full tree, so
+    it lists sets that hold a later twin without the first vertex of its
+    class, which the search's prefix rule skips and the filter must still
+    judge."""
+    broken = 0
+    for spec in ("double(star:4)", "double(double(path:3))", "kbip:3,4"):
+        g = parse_graph_spec(spec)
+        d = all_pairs_distances(g)
+        pred = pure._Tables(g.n, g.adj, d.data).twin_pred
+        for kind in PropertyKind:
+            size = pure.solve_max(g.n, g.adj, d.data, kind.code)[0]
+            for k in (size + 1, size, size - 1):
+                sets = itertools.combinations(range(g.n), k)
+                want = [mask_of(c) for c in sets if oracle_property_ok(g, d, c, kind)]
+                got = pure.enumerate_exact(g.n, g.adj, d.data, kind.code, k)
+                assert sorted(got) == sorted(want), (spec, kind, k)
+                for m in got:
+                    broken += any(m >> v & 1 and not m >> p & 1 for v, p in enumerate(pred) if p >= 0)
+    assert broken > 0
 
 
 # spec, kind: solve_max (size, mask, nodes, status), the node count of a

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+import gpvis._kernel as kernels
 from gpvis import (
     ENUMERATION_CAP,
-    HARD_CAP,
+    SOLVER_CAPS,
     PropertyKind,
     VertexSet,
     all_pairs_distances,
@@ -146,11 +147,27 @@ def test_greedy_lower_bound_verified_and_bounded(small_corpus, small_corpus_dist
             assert len(s) <= oracle_max_size(g, d, kind)
 
 
-def test_solver_cap():
-    g = parse_graph_spec("double(cycle:14)")  # order 28 > cap
-    assert g.n > HARD_CAP
-    with pytest.raises(ValueError):
-        max_property_set(g, PropertyKind.MV)
+def test_solver_caps_follow_the_backend(fast_kernel, monkeypatch):
+    """Each backend solves up to its own cap: the compiled kernel solves
+    an order-33 graph through ``max_property_set``, the pure kernel takes
+    a graph at its cap and rejects one above it, and a graph above 64,
+    which only the pure kernel takes, meets the pure cap."""
+    monkeypatch.setattr(kernels, "fast", fast_kernel)
+    monkeypatch.setenv("GPVIS_KERNEL", "fast")
+    g = parse_graph_spec("myc(cycle:16)")
+    assert g.n == 33
+    result = max_property_set(g, PropertyKind.MV)
+    assert (result.value, result.status, result.nodes_explored) == (20, "exact", 5053)
+    assert SOLVER_CAPS["fast"] == 64
+    cap = SOLVER_CAPS["pure"]
+    monkeypatch.setenv("GPVIS_KERNEL", "pure")
+    assert max_property_set(parse_graph_spec(f"cycle:{cap}"), PropertyKind.GP).value == 3
+    message = f"order {cap + 1} exceeds the solver cap of {cap} on the pure kernel"
+    with pytest.raises(ValueError, match=message):
+        max_property_set(parse_graph_spec(f"cycle:{cap + 1}"), PropertyKind.GP)
+    monkeypatch.delenv("GPVIS_KERNEL")
+    with pytest.raises(ValueError, match=f"cap of {cap} on the pure kernel"):
+        max_property_set(parse_graph_spec("cycle:65"), PropertyKind.GP)
 
 
 def test_solver_rejects_disconnected():

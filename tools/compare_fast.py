@@ -20,9 +20,13 @@ is even.  A run times enough back-to-back solves to last about 20 ms and
 records the time per solve.  Prints per instance the base and change
 medians, the median over runs of change/base (each run times the two
 back to back, so a machine that changes speed between runs shifts both
-sides alike) and in how many runs the change was faster, and last the
-sums of the base and change medians over the instances with their
-ratio; ``--out`` writes every run as JSON.  Run it from the repo
+sides alike) and in how many runs the change was faster.  Then it times
+``set_ok`` of the instance's optimum (the mask of the base's first solve)
+the same way, for every kind that set has, as a from-scratch set check
+of a recurring graph (a pure kernel keeps its checked record between
+calls).  Last come the sums of the base and change medians over the
+solves, and over the set checks, with their ratios; ``--out`` writes
+every run as JSON.  Run it from the repo
 root, with ``src`` importable (``PYTHONPATH=src``).
 """
 
@@ -80,6 +84,36 @@ def per_solve(kernel, args, reps: int) -> float:
     return (time.perf_counter() - start) / reps
 
 
+def per_check(kernel, args, reps: int) -> float:
+    start = time.perf_counter()
+    for _ in range(reps):
+        kernel.set_ok(*args)
+    return (time.perf_counter() - start) / reps
+
+
+def alternate(kernels, per_call, args, runs: int) -> dict:
+    """Time ``per_call`` on both sides in ``runs`` alternating runs of
+    about 20 ms each; the run times and their summary."""
+    reps = max(1, round(0.02 / per_call(kernels["base"], args, 1)))
+    times = {"base": [], "change": []}
+    for k in range(runs):
+        for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
+            times[side].append(per_call(kernels[side], args, reps))
+    ratios = [c / b for b, c in zip(times["base"], times["change"])]
+    return {"reps": reps, "runs": times,
+            "base_median_s": statistics.median(times["base"]),
+            "change_median_s": statistics.median(times["change"]),
+            "median_run_ratio": statistics.median(ratios),
+            "change_faster_runs": sum(r < 1 for r in ratios)}
+
+
+def report(label: str, timing: dict, runs: int, unit: str = "ms") -> str:
+    scale = {"ms": 1e3, "us": 1e6}[unit]
+    base, change = timing["base_median_s"] * scale, timing["change_median_s"] * scale
+    return (f"{label:40} base {base:8.3f} {unit}  change {change:8.3f} {unit}"
+            f"  ratio {timing['median_run_ratio']:.2f}  faster in {timing['change_faster_runs']}/{runs}")
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base")
@@ -103,26 +137,28 @@ def main(argv=None) -> None:
             base_r, change_r = result["base"], result["change"]
             if base_r[:2] != change_r[:2] or base_r[3] != change_r[3]:
                 raise SystemExit(f"{instance}: the two kernels disagree on size, mask or status")
-            reps = max(1, round(0.02 / per_solve(kernels["base"], args, 1)))
-            runs = {"base": [], "change": []}
-            for k in range(opts.runs):
-                for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
-                    runs[side].append(per_solve(kernels[side], args, reps))
-            base, change = statistics.median(runs["base"]), statistics.median(runs["change"])
-            ratios = [c / b for b, c in zip(runs["base"], runs["change"])]
-            ratio, faster = statistics.median(ratios), sum(r < 1 for r in ratios)
-            rows.append({"instance": instance, "result": {side: list(r) for side, r in result.items()},
-                         "reps": reps, "runs": runs,
-                         "base_median_s": base, "change_median_s": change,
-                         "median_run_ratio": ratio, "change_faster_runs": faster})
-            nodes = f"{result['base'][2]:>6} -> {result['change'][2]:>6}"
-            print(f"{instance:26} nodes {nodes}  base {base * 1e3:8.3f} ms  change {change * 1e3:8.3f} ms"
-                  f"  ratio {ratio:.2f}  faster in {faster}/{opts.runs}", flush=True)
-    base = sum(row["base_median_s"] for row in rows)
-    change = sum(row["change_median_s"] for row in rows)
-    print(f"{'total':26} base {base * 1e3:8.3f} ms  change {change * 1e3:8.3f} ms  ratio {change / base:.2f}")
+            row = {"instance": instance, "result": {side: list(r) for side, r in result.items()},
+                   **alternate(kernels, per_solve, args, opts.runs), "set_ok": {}}
+            nodes = f"nodes {result['base'][2]:>6} -> {result['change'][2]:>6}"
+            print(report(f"{instance:26} {nodes}", row, opts.runs), flush=True)
+            for name, code in KIND_CODES.items():
+                check = (*args[:3], base_r[1], code)
+                verdicts = {side: kernels[side].set_ok(*check) for side in kernels}
+                if verdicts["base"] != verdicts["change"]:
+                    raise SystemExit(f"{instance}: the two kernels disagree on set_ok {name} of the optimum")
+                if verdicts["base"]:
+                    row["set_ok"][name] = alternate(kernels, per_check, check, opts.runs)
+                    print(report(f"  set_ok {name}", row["set_ok"][name], opts.runs, "us"), flush=True)
+            rows.append(row)
+    total = {}
+    checks = [t for row in rows for t in row["set_ok"].values()]
+    for what, timings, unit, scale in (("solve_max", rows, "ms", 1e3), ("set_ok", checks, "us", 1e6)):
+        base = sum(t["base_median_s"] for t in timings)
+        change = sum(t["change_median_s"] for t in timings)
+        total[what] = {"base_s": base, "change_s": change, "ratio": change / base}
+        print(f"{'total ' + what:40} base {base * scale:8.3f} {unit}  change {change * scale:8.3f} {unit}"
+              f"  ratio {change / base:.2f}")
     if opts.out:
-        total = {"base_s": base, "change_s": change, "ratio": change / base}
         Path(opts.out).write_text(json.dumps({"runs_per_side": opts.runs, "start": opts.start, "instances": rows,
                                              "total": total},
                                              indent=1) + "\n")
