@@ -9,6 +9,16 @@ Scopes: ``double`` covers the double-graph values, witnesses, and the
 balloon; ``mycielskian`` covers the Mycielskian values and witnesses;
 ``bounds`` covers corpus-driven inequalities and structural property
 trials; ``all`` runs everything.
+
+The bound checks read one pass over the corpus (``_corpus_pass``), which
+runs every solve of a graph G back to back: gp, μ_t, μ_o and μ of G,
+then gp and μ of one D(G) and the maximum GP sets that
+``gp_equality_structure`` needs, then μ(M(G)).  Consecutive solves of
+one graph so share the kernel's search copy.  The first check that reads
+the pass, ``gp_double_sandwich``, runs it, so its time shows there.  The
+time limit bounds every solve of the suite; a bound check that read a
+solve stopped by it reports ``timeout``, as its values are then lower
+bounds.
 """
 
 from __future__ import annotations
@@ -22,7 +32,13 @@ from typing import Callable, TextIO
 from .catalog import FormulaId
 from .families import double_graph, mycielskian, parse_graph_spec
 from .graphs import Graph, VertexSet, all_pairs_distances, build_graph
-from .solver import InvariantResult, check_time_limit, enumerate_maximum_sets, max_property_set
+from .solver import (
+    ENUMERATION_CAP,
+    InvariantResult,
+    check_time_limit,
+    enumerate_maximum_sets,
+    max_property_set,
+)
 from .visibility import (
     PropertyKind,
     is_general_position_set,
@@ -249,16 +265,24 @@ class _Suite:
         spec_text: str,
         kind: PropertyKind | None,
         expected: Expected,
-        fn: Callable[[], tuple[int, str]],
+        fn: Callable[[], tuple],
     ) -> None:
-        """Run a counting check (violations, mismatches) built by ``fn``."""
+        """Run a counting check (violations, mismatches) built by ``fn``,
+        which returns the count, a note and, for a check that reads
+        solves, the solves it read.  If the time limit stopped any of them,
+        the count rests on lower bounds and the check reports a timeout."""
         check = Check(name, spec_text, kind, expected)
         start = time.perf_counter()
         try:
-            actual, note = fn()
-            check.actual = actual
-            check.note = note
-            check.status = "pass" if expected.satisfied(actual) else "fail"
+            check.actual, check.note, *read = fn()
+            solves = read[0] if read else []
+            stopped = sum(1 for res in solves if res.stopped_by == "time")
+            if stopped:
+                check.status = "timeout"
+                cut = f"{stopped} of {len(solves)} solves stopped by the time limit"
+                check.note = f"{check.note}; {cut}" if check.note else cut
+            else:
+                check.status = "pass" if expected.satisfied(check.actual) else "fail"
         except Exception as exc:
             check.status = "fail"
             check.note = str(exc)
@@ -300,19 +324,19 @@ class _Suite:
     def run_bounds(self) -> None:
         graphs = corpus_graphs(self.seed)
         corpus_text = f"corpus({len(graphs)} graphs, seed={self.seed})"
-        # solved once for the two checks that read them; a failure is retried
-        gp_pairs = cache(lambda: _gp_pairs(graphs))
+        # run by the first check that reads it; a failure is retried
+        solved = cache(lambda: _corpus_pass(graphs, self.time_limit))
         self.aggregate_check(
             "gp_double_sandwich", corpus_text, PropertyKind.GP, exactly(0),
-            lambda: self._gp_sandwich_violations(gp_pairs()),
+            lambda: _gp_sandwich_violations(solved()),
         )
         self.aggregate_check(
             "mu_double_total_lb", corpus_text, PropertyKind.MV, exactly(0),
-            lambda: self._double_lower_bound_violations(graphs),
+            lambda: _double_lower_bound_violations(solved()),
         )
         self.aggregate_check(
             "mu_myc_diam3_sandwich", corpus_text, PropertyKind.MV, exactly(0),
-            lambda: self._myc_sandwich_violations(graphs),
+            lambda: _myc_sandwich_violations(solved()),
         )
         self.aggregate_check(
             "gp_oracle_equivalence", "all subsets, corpus + families, n <= 7",
@@ -333,42 +357,10 @@ class _Suite:
         )
         self.aggregate_check(
             "gp_equality_structure", corpus_text, PropertyKind.GP, exactly(0),
-            lambda: self._equality_structure_violations(graphs, gp_pairs()),
+            lambda: _equality_structure_violations(solved()),
         )
 
     # aggregate bodies
-
-    def _gp_sandwich_violations(self, gp_pairs) -> tuple[int, str]:
-        viol = sum(1 for gp_g, _, best in gp_pairs if not gp_g <= best.value <= 2 * gp_g)
-        return viol, ""
-
-    def _double_lower_bound_violations(self, graphs) -> tuple[int, str]:
-        viol = checked = 0
-        for g in graphs:
-            if g.is_complete():
-                continue
-            checked += 1
-            total = max_property_set(g, PropertyKind.TOTAL)
-            seed = witness_double_from_total(g, total.witness)
-            mu_d = max_property_set(double_graph(g), PropertyKind.MV, start=seed).value
-            if not mu_d >= g.n + total.value:
-                viol += 1
-        return viol, f"{checked} non-complete graphs checked"
-
-    def _myc_sandwich_violations(self, graphs) -> tuple[int, str]:
-        viol = checked = 0
-        for g in graphs:
-            if g.is_complete() or all_pairs_distances(g).diameter() > 3:
-                continue
-            checked += 1
-            outer = max_property_set(g, PropertyKind.OUTER)
-            # an outer mutual-visibility set is a mutual-visibility set
-            mu = max_property_set(g, PropertyKind.MV, start=outer.witness).value
-            seed = witness_diam3(g, outer.witness)
-            mu_m = max_property_set(mycielskian(g), PropertyKind.MV, start=seed).value
-            if not (g.n + outer.value <= mu_m <= g.n + mu + 1):
-                viol += 1
-        return viol, f"{checked} graphs with diam <= 3 checked"
 
     def _oracle_mismatches(self, graphs) -> tuple[int, str]:
         pool = [g for g in graphs if g.n <= 7] + _oracle_family_graphs()
@@ -434,23 +426,6 @@ class _Suite:
         # adding the true twin must break mutual visibility here
         return (1 if is_mutual_visibility_set(g, d, t) else 0), ""
 
-    def _equality_structure_violations(self, graphs, gp_pairs) -> tuple[int, str]:
-        viol = checked = 0
-        for g, (gp_g, dg, best) in zip(graphs, gp_pairs):
-            if dg.n > 14 or best.value != 2 * gp_g:
-                continue
-            checked += 1
-            base_mask = (1 << g.n) - 1
-            for s in enumerate_maximum_sets(dg, PropertyKind.GP, best=best):
-                bases = s.mask & base_mask
-                copies = s.mask >> g.n
-                if bases != copies:
-                    viol += 1
-                    continue
-                if any(g.adj[u] & bases for u in VertexSet(g.n, bases)):
-                    viol += 1
-        return viol, f"{checked} graphs with gp(D(G)) = 2 gp(G)"
-
     def _witness_failures_double(self) -> tuple[int, str]:
         rows = _witness_rows(FormulaId.MU_DOUBLE_CYCLE_SMALL)
         rows += _witness_rows(FormulaId.MU_UNIVERSAL_DOUBLE)
@@ -464,7 +439,7 @@ class _Suite:
         rows += _witness_rows(FormulaId.MU_MYC_CYCLE, range(8, 13))
         rows += _witness_rows(FormulaId.MU_UNIVERSAL_MYC)
         rows += [
-            (f"diam3 {spec}", lambda spec=spec: _diam3_witness(spec))
+            (f"diam3 {spec}", partial(_diam3_witness, spec, self.time_limit))
             for spec in ("cycle:5", "kbip:3,3", "path:4")
         ]
         return _failures(rows)
@@ -481,14 +456,93 @@ def _witness_rows(row: FormulaId, ns=None) -> list:
     ]
 
 
-def _gp_pairs(graphs) -> list[tuple[int, Graph, InvariantResult]]:
-    """(gp(G), D(G), the exact gp solve of D(G)) for each corpus graph G."""
+@dataclass
+class _Solved:
+    """The solves of one corpus graph G that the bound checks read.  The
+    μ solves are None where their bound does not apply to G (μ_t and
+    μ(D(G)) need G non-complete, μ_o, μ and μ(M(G)) also diam(G) <= 3).
+    ``gp_double_sets`` lists the maximum GP sets of D(G) when D(G) is
+    small enough to enumerate and both gp solves are exact with
+    gp(D(G)) = 2 gp(G), and is None otherwise."""
+
+    g: Graph
+    gp: InvariantResult
+    gp_double: InvariantResult | None = None
+    total: InvariantResult | None = None
+    mu_double: InvariantResult | None = None
+    outer: InvariantResult | None = None
+    mu: InvariantResult | None = None
+    mu_myc: InvariantResult | None = None
+    gp_double_sets: list[VertexSet] | None = None
+
+
+def _corpus_pass(graphs, time_limit) -> list[_Solved]:
+    """Every solve of the bound checks, one corpus graph at a time: those
+    on G, then those on one D(G), then μ(M(G)), so that consecutive solves
+    of one graph share the kernel's search copy and its tables.  Each μ
+    solve starts from the paper's construction: μ(G) from a μ_o set,
+    μ(D(G)) from V(G') plus a μ_t set, μ(M(G)) from V(G') plus a μ_o set."""
+
+    def solve(h, kind, start=None):
+        return max_property_set(h, kind, time_limit=time_limit, start=start)
+
     out = []
     for g in graphs:
+        s = _Solved(g, solve(g, PropertyKind.GP))
+        if not g.is_complete():
+            s.total = solve(g, PropertyKind.TOTAL)
+            if all_pairs_distances(g).diameter() <= 3:
+                s.outer = solve(g, PropertyKind.OUTER)
+                # an outer mutual-visibility set is a mutual-visibility set
+                s.mu = solve(g, PropertyKind.MV, start=s.outer.witness)
         dg = double_graph(g)
-        out.append((max_property_set(g, PropertyKind.GP).value, dg,
-                    max_property_set(dg, PropertyKind.GP)))
+        s.gp_double = solve(dg, PropertyKind.GP)
+        if s.total is not None:
+            seed = witness_double_from_total(g, s.total.witness)
+            s.mu_double = solve(dg, PropertyKind.MV, start=seed)
+        if (dg.n <= ENUMERATION_CAP and s.gp.exact and s.gp_double.exact
+                and s.gp_double.value == 2 * s.gp.value):
+            s.gp_double_sets = enumerate_maximum_sets(dg, PropertyKind.GP, best=s.gp_double)
+        if s.outer is not None:
+            seed = witness_diam3(g, s.outer.witness)
+            s.mu_myc = solve(mycielskian(g), PropertyKind.MV, start=seed)
+        out.append(s)
     return out
+
+
+def _gp_sandwich_violations(solved) -> tuple[int, str, list]:
+    viol = sum(1 for s in solved if not s.gp.value <= s.gp_double.value <= 2 * s.gp.value)
+    return viol, "", [res for s in solved for res in (s.gp, s.gp_double)]
+
+
+def _double_lower_bound_violations(solved) -> tuple[int, str, list]:
+    rows = [s for s in solved if s.total is not None]
+    viol = sum(1 for s in rows if not s.mu_double.value >= s.g.n + s.total.value)
+    return (viol, f"{len(rows)} non-complete graphs checked",
+            [res for s in rows for res in (s.total, s.mu_double)])
+
+
+def _myc_sandwich_violations(solved) -> tuple[int, str, list]:
+    rows = [s for s in solved if s.outer is not None]
+    viol = sum(1 for s in rows
+               if not s.g.n + s.outer.value <= s.mu_myc.value <= s.g.n + s.mu.value + 1)
+    return (viol, f"{len(rows)} graphs with diam <= 3 checked",
+            [res for s in rows for res in (s.outer, s.mu, s.mu_myc)])
+
+
+def _equality_structure_violations(solved) -> tuple[int, str, list]:
+    """Each maximum GP set of D(G), where gp(D(G)) = 2 gp(G), must be some
+    independent set of G together with its copies."""
+    viol = 0
+    rows = [s for s in solved if s.gp_double_sets is not None]
+    for s in rows:
+        n = s.g.n
+        for gp_set in s.gp_double_sets:
+            bases = gp_set.mask & ((1 << n) - 1)
+            if bases != gp_set.mask >> n or any(s.g.adj[u] & bases for u in VertexSet(n, bases)):
+                viol += 1
+    read = [res for s in solved if 2 * s.g.n <= ENUMERATION_CAP for res in (s.gp, s.gp_double)]
+    return viol, f"{len(rows)} graphs with gp(D(G)) = 2 gp(G)", read
 
 
 def _failures(rows) -> tuple[int, str]:
@@ -502,9 +556,10 @@ def _failures(rows) -> tuple[int, str]:
     return len(notes), "; ".join(notes)
 
 
-def _diam3_witness(spec: str) -> VertexSet:
+def _diam3_witness(spec: str, time_limit: float | None) -> VertexSet:
     g = parse_graph_spec(spec)
-    return witness_diam3(g, max_property_set(g, PropertyKind.OUTER).witness)
+    outer = max_property_set(g, PropertyKind.OUTER, time_limit=time_limit)
+    return witness_diam3(g, outer.witness)
 
 
 def run_verification_suite(

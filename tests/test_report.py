@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import random
 import re
+from collections import namedtuple
 from dataclasses import replace
 
 import pytest
@@ -24,6 +25,7 @@ from gpvis import (
     solver,
     witnesses,
 )
+from gpvis._kernel import pure
 from gpvis.cli import main
 from gpvis.graphs import all_pairs_distances
 from gpvis.report import (
@@ -187,14 +189,18 @@ def test_seeded_catalog_rows_start_from_their_value():
     assert seeded == SEEDED_ROWS
 
 
+Solve = namedtuple("Solve", "g kind start time_limit result")
+
+
 def recording_solves(monkeypatch):
-    """Record (the graph's adj, kind, start) for each solve that
-    the suite makes itself, not those inside enumeration."""
+    """Record a Solve for each solve that the suite makes itself, not
+    those inside enumeration."""
     calls = []
 
     def solve(g, kind, **kw):
-        calls.append((g.adj, kind, kw.get("start")))
-        return max_property_set(g, kind, **kw)
+        res = max_property_set(g, kind, **kw)
+        calls.append(Solve(g, kind, kw.get("start"), kw.get("time_limit"), res))
+        return res
 
     monkeypatch.setattr(report, "max_property_set", solve)
     return calls
@@ -207,12 +213,12 @@ def test_suite_starts_each_seeded_row_from_its_witness(monkeypatch):
     # the catalog's checks, in order, then the witness gates' diam3 solves
     checks = list(catalog_checks())
     assert len(calls) == len(checks) + 3
-    for (row, fam, p, g), (adj, kind, start) in zip(checks, calls):
-        assert (adj, kind) == (g.adj, row.kind)
+    for (row, fam, p, g), call in zip(checks, calls):
+        assert (call.g.adj, call.kind) == (g.adj, row.kind)
         if fam.witness is None:
-            assert start is None
+            assert call.start is None
         else:
-            assert start == fam.witness(p)
+            assert call.start == fam.witness(p)
 
 
 def test_bounds_seed_every_mv_solve_and_solve_each_gp_once(monkeypatch):
@@ -221,23 +227,95 @@ def test_bounds_seed_every_mv_solve_and_solve_each_gp_once(monkeypatch):
     gp(D(G)) of each corpus graph once for the two checks that read them."""
     calls = recording_solves(monkeypatch)
     assert run_verification_suite("bounds", seed=DEFAULT_CORPUS_SEED).all_pass()
-    mv = [(adj, start) for adj, kind, start in calls if kind == PropertyKind.MV]
-    gp = [adj for adj, kind, _ in calls if kind == PropertyKind.GP]
-    assert mv and all(start is not None for _, start in mv)
+    mv = [c.start for c in calls if c.kind == PropertyKind.MV]
+    gp = [c.g.adj for c in calls if c.kind == PropertyKind.GP]
+    assert mv and all(start is not None for start in mv)
     assert len(gp) == len(set(gp)) == 2 * CORPUS_SIZE
 
 
 def test_bounds_solve_each_double_graph_once(monkeypatch):
     """gp_equality_structure enumerates the maximum GP sets of D(G) from the
-    solve that gp_double_sandwich made, so each D(G) is solved once."""
+    corpus pass's gp solve of D(G), so each D(G) is solved once."""
     calls = recording_solves(monkeypatch)
     monkeypatch.setattr(solver, "max_property_set", report.max_property_set)
     checks = {c.name: c for c in run_verification_suite("bounds", seed=DEFAULT_CORPUS_SEED).checks}
     assert checks["gp_equality_structure"].status == "pass"
     assert not checks["gp_equality_structure"].note.startswith("0 ")
     doubles = {double_graph(g).adj for g in corpus_graphs(DEFAULT_CORPUS_SEED)}
-    gp = [adj for adj, kind, _ in calls if kind == PropertyKind.GP and adj in doubles]
+    gp = [c.g.adj for c in calls if c.kind == PropertyKind.GP and c.g.adj in doubles]
     assert len(gp) == len(set(gp)) == len(doubles)
+
+
+BOUNDS_CHECKS = (
+    "gp_double_sandwich", "mu_double_total_lb", "mu_myc_diam3_sandwich", "gp_oracle_equivalence",
+    "false_twin_swap_trials", "true_twin_extend_trials", "true_twin_mv_regression",
+    "gp_equality_structure",
+)
+
+
+# corpus seed -> graphs with diam <= 3, oracle subsets and graphs, and graphs
+# with gp(D(G)) = 2 gp(G); every corpus has 50 non-complete graphs
+BOUNDS_NOTES = {
+    0: (39, 4272, 78, 17), 1: (39, 4528, 78, 20), 2: (38, 4304, 74, 21),
+    3: (37, 4304, 84, 27), 4: (38, 4240, 73, 23), 5: (41, 3680, 76, 23),
+    6: (37, 4560, 79, 23), 7: (32, 4528, 76, 24), DEFAULT_CORPUS_SEED: (30, 3712, 76, 22),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BOUNDS_NOTES))
+def test_bounds_outputs_are_pinned(seed):
+    diam3, subsets, pool, equal = BOUNDS_NOTES[seed]
+    notes = {
+        "mu_double_total_lb": "50 non-complete graphs checked",
+        "mu_myc_diam3_sandwich": f"{diam3} graphs with diam <= 3 checked",
+        "gp_oracle_equivalence": f"{subsets} subsets over {pool} graphs",
+        "gp_equality_structure": f"{equal} graphs with gp(D(G)) = 2 gp(G)",
+    }
+    got = [(c.name, c.status, c.actual, c.note)
+           for c in run_verification_suite("bounds", seed=seed).checks]
+    assert got == [(name, "pass", 0, notes.get(name, "")) for name in BOUNDS_CHECKS]
+
+
+def test_bounds_solve_each_graph_on_one_search_copy(monkeypatch):
+    """Over corpus seeds 4-7 the bounds scope makes the same solves, with
+    the same node counts, as when each check swept the corpus on its own;
+    each graph's kinds are solved once, back to back, so the pure kernel
+    builds one search copy per solved graph."""
+    monkeypatch.setenv("GPVIS_KERNEL", "pure")
+    builds = []
+    init = pure._Tables.__init__
+    monkeypatch.setattr(pure._Tables, "__init__", lambda self, *a: builds.append(init(self, *a)))
+    calls = recording_solves(monkeypatch)
+    for seed in (4, 5, 6, 7):
+        run_verification_suite("bounds", seed=seed)
+    solved = [(id(c.g), c.kind) for c in calls]
+    assert len(solved) == len(set(solved))
+    assert len(builds) == len({g for g, _ in solved}) == 548
+    totals = {}
+    for c in calls:
+        count, nodes = totals.get(c.kind, (0, 0))
+        totals[c.kind] = (count + 1, nodes + c.result.nodes_explored)
+    assert totals == {
+        PropertyKind.GP: (400, 3786), PropertyKind.TOTAL: (200, 270),
+        PropertyKind.OUTER: (148, 722), PropertyKind.MV: (496, 7031),
+    }
+
+
+def test_time_limit_bounds_every_solve(monkeypatch):
+    """A time limit reaches every solve of the suite, the corpus pass and
+    the diameter-3 witnesses included, and a bound check that read a solve
+    the limit stopped reports a timeout, never a failure.  On the pure
+    kernel a solve's set-up alone outlasts the limit, so every solve stops."""
+    monkeypatch.setenv("GPVIS_KERNEL", "pure")
+    calls = recording_solves(monkeypatch)
+    checks = {c.name: c for c in run_verification_suite("all", time_limit=1e-6).checks}
+    assert calls and all(c.time_limit == 1e-6 and c.result.stopped_by == "time" for c in calls)
+    assert {checks[name].status for name in BOUNDS_CHECKS} == {"pass", "timeout"}
+    for name in ("gp_double_sandwich", "mu_double_total_lb", "mu_myc_diam3_sandwich",
+                 "gp_equality_structure"):
+        assert checks[name].status == "timeout"
+        assert re.search(r"(^|; )\d+ of \d+ solves stopped by the time limit$", checks[name].note)
+    assert checks["witness_gate_myc"].status == "pass"
 
 
 def test_enumeration_takes_the_callers_result():
