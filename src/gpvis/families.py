@@ -15,11 +15,20 @@ the apex (Mycielskian only), so Base(i) sits at index i and Copy(i) at
 index n + i.  That layout depends only on n and the operator, so every
 graph of one shape shares one roles tuple (``layout_roles``) and one
 label table.
+
+Adjacency rows are built once per atom and once per operator input: an
+atom's rows are kept per family and parameters, and an operator's rows
+per input rows, each in a memo of the latest 128, so equal specs hand
+every layer above the same rows tuple and its identity-keyed caches hit.
+Each parse still returns a graph object of its own, the operators are
+still called on every parse, and a ``file:`` spec is read afresh each
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .graphs import Graph, build_graph, layout_roles, read_edge_list_file
@@ -79,13 +88,26 @@ class FamilySpec:
 
 
 def _build(fam: _Family, params: Sequence[int], name: str) -> Graph:
-    """The family's graph on ``params``; an error calls the family ``name``."""
-    if len(params) != fam.arity or min(params) < fam.least:
-        if len(params) != fam.arity:
-            plural = "" if fam.arity == 1 else "s"
-            raise ValueError(f"{name} takes {fam.arity} parameter{plural}, got {len(params)}")
+    """The family's graph on ``params``; an error calls the family ``name``.
+    Parameters must be ``int`` (not ``bool``): ``5.0`` equals ``5``, so a
+    memo would otherwise serve it ``5``'s rows."""
+    if len(params) != fam.arity:
+        plural = "" if fam.arity == 1 else "s"
+        raise ValueError(f"{name} takes {fam.arity} parameter{plural}, got {len(params)}")
+    for p in params:
+        if type(p) is not int:
+            raise ValueError(f"{name} parameters must be integers, got {p!r}")
+    if min(params) < fam.least:
         raise ValueError(f"{name} needs each parameter >= {fam.least}")
-    return fam.build(*params)
+    rows = _atom_rows(fam.token, tuple(params))
+    return Graph(len(rows), rows, layout_roles(len(rows)))
+
+
+@lru_cache(maxsize=128)
+def _atom_rows(token: str, params: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of the family's graph on checked ``params``; kept for the
+    latest 128."""
+    return _BY_TOKEN[token].build(*params).adj
 
 
 def generate(spec: FamilySpec) -> Graph:
@@ -102,9 +124,15 @@ def double_graph(g: Graph) -> Graph:
     n = g.n
     if n < 1:
         raise ValueError("double graph needs a nonempty graph")
-    row = [g.adj[i] | g.adj[i] << n for i in range(n)]
-    adj = tuple(row[i % n] for i in range(2 * n))
-    return Graph(2 * n, adj, layout_roles(n, "double"))
+    return Graph(2 * n, _double_rows(tuple(g.adj)), layout_roles(n, "double"))
+
+
+@lru_cache(maxsize=128)
+def _double_rows(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """D(G)'s rows from G's; kept for the latest 128 inputs."""
+    n = len(adj)
+    row = tuple(a | a << n for a in adj)
+    return row + row
 
 
 def mycielskian(g: Graph) -> Graph:
@@ -112,15 +140,17 @@ def mycielskian(g: Graph) -> Graph:
     n = g.n
     if n < 1:
         raise ValueError("mycielskian needs a nonempty graph")
-    apex = 2 * n
-    copies_mask = ((1 << n) - 1) << n
-    adj = []
-    for i in range(n):
-        adj.append(g.adj[i] | g.adj[i] << n)
-    for i in range(n):
-        adj.append(g.adj[i] | 1 << apex)
-    adj.append(copies_mask)
-    return Graph(2 * n + 1, tuple(adj), layout_roles(n, "myc"))
+    return Graph(2 * n + 1, _myc_rows(tuple(g.adj)), layout_roles(n, "myc"))
+
+
+@lru_cache(maxsize=128)
+def _myc_rows(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """M(G)'s rows from G's: the base block, the copy block joined to the
+    apex, then the apex joined to every copy; kept for the latest 128 inputs."""
+    n = len(adj)
+    apex = 1 << 2 * n
+    return (tuple(a | a << n for a in adj) + tuple(a | apex for a in adj)
+            + (((1 << n) - 1) << n,))
 
 
 def wheel_graph(n: int) -> Graph:

@@ -18,7 +18,8 @@ from gpvis import (
     parse_graph_spec,
     wheel_graph,
 )
-from gpvis.graphs import build_graph, layout_roles
+from gpvis import families
+from gpvis.graphs import Graph, build_graph, layout_roles
 
 
 def distance_multiset(g):
@@ -360,3 +361,97 @@ def test_operator_labels():
     assert [dg.label(i) for i in range(4)] == ["v1", "v2", "v1'", "v2'"]
     mg = parse_graph_spec("myc(path:2)")
     assert [mg.label(i) for i in range(5)] == ["v1", "v2", "v1'", "v2'", "v*"]
+
+
+@pytest.mark.parametrize("param", [True, 5.0, "5"])
+def test_parameters_must_be_int(param):
+    # 5.0 == 5 and True == 1 hash alike, so the atom memo must never see them
+    generate(FamilySpec("cycle", (5,)))
+    with pytest.raises(ValueError, match=f"^path parameters must be integers, got {re.escape(repr(param))}$"):
+        generate(FamilySpec("path", (param,)))
+    with pytest.raises(ValueError, match="^cycle parameters must be integers"):
+        generate(FamilySpec("cycle", (param,)))
+    with pytest.raises(ValueError, match="^complete_bipartite parameters must be integers"):
+        generate(FamilySpec("complete_bipartite", (2, param)))
+
+
+@pytest.mark.parametrize("operator,order", [(double_graph, 6), (mycielskian, 7)])
+def test_operators_take_list_rows(operator, order):
+    g = Graph(3, [6, 5, 3], layout_roles(3))
+    h = operator(g)
+    assert h.n == order
+    assert h == operator(build_graph(3, [(0, 1), (0, 2), (1, 2)]))
+
+
+@pytest.mark.parametrize("spec", ["double(cycle:5)", "myc(double(path:4))", "kbip:2,3"])
+def test_equal_specs_share_rows_not_graphs(spec):
+    g, h = parse_graph_spec(spec), parse_graph_spec(spec)
+    assert g is not h and g == h
+    assert g.adj is h.adj
+
+
+def test_wheel_graph_shares_the_spec_rows():
+    g, h = wheel_graph(5), parse_graph_spec("wheel:5")
+    assert g is not h and g.adj is h.adj
+
+
+@pytest.mark.parametrize("memo", ["_atom_rows", "_double_rows", "_myc_rows"])
+def test_row_memos_stay_bounded_and_correct(memo):
+    cache = getattr(families, memo)
+    cache.cache_clear()
+    limit = cache.cache_info().maxsize
+    op = {"_atom_rows": "{}", "_double_rows": "double({})", "_myc_rows": "myc({})"}[memo]
+    specs = [op.format(f"path:{n}") for n in range(1, limit + 40)]
+    first = parse_graph_spec(specs[0])
+    for spec in specs[1:]:
+        parse_graph_spec(spec)
+    assert cache.cache_info().currsize <= limit
+    # the first spec's rows have been evicted; a fresh build gives an equal graph
+    again = parse_graph_spec(specs[0])
+    assert again.adj is not first.adj and again == first
+
+
+@pytest.mark.parametrize(
+    "bad,message,pos",
+    [
+        ("cycle:2", "cycle needs each parameter >= 3", 0),
+        ("kbip:0,3", "kbip needs each parameter >= 1", 0),
+        ("path:4,5", "trailing input ',5'", 6),
+        ("double(cycle:2)", "cycle needs each parameter >= 3", 7),
+    ],
+)
+def test_rejected_spec_is_rejected_again(bad, message, pos):
+    for _ in range(2):
+        with pytest.raises(GraphSpecError) as exc:
+            parse_graph_spec(bad)
+        assert str(exc.value) == f"{message} (at position {pos})"
+        assert exc.value.pos == pos
+
+
+def test_file_atom_is_read_on_every_parse(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text(graph_to_edge_list_text(parse_graph_spec("path:4")))
+    top, nested = parse_graph_spec(f"file:{p}"), parse_graph_spec(f"double(file:{p})")
+    p.write_text(graph_to_edge_list_text(parse_graph_spec("cycle:4")))
+    assert parse_graph_spec(f"file:{p}") == parse_graph_spec("cycle:4") != top
+    assert parse_graph_spec(f"double(file:{p})") == parse_graph_spec("double(cycle:4)") != nested
+
+
+def test_operators_are_called_on_every_parse(monkeypatch):
+    calls = []
+
+    def counting(name):
+        operator = families._OPERATORS[name]
+
+        def wrapped(g):
+            calls.append(name)
+            return operator(g)
+        monkeypatch.setitem(families._OPERATORS, name, wrapped)
+
+    counting("double")
+    counting("myc")
+    for _ in range(3):
+        calls.clear()
+        g = parse_graph_spec("myc(double(myc(path:3)))")
+        assert calls == ["myc", "double", "myc"]
+        assert g == mycielskian(double_graph(mycielskian(parse_graph_spec("path:3"))))
