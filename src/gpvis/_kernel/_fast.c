@@ -678,6 +678,19 @@ static PyObject *py_pair_visible(PyObject *self, PyObject *args, PyObject *kw)
     return PyBool_FromLong(ok);
 }
 
+/* The verdict of set_ok on a context and mask that the caller checked,
+   with the twin table of the sources it sweeps from; frees the context. */
+static PyObject *checked_set_ok(Ctx *c, int kind, u64 mask)
+{
+    int ok;
+
+    if (kind != GP)
+        twin_table(c, kind == TOTAL ? ALL(c->n) : mask);
+    ok = set_ok(c, kind, mask);
+    ctx_free(c);
+    return PyBool_FromLong(ok);
+}
+
 PyDoc_STRVAR(set_ok_doc,
 "set_ok(n, adj, dist, mask, kind)\n--\n\n"
 "Full from-scratch verification of ``mask`` for the given kind.");
@@ -686,7 +699,7 @@ static PyObject *py_set_ok(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *kwlist[] = {"n", "adj", "dist", "mask", "kind", NULL};
     PyObject *adj, *dist, *mask_obj;
-    int n, kind, ok;
+    int n, kind;
     u64 mask;
     Ctx c;
 
@@ -699,11 +712,7 @@ static PyObject *py_set_ok(PyObject *self, PyObject *args, PyObject *kw)
         ctx_free(&c);
         return NULL;
     }
-    if (kind != GP)
-        twin_table(&c, kind == TOTAL ? ALL(n) : mask);
-    ok = set_ok(&c, kind, mask);
-    ctx_free(&c);
-    return PyBool_FromLong(ok);
+    return checked_set_ok(&c, kind, mask);
 }
 
 PyDoc_STRVAR(extend_ok_doc,
@@ -714,7 +723,7 @@ static PyObject *py_extend_ok(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *kwlist[] = {"n", "adj", "dist", "smask", "w", "kind", NULL};
     PyObject *adj, *dist, *smask_obj;
-    int n, w, kind, ok;
+    int n, w, kind;
     u64 smask;
     Ctx c;
 
@@ -727,11 +736,8 @@ static PyObject *py_extend_ok(PyObject *self, PyObject *args, PyObject *kw)
         ctx_free(&c);
         return NULL;
     }
-    if (kind != GP)
-        twin_table(&c, kind == TOTAL ? ALL(n) : smask | BIT(w));
-    ok = set_ok(&c, kind, smask | BIT(w));
-    ctx_free(&c);
-    return PyBool_FromLong(ok);
+    /* set_ok of the grown set, as pure.extend_ok */
+    return checked_set_ok(&c, kind, smask | BIT(w));
 }
 
 PyDoc_STRVAR(greedy_set_doc,

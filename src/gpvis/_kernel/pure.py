@@ -45,11 +45,12 @@ the graph relabelled so that this order becomes 0..n-1 (the renumbering
 of BBMC, San Segundo et al. 2011).  Every candidate set is then a plain
 int mask whose lowest bit is the next vertex in the search order; the
 bound reads ``bit_count()``, and each returned mask is mapped back to
-the caller's labels.  The copy (``_Tables``) owns its tables, each built
-on first use, its twin classes, the checked symmetries it was last given
-with their orbits, and the search's memo; only the latest copy is kept:
-the solves of one graph, of every kind, and their greedy seeds share one
-build of each.  The ball rows kept for ``set_ok`` are not touched.
+the caller's labels.  The copy (``_Tables``) is a record (see Inputs) of
+its own distance tuple, and so reads its rows, ball rows and twin
+classes off it.  It owns its tables, each built on first use, the
+checked symmetries it was last given with their orbits, and the
+search's memo; only the latest copy is kept: the solves of one graph,
+of every kind, and their greedy seeds share one build of each.
 
 A node's candidates are filtered once per child from two facts the search
 already holds: S ∪ {w} has the property (w was a candidate of S), and so
@@ -142,10 +143,10 @@ searched from the greedy seed.
 
 Twin classes.  Vertices with equal ``adj`` rows (false twins: every v
 and its copy v' in a double graph) form a class, ordered by label, and
-pred[v] is the vertex before v in its class.  Each graph has one table
-of them: the record keeps it in the caller's labels (``_Record.classes``,
-read off the rows once they match ``dist``), the search copy in its own
-(``twin_pred``).
+pred[v] is the vertex before v in its class.  One builder makes the
+table, ``_Record.classes``, from a record's rows: the caller's record
+has it in the caller's labels, and the search copy, a record too, in its
+own, where ``twin_pred`` reads pred off it.
 
 The twin lemma.  Let a ≠ b be twins and z ∉ {a, b}.  A path a, x1, ...,
 z is an a,z-geodesic exactly when b, x1, ..., z is a b,z-geodesic, as
@@ -248,18 +249,19 @@ neither done nor dropped: x itself, whose branch covers the set.
 Without symmetries every such orbit is the child alone, and the tree is
 unchanged.
 
-Inputs.  Every entry point raises ``ValueError`` for an ``adj`` or
-``dist`` whose length does not fit n, an ``adj`` row, mask or vertex
-outside 0..n-1, a distance outside -1..n, or an unknown kind.  A tuple
-``dist`` is checked once, by its record (``_checked``), and ``adj`` rows
-equal to the tuple last checked with it are not checked again.  Every
-entry point also rejects an ``adj`` that is not the graph of ``dist``
-(``_Record.match``): each row must be the vertices at distance 1.  A
-reader of the ball rows (``pair_visible``, ``set_ok`` but for GP, and
-the search copy) compares each row with ball row 1, n comparisons.  GP's
-set check reads no ball rows and builds none: it reads each edge once,
-and counts the ones in ``dist``.  A search marks the caller's rows as
-matched, since its copy has matched them in its own labels.
+Inputs.  Every entry point raises ``ValueError`` for an unknown kind,
+an ``adj`` or ``dist`` whose length does not fit n, an ``adj`` row, mask
+or vertex outside 0..n-1, or a distance outside -1..n, and checks them
+in the order of ``_fast.c``: the kind, then the graph (``_checked``),
+then masks and vertices, so that both kernels give the same message for
+the same bad call.  A tuple ``dist`` is checked once, by its record
+(``_Record``), which reads the graph's rows off it: ball row 1 of every
+vertex.  Every entry point rejects an ``adj`` that is not the graph of
+``dist`` (``_Record.accept``): it must equal the record's rows, n
+comparisons, and a row outside 0..n-1 is named as such.  The record
+keeps the last ``adj`` tuple it accepted, so the very same tuple is not
+compared again.  Past these checks the kernel reads no ``adj``: the
+rows, ball rows and twin classes all come from ``dist``.
 ``solve_max`` also rejects a negative target and a negative or
 non-finite time limit, and ``enumerate_exact`` a negative size.
 """
@@ -347,23 +349,23 @@ def _pv_cut(n, adj, dist, balls, u, v, blocked):
 
 def pair_visible(n, adj, dist, u, v, blocked):
     """Some u,v-geodesic avoids ``blocked`` internally; endpoints exempt."""
-    balls = _checked(n, adj, dist).balls_for(adj)
+    record = _checked(n, adj, dist)
     _check_vertex(u, n)
     _check_vertex(v, n)
     _check_mask(blocked, n, "blocked")
-    return not _unreached(adj, balls[u], 1 << u, 1 << v, ~blocked)
+    return not _unreached(record.rows, record.balls[u], 1 << u, 1 << v, ~blocked)
 
 
 class _Record:
-    """The distance table ``dist`` of a graph of order n, the ``adj`` tuple
-    last checked with it, the rows last found to match it, and its ball
-    rows and twin table, each built on first use."""
+    """The distance table ``dist`` of a graph of order n and the ``adj``
+    tuple last accepted with it.  Everything else is read off ``dist``,
+    each on first use: the ball rows, the rows of the graph and its twin
+    table."""
 
     def __init__(self, n, dist):
         self.n = n
         self.dist = dist
         self.adj = None
-        self.matched = None
 
     @cached_property
     def balls(self):
@@ -383,48 +385,32 @@ class _Record:
             balls.append(tuple(row))
         return tuple(balls)
 
-    def match(self, adj):
-        """Reject an ``adj`` that is not the graph of ``dist``: each row must
-        be the vertices at distance 1.  Once the ball rows are built, each
-        row is compared with ball row 1 (n comparisons); before, each edge
-        is read once, and the rows must hold as many edges as ``dist`` holds
-        ones, so that a check that needs no ball rows builds none.  Rows
-        equal to the rows that matched last are not checked again, as
-        ``_checked`` does (callers skip the call for that very tuple, and
-        an equal one is not kept in its place); a list is checked on every
-        call."""
-        if self.matched == adj:
-            return
-        n, dist = self.n, self.dist
-        if "balls" in vars(self):
-            ok = tuple(adj) == tuple([ball[1] for ball in self.balls])
-        else:
-            ok = sum(map(int.bit_count, adj)) == dist.count(1)
-            base = 0
-            for row in adj:
-                while row and ok:
-                    low = row & -row
-                    ok = dist[base + low.bit_length() - 1] == 1
-                    row ^= low
-                base += n
-        if not ok:
-            raise ValueError("adj does not match dist: a row is not the vertices at distance 1")
-        self.matched = tuple(adj)
+    @cached_property
+    def rows(self):
+        """The adjacency rows of the graph of ``dist``: ball row 1 of every
+        vertex."""
+        return tuple([ball[1] for ball in self.balls])
 
-    def balls_for(self, adj):
-        """The ball rows, once ``adj`` is found to be the graph of ``dist``."""
-        balls = self.balls
-        if self.matched is not adj:
-            self.match(adj)
-        return balls
+    def accept(self, adj):
+        """Reject an ``adj`` that is not the graph of ``dist``: it must equal
+        ``rows``.  A tuple that passes is kept, so that the very same tuple
+        is not compared again; a list is compared on every call."""
+        if adj is self.adj:
+            return
+        if tuple(adj) != self.rows:
+            if adj and (min(adj) < 0 or max(adj) >> self.n):
+                raise ValueError(f"an adj row has a vertex outside 0..{self.n - 1}")
+            raise ValueError("adj does not match dist: a row is not the vertices at distance 1")
+        if type(adj) is tuple:
+            self.adj = adj
 
     @cached_property
     def classes(self):
-        """(firsts, below) of the graph, read off the rows that matched
-        ``dist``: the vertices that come first in their twin class (see the
-        module notes), and below[v], the class members before v, as a
-        mask, or None when no vertex has a twin."""
-        rows = self.matched
+        """(firsts, below) of the graph, read off ``rows``: the vertices
+        that come first in their twin class (see the module notes), and
+        below[v], the class members before v, as a mask, or None when no
+        vertex has a twin."""
+        rows = self.rows
         if len(set(rows)) == self.n:
             return range(self.n), None
         below, last = [], {}
@@ -440,12 +426,16 @@ class _Record:
 _recent = {}
 
 
+def _check_kind(kind):
+    if kind not in (MV, OUTER, TOTAL, GP):
+        raise ValueError(f"unknown property kind code {kind}")
+
+
 def _checked(n, adj, dist):
-    """The record of ``dist``, checked against order n and ``adj``.  A tuple
-    cannot change, so its record is made once, and found again by identity;
-    rows equal to the ``adj`` tuple last checked with it are not checked
-    again (comparing them is cheaper than checking them).  A list gets a
-    record of its own on every call, so it is read afresh."""
+    """The record of ``dist``, checked against order n, with ``adj``
+    accepted (``_Record.accept``).  A tuple cannot change, so its record is
+    made once, and found again by identity.  A list gets a record of its
+    own on every call, so it is read afresh."""
     if len(adj) != n:
         raise ValueError(f"adj has {len(adj)} rows for order {n}")
     if len(dist) != n * n:
@@ -459,26 +449,21 @@ def _checked(n, adj, dist):
         if len(_recent) >= _TABLES_KEPT:
             del _recent[next(iter(_recent))]
         _recent[id(dist)] = record
-    if record.adj != adj:
-        if adj and (min(adj) < 0 or max(adj) >> n):
-            raise ValueError(f"an adj row has a vertex outside 0..{n - 1}")
-        if type(adj) is tuple:
-            record.adj = adj
+    record.accept(adj)
     return record
 
 
-class _Tables:
-    """One search copy (see the module notes): its ball rows, its geodesic
+class _Tables(_Record):
+    """One search copy (see the module notes): the record of its own
+    distance tuple, whose ``adj`` is its ``rows``, with its geodesic
     tables, each built on first use, its checked symmetries with their
     orbits, and the search's memo, which every kind and run on the copy
     fills and reads.  Vertex sets are int masks in the copy's labels;
     callers never change the tables."""
 
-    def __init__(self, n, adj, dist):
-        self.n = n
-        self.adj = adj
-        self.dist = dist
-        self.balls = _Record(n, dist).balls_for(adj)
+    def __init__(self, n, dist):
+        super().__init__(n, dist)
+        self.adj = self.rows
         self._symmetries = None
         # the memo (see the module notes): cuts by (u, v, blocked & btw[u][v]), u < v
         self.cuts = {}
@@ -545,14 +530,9 @@ class _Tables:
 
     @cached_property
     def twin_pred(self):
-        """twin_pred[v]: the vertex before v in its twin class (the
-        vertices whose ``adj`` rows equal v's), or -1 when v comes first."""
-        pred = [-1] * self.n
-        last = {}
-        for v, row in enumerate(self.adj):
-            pred[v] = last.get(row, -1)
-            last[row] = v
-        return pred
+        """twin_pred[v]: the vertex before v in its twin class, the last of
+        ``classes``' below[v], or -1 when v comes first."""
+        return [b.bit_length() - 1 for b in self.classes[1] or [0] * self.n]
 
     @cached_property
     def twins(self):
@@ -738,8 +718,15 @@ def set_ok(n, adj, dist, mask, kind):
     """Full from-scratch verification of ``mask`` for the given kind
     (one layer sweep per source for MV, OUTER and TOTAL; see the module
     notes)."""
+    _check_kind(kind)
     record = _checked(n, adj, dist)
     _check_mask(mask, n, "mask")
+    return _set_ok(record, mask, kind)
+
+
+def _set_ok(record, mask, kind):
+    """``set_ok`` of a checked record and mask."""
+    n, dist = record.n, record.dist
     members = []
     rest = mask
     while rest:
@@ -747,8 +734,6 @@ def set_ok(n, adj, dist, mask, kind):
         members.append(low.bit_length() - 1)
         rest ^= low
     if kind == GP:
-        if record.matched is not adj:
-            record.match(adj)
         # each triple once: the three-way "between" test is symmetric
         for i, u in enumerate(members):
             du = u * n
@@ -762,14 +747,9 @@ def set_ok(n, adj, dist, mask, kind):
                         return False
         return True
     full = (1 << n) - 1
-    if kind == MV:
-        wanted = mask
-    elif kind in (OUTER, TOTAL):
-        wanted = full
-    else:
-        raise ValueError(f"unknown property kind code {kind}")
+    wanted = mask if kind == MV else full
     outside = full & ~mask
-    balls = record.balls_for(adj)
+    rows, balls = record.rows, record.balls
     firsts, below = record.classes
     # one source per twin class (see the module notes): the first vertex
     # of each class for TOTAL, the first member for MV and OUTER
@@ -779,7 +759,7 @@ def set_ok(n, adj, dist, mask, kind):
         want = wanted & ~((2 << u) - 1)
         if kind == OUTER:
             want |= outside
-        if _unreached(adj, balls[u], 1 << u, want, outside):
+        if _unreached(rows, balls[u], 1 << u, want, outside):
             return False
     return True
 
@@ -811,8 +791,11 @@ def _unreached(adj, ball, front, want, free):
 
 def extend_ok(n, adj, dist, smask, w, kind):
     """One-shot extension check: does smask ∪ {w} have the property?"""
+    _check_kind(kind)
+    record = _checked(n, adj, dist)
+    _check_mask(smask, n, "smask")
     _check_vertex(w, n)
-    return set_ok(n, adj, dist, smask | 1 << w, kind)
+    return _set_ok(record, smask | 1 << w, kind)
 
 
 def _default_order(n, adj):
@@ -823,29 +806,23 @@ def _relabelled(n, adj, dist, kind):
     """The search order, its inverse (label[v] is v's place in it) and the
     tables of the copy of the graph whose vertex i is the order's i-th
     vertex (see the module notes)."""
-    if kind not in (MV, OUTER, TOTAL, GP):
-        raise ValueError(f"unknown property kind code {kind}")
-    record, rows = _checked(n, adj, dist), tuple(adj)
-    copy = _search_copy(n, rows, record)
-    # the copy's rows matched its distances, so these rows match dist
-    record.matched = rows
-    return copy
+    _check_kind(kind)
+    return _search_copy(_checked(n, adj, dist))
 
 
 @lru_cache(maxsize=1)
-def _search_copy(n, adj, record):
-    """(order, label, tables) of the latest graph relabelled into its
-    search order, so that the solves of one graph and their greedy seeds
-    share one copy, its tables and its memo; the order and labels are
-    read-only."""
-    dist = record.dist
-    order = _default_order(n, adj)
+def _search_copy(record):
+    """(order, label, tables) of the latest record's graph relabelled into
+    its search order, so that the solves of one graph and their greedy
+    seeds share one copy, its tables and its memo; the order and labels
+    are read-only."""
+    n, dist = record.n, record.dist
+    order = _default_order(n, record.rows)
     label = [0] * n
     for i, v in enumerate(order):
         label[v] = i
-    radj = tuple(_mapped(adj[v], label) for v in order)
     rows = [dist[v * n : v * n + n] for v in order]
-    return order, label, _Tables(n, radj, tuple([row[x] for row in rows for x in order]))
+    return order, label, _Tables(n, tuple([row[x] for row in rows for x in order]))
 
 
 def greedy_set(n, adj, dist, kind):
@@ -970,12 +947,13 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=(), start
     pred, twins = tables.twin_pred, tables.twins
     extensions = tables.extensions
     if start is None:
-        start = greedy_set(n, adj, dist, kind)
+        best_mask = _mapped(greedy_set(n, adj, dist, kind), label)
     else:
+        # the start is checked on the copy, in its labels, as _fast.c does
         _check_mask(start, n, "start")
-        if not set_ok(n, adj, dist, start, kind):
+        best_mask = _mapped(start, label)
+        if not _set_ok(tables, best_mask, kind):
             raise ValueError("start does not have the property")
-    best_mask = _mapped(start, label)
     best = best_mask.bit_count()
     nodes = 0
 

@@ -212,13 +212,12 @@ class VertexSet:
     def of(n: int, vertices: Iterable[int]) -> "VertexSet":
         m = 0
         for v in vertices:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range for order {n}")
+            require_vertices(n, v)
             m |= 1 << v
         return VertexSet(n, m)
 
     def __contains__(self, v: int) -> bool:
-        return bool(self.mask >> v & 1)
+        return 0 <= v < self.n and bool(self.mask >> v & 1)
 
     def __iter__(self) -> Iterator[int]:
         return _bits(self.mask)
@@ -234,6 +233,7 @@ class VertexSet:
         return VertexSet(self.n, self.mask | 1 << v)
 
     def without_vertex(self, v: int) -> "VertexSet":
+        require_vertices(self.n, v)
         return VertexSet(self.n, self.mask & ~(1 << v))
 
     def union(self, other: "VertexSet") -> "VertexSet":

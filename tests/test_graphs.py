@@ -335,6 +335,20 @@ def test_vertex_set_rejects_mismatched_universe():
         VertexSet.of(3, [3])
 
 
+def test_vertex_set_edits_and_membership_outside_its_order():
+    """Adding or removing a vertex outside 0..n-1 raises the same error
+    either way, and no such vertex is a member."""
+    s = VertexSet.of(5, [0, 1])
+    for v in (-1, 5, 7):
+        for edit in (s.with_vertex, s.without_vertex):
+            with pytest.raises(ValueError, match=f"^vertex {v} out of range for order 5$"):
+                edit(v)
+        assert v not in s
+    full = VertexSet(5, 0b11111)
+    assert [v for v in range(-3, 9) if v in full] == [0, 1, 2, 3, 4]
+    assert s.without_vertex(4) == s and s.without_vertex(1).members() == (0,)
+
+
 def test_vertex_set_labels():
     g = parse_graph_spec("double(path:3)")
     s = VertexSet.of(6, [0, 2, 3, 5])

@@ -1,6 +1,8 @@
-"""The pure kernel's cached tables (each distance tuple's checked record
-with its balls; the search copy's geodesic intervals, geodesic triples,
-checked symmetries and orbits) and the search copy's memo: bounded,
+"""The pure kernel's cached tables (each distance tuple's checked record,
+with the adj tuple it last accepted and the ball rows, rows and twin
+table it reads off the distances; the search copy, a record of its own
+distances, with its geodesic intervals, geodesic triples, checked
+symmetries and orbits) and the search copy's memo: bounded,
 built once per graph and shared by its solves, and without effect on any
 result; and the backend choice, validated once per value but read on
 every call.  Pure kernel only, so these never skip."""
@@ -93,9 +95,14 @@ def test_cached_ball_rows_are_tuples():
             assert layer == sum(1 << x for x in range(g.n) if dist[u * g.n + x] == t)
 
 
+def search_tables_of(g, dist):
+    """(order, label, tables) of g's search copy, as the searches find it."""
+    return pure._search_copy(pure._checked(g.n, g.adj, dist))
+
+
 def search_tables(g, dist):
     """The tables of g's search copy, as the searches find them."""
-    return pure._search_copy(g.n, tuple(g.adj), pure._checked(g.n, g.adj, dist))[2]
+    return search_tables_of(g, dist)[2]
 
 
 def test_a_solve_builds_its_table_once():
@@ -113,7 +120,7 @@ def test_a_solve_builds_its_table_once():
             # only the latest copy is kept, and solving leaves it as built
             assert pure._search_copy.cache_info().currsize == 1
             tables = search_tables(g, dist)
-            assert table == getattr(pure._Tables(g.n, tables.adj, tables.dist), name)
+            assert table == getattr(pure._Tables(g.n, tables.dist), name)
     # TOTAL and then OUTER on one graph, as the hard benchmark solves them,
     # build one copy between them; a second TOTAL solve reuses the pairs
     # through each vertex
@@ -220,17 +227,39 @@ def test_tables_are_matched_by_value_and_lists_read_afresh():
             ), (g.adj, m)
 
 
-def test_a_solve_adds_no_cached_balls():
-    """The searches build their tables on a relabelled copy, which leaves
-    the ball rows kept for set checks as they were."""
-    g = parse_graph_spec("myc(path:5)")
-    dist = all_pairs_distances(g).data
-    pure._recent.clear()
-    for kind in KINDS:
-        size = pure.solve_max(g.n, g.adj, dist, kind)[0]
-        pure.greedy_set(g.n, g.adj, dist, kind)
-        pure.enumerate_exact(g.n, g.adj, dist, kind, size)
-    assert "balls" not in vars(pure._recent[id(dist)])
+def test_records_keep_the_accepted_adj_and_copies_read_twins_off_rows():
+    """Every entry point accepts a tuple ``adj`` into the record of its
+    distance tuple, which keeps that very tuple; an equal but distinct
+    tuple is accepted too and kept in its place.  The search copy is a
+    record of its own distances: its rows are the caller's in its labels,
+    and twin_pred[v] is the previous vertex with a row equal to v's."""
+    for g in graphs_under_test():
+        dist = all_pairs_distances(g).data
+        adj = tuple(g.adj)
+        pure._recent.clear()
+        for kind in KINDS:
+            size = pure.solve_max(g.n, adj, dist, kind)[0]
+            assert pure._recent[id(dist)].adj is adj
+            calls = [
+                (pure.greedy_set, (kind,)),
+                (pure.enumerate_exact, (kind, size)),
+                (pure.set_ok, (0b11, kind)),
+                (pure.pair_visible, (0, g.n - 1, 0b10)),
+            ]
+            for fn, rest in calls:
+                equal = tuple(list(adj))
+                assert equal == adj and equal is not adj
+                assert fn(g.n, equal, dist, *rest) == fn(g.n, adj, dist, *rest)
+                assert pure._recent[id(dist)].adj is adj
+                fn(g.n, equal, dist, *rest)
+                assert pure._recent[id(dist)].adj is equal
+        order, label, tables = search_tables_of(g, dist)
+        assert tables.adj is tables.rows
+        assert tables.rows == tuple(pure._mapped(g.adj[v], label) for v in order)
+        rows = tables.rows
+        assert tables.twin_pred == [
+            max((u for u in range(v) if rows[u] == rows[v]), default=-1) for v in range(g.n)
+        ], g.adj
 
 
 def test_backend_choice_is_read_on_every_call(monkeypatch):
@@ -283,7 +312,7 @@ def test_symmetries_are_checked_again_only_when_they_change(monkeypatch):
 
 def test_a_bad_distance_table_is_rejected_for_every_kind():
     """A distance outside -1..n is rejected on every call and for every
-    kind, GP's set check too, which reads no ball rows."""
+    kind, GP's set check too, and no record of it is kept."""
     g = parse_graph_spec("cycle:5")
     bad = (9,) + all_pairs_distances(g).data[1:]
     for kind in KINDS:

@@ -140,7 +140,7 @@ def test_filter_equals_one_candidate_at_a_time(monkeypatch):
     outer_sweep = Counter()
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
-        tables = pure._Tables(g.n, g.adj, dist)
+        tables = pure._Tables(g.n, dist)
         for kind in KINDS:
             for smask, w, cands in search_states(g, dist, kind, rng, 12):
                 new = smask | 1 << w
@@ -219,7 +219,7 @@ def test_greedy_and_roots_equal_one_vertex_sweeps():
                 if pure.set_ok(g.n, g.adj, dist, sweep | 1 << w, kind):
                     sweep |= 1 << w
             assert pure.greedy_set(g.n, g.adj, dist, kind) == sweep, (g.adj, kind)
-            roots = pure._Tables(g.n, g.adj, dist).roots(kind)
+            roots = pure._Tables(g.n, dist).roots(kind)
             assert roots == mask_of(w for w in order if pure.set_ok(g.n, g.adj, dist, 1 << w, kind))
             non_roots[kind] += g.n - roots.bit_count()
     assert non_roots[pure.TOTAL] > 0
@@ -266,7 +266,7 @@ def test_cut_equals_its_definition():
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
         balls = pure._checked(g.n, g.adj, dist).balls
-        btw = pure._Tables(g.n, g.adj, dist).btw
+        btw = pure._Tables(g.n, dist).btw
         for _ in range(60):
             u, v = rng.sample(range(g.n), 2)
             blocked = rng.getrandbits(g.n) & rng.getrandbits(g.n)
@@ -300,7 +300,7 @@ def test_reverse_intervals_equal_their_definition():
     twin_rich = [parse_graph_spec(s) for s in ("double(double(path:3))", "kbip:3,4")]
     for g in graphs_under_test() + twin_rich + [split_graph()]:
         n, dist = g.n, tuple(all_pairs_distances(g).data)
-        tables = pure._Tables(n, g.adj, dist)
+        tables = pure._Tables(n, dist)
         btw, inw, pred = tables.btw, tables.inw, tables.twin_pred
         for w in range(n):
             for x in range(n):
@@ -321,7 +321,7 @@ def test_tables_equal_their_definitions():
     disconnected graph too; inw is checked against btw above."""
     for g in graphs_under_test() + [split_graph()]:
         n, dist = g.n, tuple(all_pairs_distances(g).data)
-        tables = pure._Tables(n, g.adj, dist)
+        tables = pure._Tables(n, dist)
         btw, bad = tables.btw, tables.pairbad
         for u in range(n):
             for v in range(n):
@@ -500,7 +500,7 @@ def test_warm_memo_matches_a_fresh_context():
     filled = 0
     for g in graphs_under_test():
         dist = all_pairs_distances(g).data
-        warm = pure._Tables(g.n, g.adj, dist)
+        warm = pure._Tables(g.n, dist)
         for kind in (pure.MV, pure.OUTER, pure.TOTAL):
             states = []
             for smask, w, cands in search_states(g, dist, kind, rng, 30):
@@ -512,7 +512,7 @@ def test_warm_memo_matches_a_fresh_context():
                 new = smask | 1 << w
                 cmask = mask_of(cands)
                 got = warm.extensions(kind, smask, w, cmask)
-                fresh = pure._Tables(g.n, g.adj, dist)
+                fresh = pure._Tables(g.n, dist)
                 assert got == fresh.extensions(kind, smask, w, cmask)
                 assert got == mask_of(
                     x for x in cands if pure.set_ok(g.n, g.adj, dist, new | 1 << x, kind)
@@ -552,7 +552,7 @@ def test_enumeration_on_twin_classes_equals_the_oracle():
     for spec in ("double(star:4)", "double(double(path:3))", "kbip:3,4"):
         g = parse_graph_spec(spec)
         d = all_pairs_distances(g)
-        pred = pure._Tables(g.n, g.adj, d.data).twin_pred
+        pred = pure._Tables(g.n, d.data).twin_pred
         for kind in PropertyKind:
             size = pure.solve_max(g.n, g.adj, d.data, kind.code)[0]
             for k in (size + 1, size, size - 1):
