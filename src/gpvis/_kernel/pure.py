@@ -443,7 +443,8 @@ def _checked(n, adj, dist):
     record = _recent.pop(id(dist), None) if type(dist) is tuple else None
     if record is None:
         if dist and (min(dist) < -1 or max(dist) > n):
-            raise ValueError(f"a distance is outside -1..{n}")
+            bad = next(x for x in dist if not -1 <= x <= n)
+            raise ValueError(f"distance {bad} is outside -1..{n}")
         record = _Record(n, dist)
     if type(dist) is tuple:
         if len(_recent) >= _TABLES_KEPT:

@@ -212,12 +212,14 @@ class VertexSet:
     def of(n: int, vertices: Iterable[int]) -> "VertexSet":
         m = 0
         for v in vertices:
-            require_vertices(n, v)
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} out of range for order {n}")
             m |= 1 << v
         return VertexSet(n, m)
 
     def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and bool(self.mask >> v & 1)
+        # mask has no bit at n or above, so only a negative v needs a test
+        return v >= 0 and bool(self.mask >> v & 1)
 
     def __iter__(self) -> Iterator[int]:
         return _bits(self.mask)

@@ -364,22 +364,25 @@ def outcome(fn, *args):
 def test_combined_faults_give_the_same_error_on_both_kernels(fast):
     """Both kernels check a call in one order: the kind, then the graph,
     then masks and vertices.  So each combination of a bad kind, an adj
-    of another graph or with a row out of range, and a mask or vertex
-    out of range gives the same message, or the same result when none is
-    bad."""
+    of another graph or with a row out of range, a distance out of range
+    and a mask or vertex out of range gives the same message, or the same
+    result when none is bad."""
     g = parse_graph_spec("cycle:5")
-    d = all_pairs_distances(g).data
     adjs = (g.adj, parse_graph_spec("path:5").adj, (g.adj[0] | 1 << 7,) + g.adj[1:])
+    good = all_pairs_distances(g).data
+    bad = good[:7] + (-3,) + good[8:]
     masks = (0b101, 1 << 9, -1, 1 << 64)
     calls = []
-    for adj in adjs:
+    # _fast.c reads the adj rows before dist, pure.py dist first, so an adj
+    # row out of range is left out of the pairs with a bad distance
+    for adj, d in [(adj, good) for adj in adjs] + [(adj, bad) for adj in adjs[:2]]:
         calls += [("pair_visible", (5, adj, d, u, v, b)) for u, v in ((0, 2), (0, 5), (7, 2)) for b in (0, 1 << 5)]
         for kind in KINDS + (7, -1):
             calls += [("set_ok", (5, adj, d, m, kind)) for m in masks]
             calls += [("extend_ok", (5, adj, d, m, w, kind)) for m in masks for w in (2, 7)]
             calls += [("greedy_set", (5, adj, d, kind))]
             calls += [("solve_max", (5, adj, d, kind, 0, 0.0, (), s)) for s in (None, 0b1, 1 << 9)]
-    assert ("set_ok", (5, g.adj, d, 1 << 9, 7)) in calls
+    assert ("set_ok", (5, g.adj, good, 1 << 9, 7)) in calls
     errors = Counter()
     for name, args in calls:
         got = outcome(getattr(pure, name), *args)
@@ -388,7 +391,8 @@ def test_combined_faults_give_the_same_error_on_both_kernels(fast):
     assert {"ValueError: unknown property kind code 7", "ValueError: mask has a vertex outside 0..4",
             "ValueError: smask has a vertex outside 0..4", "ValueError: vertex 7 is outside 0..4",
             "ValueError: an adj row has a vertex outside 0..4", "ValueError: start has a vertex outside 0..4",
-            "ValueError: adj does not match dist: a row is not the vertices at distance 1"} <= set(errors)
+            "ValueError: adj does not match dist: a row is not the vertices at distance 1",
+            "ValueError: distance -3 is outside -1..5"} <= set(errors)
 
 
 @pytest.mark.parametrize("backend", ["pure", "fast"])
