@@ -393,12 +393,10 @@ class _Record:
 
     def accept(self, adj):
         """Reject an ``adj`` that is not the graph of ``dist``: it must equal
-        ``rows``.  A tuple that passes is kept, so that the very same tuple
-        is not compared again; a list is compared on every call."""
-        if adj is self.adj:
-            return
+        ``rows``.  A tuple that passes is kept, and ``_checked`` skips the
+        call for that very tuple; a list is compared on every call."""
         if tuple(adj) != self.rows:
-            if adj and (min(adj) < 0 or max(adj) >> self.n):
+            if min(adj) < 0 or max(adj) >> self.n:
                 raise ValueError(f"an adj row has a vertex outside 0..{self.n - 1}")
             raise ValueError("adj does not match dist: a row is not the vertices at distance 1")
         if type(adj) is tuple:
@@ -450,7 +448,8 @@ def _checked(n, adj, dist):
         if len(_recent) >= _TABLES_KEPT:
             del _recent[next(iter(_recent))]
         _recent[id(dist)] = record
-    record.accept(adj)
+    if adj is not record.adj:
+        record.accept(adj)
     return record
 
 
@@ -722,12 +721,6 @@ def set_ok(n, adj, dist, mask, kind):
     _check_kind(kind)
     record = _checked(n, adj, dist)
     _check_mask(mask, n, "mask")
-    return _set_ok(record, mask, kind)
-
-
-def _set_ok(record, mask, kind):
-    """``set_ok`` of a checked record and mask."""
-    n, dist = record.n, record.dist
     members = []
     rest = mask
     while rest:
@@ -793,10 +786,10 @@ def _unreached(adj, ball, front, want, free):
 def extend_ok(n, adj, dist, smask, w, kind):
     """One-shot extension check: does smask ∪ {w} have the property?"""
     _check_kind(kind)
-    record = _checked(n, adj, dist)
+    _checked(n, adj, dist)
     _check_mask(smask, n, "smask")
     _check_vertex(w, n)
-    return _set_ok(record, smask | 1 << w, kind)
+    return set_ok(n, adj, dist, smask | 1 << w, kind)
 
 
 def _default_order(n, adj):
@@ -948,13 +941,12 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=(), start
     pred, twins = tables.twin_pred, tables.twins
     extensions = tables.extensions
     if start is None:
-        best_mask = _mapped(greedy_set(n, adj, dist, kind), label)
+        start = greedy_set(n, adj, dist, kind)
     else:
-        # the start is checked on the copy, in its labels, as _fast.c does
         _check_mask(start, n, "start")
-        best_mask = _mapped(start, label)
-        if not _set_ok(tables, best_mask, kind):
+        if not set_ok(n, adj, dist, start, kind):
             raise ValueError("start does not have the property")
+    best_mask = _mapped(start, label)
     best = best_mask.bit_count()
     nodes = 0
 
