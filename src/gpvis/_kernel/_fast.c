@@ -10,7 +10,13 @@
    later roots, and a done depth-1 child's orbit under its root's
    stabilizer (from Schreier generators, built once per root when the
    loop goes on) leaves the later children (the Symmetry notes in
-   pure.py argue their soundness).  Given a start set, solve_max checks
+   pure.py argue their soundness).  It takes pure's two upper bounds
+   (the Bounds notes in pure.py): for TOTAL and OUTER the capacity
+   groups, built per solve from the twin table with the same chunks,
+   matching and caps (capacity_groups), cut the root and every child;
+   for GP a greedy clique cover of a root child's candidates, over the
+   pair conflicts of pairbad, cuts the children of the root.  Given a
+   start set, solve_max checks
    it with set_ok and takes it as the first incumbent in place of the
    greedy seed, as pure's does.  So the two kernels return the same
    value, witness mask, node count and status, and the parity tests hold
@@ -177,13 +183,14 @@ static void twin_table(Ctx *c, u64 within)
    checks from Python read 1.02-1.10x as long (tools/compare_fast.py,
    GP checks that never read it included).  Each adj row
    must be ball row 1, the vertices at distance 1, so an adj of another
-   graph than dist is rejected.  On failure nothing is left allocated and
-   an exception is set. */
+   graph than dist is rejected; a row with a vertex outside 0..n-1 is
+   named only after the distances are read, in pure's order.  On failure
+   nothing is left allocated and an exception is set. */
 static int ctx_init(Ctx *c, int n, PyObject *adj, PyObject *dist, int kind, int copy)
 {
     PyObject *seq;
     Py_ssize_t nn = (Py_ssize_t)n * n;
-    int u, v, x, i, maxd = 0, table = kind == MV || kind == GP;
+    int u, v, x, i, maxd = 0, table = kind == MV || kind == GP, bad_row = 0;
     size_t masks;
     u64 rows[MAXN], *pairs;
 
@@ -203,8 +210,15 @@ static int ctx_init(Ctx *c, int n, PyObject *adj, PyObject *dist, int kind, int 
         goto fail_seq;
     }
     for (v = 0; v < n; v++)
-        if (read_mask(PySequence_Fast_GET_ITEM(seq, v), n, "an adj row", &rows[v]) < 0)
-            goto fail_seq;
+        if (read_mask(PySequence_Fast_GET_ITEM(seq, v), n, "an adj row", &rows[v]) < 0) {
+            /* a row outside 0..n-1 is named once dist has been read, in
+               pure's order: the distances first, then adj */
+            if (!PyErr_ExceptionMatches(PyExc_ValueError))
+                goto fail_seq;
+            PyErr_Clear();
+            rows[v] = 0;
+            bad_row = 1;
+        }
     Py_DECREF(seq);
     for (v = 0; v < n; v++) {
         for (i = v; i > 0 && copy && popcount(rows[c->order[i - 1]]) < popcount(rows[v]); i--)
@@ -258,6 +272,10 @@ static int ctx_init(Ctx *c, int n, PyObject *adj, PyObject *dist, int kind, int 
             if (d >= 0)
                 c->balls[u * c->stride + d] |= BIT(x);
         }
+    if (bad_row) {
+        PyErr_Format(PyExc_ValueError, "an adj row has a vertex outside 0..%d", n - 1);
+        goto fail;
+    }
     for (u = 0; u < n; u++)
         if (c->adj[u] != c->balls[u * c->stride + 1]) {
             PyErr_SetString(PyExc_ValueError, "adj does not match dist: a row is not the vertices at distance 1");
@@ -422,6 +440,9 @@ static double monotonic(void)
 typedef struct {
     const Ctx *c;
     int kind, best, target;
+    int ngroups;      /* the capacity groups of TOTAL and OUTER (capacity_groups) */
+    u64 group[MAXN];
+    int cap[MAXN];    /* the most of group[i] that a set with the property holds */
     u64 orbit[MAXN]; /* v's orbit under the symmetries and twin swaps */
     int ngens;       /* the symmetries, n images each */
     int *gens;
@@ -432,6 +453,40 @@ typedef struct {
 } Search;
 
 static void stabilizer_orbits(Search *s, int w);
+
+/* pure._capped: do the capacity groups cut more than slack of cands at
+   the node with members smask?  Group i cuts
+   max(0, |cands & group| - (cap - |smask & group|)). */
+static int capped(const Search *s, u64 smask, u64 cands, int slack)
+{
+    int i, over;
+
+    for (i = 0; i < s->ngroups; i++) {
+        over = popcount(cands & s->group[i]) + popcount(smask & s->group[i]) - s->cap[i];
+        if (over > 0 && (slack -= over) < 0)
+            return 1;
+    }
+    return 0;
+}
+
+/* pure._covers: does a greedy clique cover of cands have at least need
+   cliques, where x and y conflict when y is in bad[x]?  Each clique
+   starts at the lowest uncovered vertex and takes, in bit order, every
+   uncovered vertex that conflicts with all of it. */
+static int covers(const u64 *bad, u64 cands, int need)
+{
+    u64 k;
+
+    while (cands) {
+        if (--need <= 0)
+            return 1;
+        k = cands & bad[lowbit(cands)];
+        cands &= cands - 1;
+        for (; k; k &= bad[lowbit(k)])
+            cands &= ~(k & -k);
+    }
+    return 0;
+}
 
 /* pure.solve_max's run, with the per-candidate test in place of
    pure._Tables.extensions; vertices are the search copy's, so the lowest
@@ -455,6 +510,8 @@ static int search(Search *s, u64 smask, int size, u64 cands)
         if (s->deadline != 0.0 && monotonic() > s->deadline)
             return TIME_UP;
     }
+    if (!smask && s->ngroups && capped(s, 0, cands, left - s->best - 1))
+        return EXACT;
     while (size + left > s->best) {
         w = lowbit(cands);
         cands &= cands - 1;
@@ -481,7 +538,11 @@ static int search(Search *s, u64 smask, int size, u64 cands)
                 kept++;
             }
         }
-        if (kept >= need && (rc = search(s, new, size + 1, rest)) != EXACT)
+        /* the child must beat best under the capacity bound, and under
+           the clique cover at depth 1 for GP */
+        if (kept >= need && !(s->ngroups && capped(s, new, rest, kept - need))
+            && (s->kind != GP || smask || covers(s->c->pairbad + w * s->c->n, rest, need))
+            && (rc = search(s, new, size + 1, rest)) != EXACT)
             return rc;
         if (!smask) {
             /* the root w is done, and no larger set meets its orbit */
@@ -500,6 +561,95 @@ static int search(Search *s, u64 smask, int size, u64 cands)
         }
     }
     return EXACT;
+}
+
+/* pure._Tables.cap: the largest set smask + T, T within cands within
+   group, with the property, or best if that is larger: a DFS with the
+   search's filter, given that smask + x has the property for every x in
+   cands, which takes w only after pred[w] when that is in the group. */
+static int cap_of(const Ctx *c, int kind, u64 group, u64 smask, u64 cands, int best)
+{
+    int size = popcount(smask), w;
+    u64 rest, r;
+
+    if (size > best)
+        best = size;
+    while (cands && size + popcount(cands) > best) {
+        w = lowbit(cands);
+        cands &= cands - 1;
+        if (c->pred[w] >= 0 && (group & ~smask & BIT(c->pred[w])))
+            continue;
+        for (rest = 0, r = cands; r; r &= r - 1)
+            if (extends(c, kind, smask | BIT(w), lowbit(r)))
+                rest |= r & -r;
+        best = cap_of(c, kind, group, smask | BIT(w), rest, best);
+    }
+    return best;
+}
+
+/* The chunk of among with the fewest neighbours in near that are still
+   free, ties to the lowest index, among those with one; -1 if none. */
+static int fewest(const u64 *near, u64 among, u64 free_)
+{
+    int i, d, best = -1, best_d = MAXN + 1;
+
+    for (; among; among &= among - 1) {
+        i = lowbit(among);
+        d = popcount(near[i] & free_);
+        if (d && d < best_d) {
+            best = i;
+            best_d = d;
+        }
+    }
+    return best;
+}
+
+/* s's capacity groups for TOTAL and OUTER (pure._Tables.blocks and
+   groups), from the twin table of the whole copy: each twin class of two
+   or more, in chunks of at most 4 in label order, with two chunks joined
+   by an edge and of at most 4 vertices together paired by a min-degree
+   greedy matching, each with its cap; only the groups whose cap is below
+   their size are kept.  None for MV and GP. */
+static void capacity_groups(Search *s, u64 roots)
+{
+    const Ctx *c = s->c;
+    int n = c->n, k = 0, v, i, j, cap;
+    u64 cls[MAXN] = {0}, chunk[MAXN], near[MAXN], free_, r, m;
+
+    s->ngroups = 0;
+    if (s->kind != TOTAL && s->kind != OUTER)
+        return;
+    for (v = 0; v < n; v++)
+        if (c->below[v])
+            cls[lowbit(c->below[v])] |= c->below[v] | BIT(v);
+    /* a chunk starts at every fourth member of a class, so chunks come in
+       the order of their first vertex */
+    for (v = 0; v < n; v++) {
+        m = cls[c->below[v] ? lowbit(c->below[v]) : v];
+        if (!m || popcount(c->below[v]) % 4)
+            continue;
+        for (chunk[k] = 0, m &= ~(BIT(v) - 1), i = 0; i < 4 && m; i++, m &= m - 1)
+            chunk[k] |= m & -m;
+        k++;
+    }
+    for (i = 0; i < k; i++)
+        for (near[i] = 0, j = 0; j < k; j++)
+            if (j != i && (c->adj[lowbit(chunk[i])] & chunk[j]) && popcount(chunk[i] | chunk[j]) <= 4)
+                near[i] |= BIT(j);
+    for (free_ = ALL(k); (i = fewest(near, free_, free_)) >= 0; free_ &= ~(BIT(i) | BIT(j))) {
+        j = fewest(near, near[i] & free_, free_);
+        s->group[s->ngroups++] = chunk[i] | chunk[j];
+    }
+    for (r = free_; r; r &= r - 1)
+        s->group[s->ngroups++] = chunk[lowbit(r)];
+    for (i = j = 0; i < s->ngroups; i++) {
+        cap = cap_of(c, s->kind, s->group[i], 0, roots & s->group[i], 0);
+        if (cap < popcount(s->group[i])) {
+            s->group[j] = s->group[i];
+            s->cap[j++] = cap;
+        }
+    }
+    s->ngroups = j;
 }
 
 static int find_root(int *root, int v)
@@ -832,6 +982,7 @@ static PyObject *py_solve_max(PyObject *self, PyObject *args, PyObject *kw)
     for (v = 0; v < n; v++)
         if (extends(&c, kind, 0, v))
             roots |= BIT(v);
+    capacity_groups(&s, roots);
     rc = s.target && s.best >= s.target ? TARGET : search(&s, 0, 0, roots);
     if (rc != ERROR)
         out = Py_BuildValue("iKLi", s.best, (unsigned long long)mapped(s.best_mask, c.order), s.nodes, rc);

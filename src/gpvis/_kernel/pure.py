@@ -129,6 +129,51 @@ pair's interval layers that hold one vertex, so TOTAL's roots come from
 the ball rows without a walk, once per copy, and a solve shares them
 with its seed.
 
+Bounds.  Two upper bounds cut subtrees that the size bound keeps.  A cut
+subtree holds no set larger than ``best``, so entering it could not have
+changed ``best``, its witness or a target stop; the loop's order is
+unchanged, so every value and witness stays as it was, and only node
+counts drop.
+
+- Capacity groups (TOTAL and OUTER).  The kinds are hereditary, so a set
+  with the property holds at most cap(U) vertices of a vertex group U,
+  where cap(U) is the largest subset of U with the property in the
+  whole graph.  For disjoint groups, a set S ∪ T, T ⊆ C, with the
+  property has |T ∩ U| <= min(|C ∩ U|, cap(U) - |S ∩ U|) in each, so the
+  node (S, C) holds no set larger than
+  |S| + |C| - Σ max(0, |C ∩ U| - (cap(U) - |S ∩ U|)),
+  the vertex-partition bound of Jiang, Zhu, Xie, Yao and Fu (IJCAI 2021;
+  with every cap 1 it is a colouring bound).  The root returns at once
+  when its bound does not beat ``best``, and a child is entered only when
+  its bound does (``_capped``).  The groups (``_Tables.blocks``) are the
+  twin classes of two or more members, in chunks of at most 4 in label
+  order; two chunks joined by an edge, with at most 4 vertices together,
+  are paired by a deterministic min-degree greedy matching.  Each cap is
+  found once per copy and kind by a DFS over the group with the search's
+  own filter (``_Tables.cap``), and only the groups with cap(U) < |U| are
+  kept, so a twin-free graph gets none and pays nothing.  On a double
+  graph, a window of k base vertices and their copies holds at most k
+  members of a total or outer set, so on D(C_n) and D(P_n) the root
+  bound meets the greedy seed and proves it in one node.  MV is left
+  out: there such a window holds k + 2, and on D(C_n) the root bound is
+  twice the optimum.
+- Clique cover (GP, at depth 1).  Under a root w, candidates x and y
+  conflict when y is in pairbad[w][x]: {w, x, y} is then a geodesic
+  triple, so a GP set that holds w holds at most one vertex of each
+  clique of conflicts.  A child w of the root is entered only when a
+  greedy clique cover of its candidates, after the filter and the
+  twin-prefix trim, has at least ``need`` cliques (``_covers``; the
+  pairwise colouring bound of MCS, Tomita et al. 2010).  Each clique
+  starts at the lowest uncovered candidate and takes, in bit order, every
+  uncovered one that conflicts with all of it; counting stops at
+  ``need``.  Deeper nodes take no cover: at every depth it cut M(C20) gp
+  from 388 to 153 nodes but raised its time from 2.5 to 3.9 ms, as most
+  of its covers there prune nothing.
+
+``enumerate_exact`` takes both bounds with its own threshold: a child is
+entered only when they leave it able to reach ``size``, and so it lists
+the same sets.
+
 Start set.  ``solve_max`` may be given a set with the property, checked
 once by ``set_ok``, as its first incumbent in place of the greedy seed:
 a known construction, such as a witness set of the paper's lower bounds,
@@ -252,9 +297,10 @@ unchanged.
 Inputs.  Every entry point raises ``ValueError`` for an unknown kind,
 an ``adj`` or ``dist`` whose length does not fit n, an ``adj`` row, mask
 or vertex outside 0..n-1, or a distance outside -1..n, and checks them
-in the order of ``_fast.c``: the kind, then the graph (``_checked``),
-then masks and vertices, so that both kernels give the same message for
-the same bad call.  A tuple ``dist`` is checked once, by its record
+in the order of ``_fast.c``: the kind, then the graph (``_checked``:
+the lengths, the distances, then the ``adj`` rows), then masks and
+vertices, so that both kernels give the same message for the same bad
+call.  A tuple ``dist`` is checked once, by its record
 (``_Record``), which reads the graph's rows off it: ball row 1 of every
 vertex.  Every entry point rejects an ``adj`` that is not the graph of
 ``dist`` (``_Record.accept``): it must equal the record's rows, n
@@ -467,6 +513,7 @@ class _Tables(_Record):
         self._symmetries = None
         # the memo (see the module notes): cuts by (u, v, blocked & btw[u][v]), u < v
         self.cuts = {}
+        self._groups = {}
 
     @cached_property
     def btw(self):
@@ -574,6 +621,84 @@ class _Tables(_Record):
         """The w for which {w} has the property, as a mask: all of them,
         but for TOTAL only those that no pair has on all its geodesics."""
         return self.total_roots if kind == TOTAL else (1 << self.n) - 1
+
+    @cached_property
+    def blocks(self):
+        """The vertex groups of the capacity bound (see the module notes),
+        as masks: each twin class of two or more members, in chunks of at
+        most 4 in label order, with two chunks joined by an edge and of at
+        most 4 vertices together paired by a min-degree greedy matching.
+        It takes the chunk with the fewest unmatched partners, ties to the
+        lowest first vertex, and pairs it with its partner chosen by the
+        same rule."""
+        below = self.classes[1]
+        if below is None:
+            return ()
+        members = {}
+        for v, b in enumerate(below):
+            if b:
+                first = (b & -b).bit_length() - 1
+                members[first] = members.get(first, 1 << first) | 1 << v
+        chunks = []
+        for first in sorted(members):
+            bits = list(_bits(members[first]))
+            chunks += [sum(1 << v for v in bits[i : i + 4]) for i in range(0, len(bits), 4)]
+        chunks.sort(key=lambda m: m & -m)
+        k, rows = len(chunks), self.rows
+        # near[i]: the chunks that chunk i may pair with, as a mask of indices
+        near = [0] * k
+        for i, a in enumerate(chunks):
+            ra = rows[(a & -a).bit_length() - 1]
+            for j in range(i + 1, k):
+                if ra & chunks[j] and a.bit_count() + chunks[j].bit_count() <= 4:
+                    near[i] |= 1 << j
+                    near[j] |= 1 << i
+        free = (1 << k) - 1
+        groups = []
+        while True:
+            picks = [((near[i] & free).bit_count(), i) for i in _bits(free) if near[i] & free]
+            if not picks:
+                break
+            i = min(picks)[1]
+            j = min(((near[j] & free).bit_count(), j) for j in _bits(near[i] & free))[1]
+            groups.append(chunks[i] | chunks[j])
+            free &= ~(1 << i | 1 << j)
+        return tuple(groups + [chunks[i] for i in _bits(free)])
+
+    def groups(self, kind):
+        """The (group, cap) pairs of the capacity bound for TOTAL and OUTER
+        (see the module notes): each of ``blocks`` with its cap, the most
+        of its vertices that a set with the property holds, kept when the
+        cap is below its size; none for MV and GP.  Built once per kind."""
+        got = self._groups.get(kind)
+        if got is None:
+            got = ()
+            if kind in (TOTAL, OUTER):
+                caps = [(u, self.cap(kind, u, 0, self.roots(kind) & u)) for u in self.blocks]
+                got = tuple((u, cap) for u, cap in caps if cap < u.bit_count())
+            self._groups[kind] = got
+        return got
+
+    def cap(self, kind, group, smask, cands, best=0):
+        """The largest set smask ∪ T, T ⊆ ``cands`` ⊆ ``group``, with the
+        property, or ``best`` if that is larger: a DFS with the search's
+        filter, given that smask ∪ {x} has the property for every x in
+        ``cands``.  Permuting the members of a twin class that lie in the
+        group is an automorphism that maps the group onto itself, so, as
+        the search does, it takes w only after pred[w] when that is in
+        the group."""
+        size = smask.bit_count()
+        best = max(best, size)
+        pred = self.twin_pred
+        while cands and size + cands.bit_count() > best:
+            low = cands & -cands
+            cands ^= low
+            w = low.bit_length() - 1
+            if pred[w] >= 0 and (group & ~smask) >> pred[w] & 1:
+                continue
+            rest = self.extensions(kind, smask, w, cands)
+            best = self.cap(kind, group, smask | low, rest, best)
+        return best
 
     def extensions(self, kind, smask, w, cmask, need=0):
         """The x in ``cmask`` for which smask ∪ {w, x} keeps the property,
@@ -785,10 +910,13 @@ def _unreached(adj, ball, front, want, free):
 
 def extend_ok(n, adj, dist, smask, w, kind):
     """One-shot extension check: does smask ∪ {w} have the property?"""
-    _check_kind(kind)
-    _checked(n, adj, dist)
-    _check_mask(smask, n, "smask")
-    _check_vertex(w, n)
+    if smask < 0 or smask >> n or not 0 <= w < n:
+        # name the first fault in the order of every entry point; with a
+        # good mask and vertex, set_ok checks the kind and the graph once
+        _check_kind(kind)
+        _checked(n, adj, dist)
+        _check_mask(smask, n, "smask")
+        _check_vertex(w, n)
     return set_ok(n, adj, dist, smask | 1 << w, kind)
 
 
@@ -830,6 +958,48 @@ def greedy_set(n, adj, dist, kind):
         cands = tables.extensions(kind, smask, low.bit_length() - 1, cands ^ low)
         smask |= low
     return _mapped(smask, order)
+
+
+def _capped(groups, smask, cands, slack):
+    """Whether the capacity groups (see the module notes) cut more than
+    ``slack`` of ``cands`` at the node with members smask: group U cuts
+    max(0, |cands ∩ U| - (cap - |smask ∩ U|))."""
+    for u, cap in groups:
+        over = (cands & u).bit_count() + (smask & u).bit_count() - cap
+        if over > 0:
+            slack -= over
+            if slack < 0:
+                return True
+    return False
+
+
+def _cut(groups, pairbad, smask, w, rest, need):
+    """Whether a bound shows that the child smask ∪ {w} cannot add
+    ``need`` of its candidates ``rest`` (see the module notes): the
+    capacity groups, or at a child of the root the GP clique cover over
+    ``pairbad``; ``rest`` has at least ``need`` bits."""
+    if groups:
+        return _capped(groups, smask | 1 << w, rest, rest.bit_count() - need)
+    return pairbad is not None and not smask and not _covers(pairbad[w], rest, need)
+
+
+def _covers(bad, cands, need):
+    """Whether a greedy clique cover of ``cands`` has at least ``need``
+    cliques, where x and y conflict when y is in bad[x] (see the module
+    notes).  Each clique starts at the lowest uncovered vertex and takes,
+    in bit order, every uncovered vertex that conflicts with all of it."""
+    while cands:
+        need -= 1
+        if need <= 0:
+            return True
+        low = cands & -cands
+        cands ^= low
+        k = cands & bad[low.bit_length() - 1]
+        while k:
+            y = k & -k
+            cands ^= y
+            k &= bad[y.bit_length() - 1]
+    return False
 
 
 class _Found(Exception):
@@ -940,6 +1110,8 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=(), start
     deadline = time.monotonic() + time_limit if time_limit else 0.0
     pred, twins = tables.twin_pred, tables.twins
     extensions = tables.extensions
+    groups = tables.groups(kind)
+    pairbad = tables.pairbad if kind == GP else None
     if start is None:
         start = greedy_set(n, adj, dist, kind)
     else:
@@ -956,6 +1128,11 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=(), start
         if deadline and nodes & _TIME_CHECK_MASK == 1 and time.monotonic() > deadline:
             raise _TimeUp
         left = cands.bit_count()
+        if not smask and groups and _capped(groups, 0, cands, left - best - 1):
+            return
+        # whether a bound may cut a child here: the capacity groups at
+        # every node, the clique cover at the root's children
+        bounded = groups or (pairbad and not smask)
         stabilizer = None
         while size + left > best:
             low = cands & -cands
@@ -982,7 +1159,7 @@ def solve_max(n, adj, dist, kind, target=0, time_limit=0.0, symmetries=(), start
                 t ^= xb
                 if not (new | rest) >> pred[xb.bit_length() - 1] & 1:
                     rest ^= xb
-            if rest.bit_count() >= need:
+            if rest.bit_count() >= need and not (bounded and _cut(groups, pairbad, smask, w, rest, need)):
                 run(new, size + 1, rest)
             if not smask:
                 # the root w is done, and no larger set meets its orbit
@@ -1021,6 +1198,10 @@ def enumerate_exact(n, adj, dist, kind, size):
     if size == 0:
         return [0]
     out = []
+    # the bounds of solve_max, with the threshold size: a child is entered
+    # only when they let it still reach size
+    groups = tables.groups(kind)
+    pairbad = tables.pairbad if kind == GP else None
 
     def rec(smask, cur, cands):
         left = cands.bit_count()
@@ -1033,10 +1214,13 @@ def enumerate_exact(n, adj, dist, kind, size):
                 out.append(new)
             else:
                 need = size - cur - 1
-                rest = tables.extensions(kind, smask, low.bit_length() - 1, cands, need)
-                if rest.bit_count() >= need:
+                w = low.bit_length() - 1
+                rest = tables.extensions(kind, smask, w, cands, need)
+                if rest.bit_count() >= need and not _cut(groups, pairbad, smask, w, rest, need):
                     rec(new, cur + 1, rest)
 
-    rec(0, 0, tables.roots(kind))
+    roots = tables.roots(kind)
+    if not (groups and _capped(groups, 0, roots, roots.bit_count() - size)):
+        rec(0, 0, roots)
     del rec  # it refers to itself, as the search in solve_max does
     return [_mapped(m, order) for m in out]

@@ -5,7 +5,12 @@ degree, ties by index).  Hereditarity of all four properties justifies
 the pruning: once a single-vertex extension fails, no superset through
 that vertex is revisited, and a child is entered only when it and its
 candidates could beat the incumbent; the candidate filter stops as soon
-as they cannot, so such a child is settled at its parent.  The
+as they cannot, so such a child is settled at its parent.  Two more
+upper bounds settle children that the size bound keeps: for total and
+outer, the caps of small groups of twin vertices (the most of a group
+that a set with the property can hold), which also settle the root;
+for gp, a clique cover of the candidates of each child of the root,
+over the pairs that the root forbids together.  The
 incumbent is seeded by the deterministic greedy sweep, or by a caller's
 start set with the property: a known construction that lets the bound
 cut from the first node, while the search still proves the value.  Sets that a

@@ -227,6 +227,24 @@ def test_tables_are_matched_by_value_and_lists_read_afresh():
             ), (g.adj, m)
 
 
+def test_extend_ok_reads_a_list_distance_table_once(monkeypatch):
+    """A list ``dist`` gets a fresh record on every call; extend_ok checks
+    the graph once, so each call builds one record, with one range scan,
+    and answers as set_ok of the grown set."""
+    made = []
+    init = pure._Record.__init__
+    monkeypatch.setattr(pure._Record, "__init__", lambda self, *a: made.append(init(self, *a)))
+    rng = random.Random(5)
+    for g in graphs_under_test():
+        dist = list(all_pairs_distances(g).data)
+        for kind in KINDS:
+            smask, w = rng.getrandbits(g.n), rng.randrange(g.n)
+            want = pure.set_ok(g.n, g.adj, tuple(dist), smask | 1 << w, kind)
+            del made[:]
+            assert pure.extend_ok(g.n, g.adj, dist, smask, w, kind) == want
+            assert len(made) == 1, (g.adj, kind)
+
+
 def test_records_keep_the_accepted_adj_and_copies_read_twins_off_rows():
     """Every entry point accepts a tuple ``adj`` into the record of its
     distance tuple, which keeps that very tuple; an equal but distinct

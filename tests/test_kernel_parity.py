@@ -244,6 +244,27 @@ def test_order_64_solve_parity(fast):
     assert a[0] == 63 and a[1] & BIT63
 
 
+def test_bounds_prove_order_64_doubles_on_the_compiled_kernel(fast):
+    """The capacity bound proves D(C32) total and outer, order 64, at the
+    root: the greedy seed of size 32 is exact, in one node."""
+    g = parse_graph_spec("double(cycle:32)")
+    d = all_pairs_distances(g).data
+    for kind in (pure.TOTAL, pure.OUTER):
+        size, mask, nodes, status = fast.solve_max(g.n, g.adj, d, kind)
+        assert (size, nodes, status) == (32, 1, 0), kind
+        assert mask.bit_count() == 32 and fast.set_ok(g.n, g.adj, d, mask, kind)
+
+
+def test_gp_cover_parity_on_a_complete_graph_double(fast):
+    """D(K13 - e) gp: both kernels take the same clique covers at depth 1,
+    and so return the same set after the same one node."""
+    g = parse_graph_spec("double(kminus:13)")
+    d = all_pairs_distances(g).data
+    a = pure.solve_max(g.n, g.adj, d, pure.GP)
+    assert a == fast.solve_max(g.n, g.adj, d, pure.GP)
+    assert a[0] == 12 and a[2:] == (1, 0)
+
+
 class _Alarm(Exception):
     pass
 
@@ -373,9 +394,7 @@ def test_combined_faults_give_the_same_error_on_both_kernels(fast):
     bad = good[:7] + (-3,) + good[8:]
     masks = (0b101, 1 << 9, -1, 1 << 64)
     calls = []
-    # _fast.c reads the adj rows before dist, pure.py dist first, so an adj
-    # row out of range is left out of the pairs with a bad distance
-    for adj, d in [(adj, good) for adj in adjs] + [(adj, bad) for adj in adjs[:2]]:
+    for adj, d in [(adj, good) for adj in adjs] + [(adj, bad) for adj in adjs]:
         calls += [("pair_visible", (5, adj, d, u, v, b)) for u, v in ((0, 2), (0, 5), (7, 2)) for b in (0, 1 << 5)]
         for kind in KINDS + (7, -1):
             calls += [("set_ok", (5, adj, d, m, kind)) for m in masks]
@@ -383,6 +402,9 @@ def test_combined_faults_give_the_same_error_on_both_kernels(fast):
             calls += [("greedy_set", (5, adj, d, kind))]
             calls += [("solve_max", (5, adj, d, kind, 0, 0.0, (), s)) for s in (None, 0b1, 1 << 9)]
     assert ("set_ok", (5, g.adj, good, 1 << 9, 7)) in calls
+    # an adj row out of range with a distance out of range: the distance
+    # is named, on both kernels
+    assert outcome(fast.greedy_set, 5, adjs[2], bad, pure.MV) == "ValueError: distance -3 is outside -1..5"
     errors = Counter()
     for name, args in calls:
         got = outcome(getattr(pure, name), *args)

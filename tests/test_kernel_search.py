@@ -23,7 +23,7 @@ from gpvis.families import double_graph, mycielskian
 from gpvis.graphs import role_symmetries
 from gpvis.report import corpus_graphs
 
-from oracles import oracle_pair_visible, oracle_property_ok
+from oracles import all_geodesics, oracle_pair_visible, oracle_property_ok
 
 KINDS = (pure.MV, pure.OUTER, pure.TOTAL, pure.GP)
 
@@ -418,8 +418,8 @@ def test_stabilizer_orbits_equal_a_closure():
 # (size, mask, nodes, status) with the role symmetries.  These are the
 # benchmark's instances at their identity labelling.
 PINNED_SYMMETRIC = [
-    ("double(cycle:8)", pure.TOTAL, 34, (8, 255, 17, 0)),
-    ("double(cycle:8)", pure.OUTER, 38, (8, 255, 18, 0)),
+    ("double(cycle:8)", pure.TOTAL, 1, (8, 255, 1, 0)),
+    ("double(cycle:8)", pure.OUTER, 1, (8, 255, 1, 0)),
     ("myc(cycle:12)", pure.MV, 1065, (15, 7828821, 487, 0)),
     ("double(cycle:10)", pure.MV, 186, (10, 1023, 66, 0)),
 ]
@@ -575,10 +575,10 @@ PINNED = [
     ("myc(cycle:7)", pure.MV, (9, 15253, 107, 0), 69, 168, "b41f4b079bd01713"),
     ("myc(kbip:3,3)", pure.OUTER, (8, 1755, 17, 0), 11, 342, "10726e1ec2db19dd"),
     ("myc(cycle:7)", pure.OUTER, (7, 16256, 39, 0), 39, 7, "6b82d46ec24d2476"),
-    ("myc(kbip:3,3)", pure.TOTAL, (8, 1755, 13, 0), 0, 324, "98dc976c78f995a2"),
-    ("double(balloon:1)", pure.TOTAL, (7, 2111, 8, 0), 0, 144, "1c73e91515a8d8da"),
-    ("myc(cycle:7)", pure.GP, (7, 16256, 49, 0), 49, 28, "0a224a21c286f145"),
-    ("double(kminus:6)", pure.GP, (5, 61, 16, 0), 0, 145, "d14595ce6921a58f"),
+    ("myc(kbip:3,3)", pure.TOTAL, (8, 1755, 1, 0), 0, 324, "98dc976c78f995a2"),
+    ("double(balloon:1)", pure.TOTAL, (7, 2111, 1, 0), 0, 144, "1c73e91515a8d8da"),
+    ("myc(cycle:7)", pure.GP, (7, 16256, 44, 0), 44, 28, "0a224a21c286f145"),
+    ("double(kminus:6)", pure.GP, (5, 61, 1, 0), 0, 145, "d14595ce6921a58f"),
 ]
 
 
@@ -591,3 +591,101 @@ def test_search_trees_are_pinned(spec, kind, solved, target_nodes, count, sets):
     assert pure.solve_max(g.n, g.adj, dist, kind, size)[2:] == (target_nodes, 1)
     masks = pure.enumerate_exact(g.n, g.adj, dist, kind, size - 1)
     assert (len(masks), digest(masks)) == (count, sets)
+
+
+def bound_graphs():
+    """The oracle graphs, with twin classes of two to five members, so
+    that the capacity groups pair chunks and split a class."""
+    specs = ("double(double(path:3))", "kbip:3,4", "star:6", "double(balloon:1)", "double(kbip:2,3)")
+    return graphs_under_test() + [parse_graph_spec(s) for s in specs]
+
+
+def test_capacity_groups_and_caps_equal_their_definitions():
+    """The groups of the capacity bound split the vertices of the twin
+    classes of two or more: each is one chunk of a class, or two chunks of
+    adjacent classes, with at most 4 vertices.  For TOTAL and OUTER, a
+    group is kept exactly when its cap is below its size, and every kept
+    cap equals the oracle's: the largest subset of the group with the
+    property in the whole graph."""
+    paired = split = 0
+    for g in bound_graphs():
+        d = all_pairs_distances(g)
+        order, _, tables = pure._relabelled(g.n, g.adj, d.data, pure.TOTAL)
+        rows = tables.rows
+        classes = {}
+        for v, row in enumerate(rows):
+            classes[row] = classes.get(row, 0) | 1 << v
+        twins = sum(m for m in classes.values() if m & (m - 1))
+        blocks = tables.blocks
+        assert sum(blocks) == twins and sum(b.bit_count() for b in blocks) == twins.bit_count()
+        for b in blocks:
+            parts = [m & b for m in classes.values() if m & b]
+            assert b.bit_count() <= 4 and len(parts) <= 2, g.adj
+            if len(parts) == 2:
+                assert rows[(parts[0] & -parts[0]).bit_length() - 1] & parts[1]
+                paired += 1
+            split += any(m & b != m for m in classes.values() if m & b)
+        for kind in (PropertyKind.TOTAL, PropertyKind.OUTER):
+            caps = []
+            for b in blocks:
+                members = [order[v] for v in range(g.n) if b >> v & 1]
+                cap = max(len(c) for k in range(len(members) + 1) for c in itertools.combinations(members, k)
+                          if oracle_property_ok(g, d, c, kind))
+                caps.append((b, cap))
+            want = tuple((b, cap) for b, cap in caps if cap < b.bit_count())
+            assert tables.groups(kind.code) == want, (g.adj, kind)
+        assert tables.groups(pure.MV) == tables.groups(pure.GP) == ()
+    assert paired and split
+
+
+def gp_sets(g, d, label):
+    """Every general-position set of g, as masks in the search copy's
+    labels: no three members on one geodesic of the oracle's list."""
+    bad = set()
+    for u, v in itertools.combinations(range(g.n), 2):
+        for path in all_geodesics(g, d, u, v):
+            bad.update(frozenset(label[x] for x in t) for t in itertools.combinations(path, 3))
+    sets, grow = [], [(0, ())]
+    while grow:
+        mask, members = grow.pop()
+        sets.append(mask)
+        for x in range(members[-1] + 1 if members else 0, g.n):
+            if not any(frozenset((a, b, x)) in bad for a, b in itertools.combinations(members, 2)):
+                grow.append((mask | 1 << x, members + (x,)))
+    return sets
+
+
+def test_gp_clique_cover_bounds_every_child_of_the_root():
+    """At each child w of the root, the greedy clique cover of the GP
+    candidates holds at least as many cliques as the most candidates that
+    a GP set with w holds (by the oracle): for all later vertices, and for
+    them after the twin-prefix trim, as the search meets them."""
+    tighter = 0
+    for g in bound_graphs():
+        d = all_pairs_distances(g)
+        _, label, tables = pure._relabelled(g.n, g.adj, d.data, pure.GP)
+        sets, pred = gp_sets(g, d, label), tables.twin_pred
+        for w in range(g.n):
+            later = ((1 << g.n) - 1) >> w + 1 << w + 1
+            trimmed = later
+            for x in range(w + 1, g.n):
+                if pred[x] >= 0 and not (1 << w | trimmed) >> pred[x] & 1:
+                    trimmed &= ~(1 << x)
+            for cands in (later, trimmed):
+                most = max((m & cands).bit_count() for m in sets if m >> w & 1 and not m & ~(cands | 1 << w))
+                assert most == 0 or pure._covers(tables.pairbad[w], cands, most), (g.adj, w, cands)
+                tighter += not pure._covers(tables.pairbad[w], cands, cands.bit_count())
+    assert tighter
+
+
+def test_bounds_keep_every_value_and_prune():
+    """The two bounds prove D(C20) total and outer at the root, and D(K13 - e)
+    gp at its first child, in one node each; the values are those of the
+    paper's families, and each witness has the property."""
+    for spec, kind, value in (("double(cycle:20)", pure.TOTAL, 20), ("double(cycle:20)", pure.OUTER, 20),
+                              ("double(kminus:13)", pure.GP, 12)):
+        g = parse_graph_spec(spec)
+        dist = all_pairs_distances(g).data
+        size, mask, nodes, status = pure.solve_max(g.n, g.adj, dist, kind)
+        assert (size, nodes, status) == (value, 1, 0), (spec, kind)
+        assert pure.set_ok(g.n, g.adj, dist, mask, kind)

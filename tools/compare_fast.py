@@ -49,11 +49,13 @@ from gpvis.graphs import role_symmetries
 KIND_CODES = {"mv": 0, "outer": 1, "total": 2, "gp": 3}
 INSTANCES = [
     *(f"{g} outer" for g in ("double(cycle:8)", "double(cycle:12)", "myc(path:12)", "double(path:10)",
-                             "double(balloon:2)", "myc(cycle:12)", "double(kbip:5,6)")),
+                             "double(balloon:2)", "myc(cycle:12)", "double(kbip:5,6)", "double(cycle:24)")),
     *(f"{g} total" for g in ("double(cycle:8)", "double(cycle:10)", "double(cycle:12)", "double(path:12)",
-                             "double(kbip:5,6)", "myc(balloon:2)", "double(balloon:2)", "double(path:8)")),
+                             "double(kbip:5,6)", "myc(balloon:2)", "double(balloon:2)", "double(path:8)",
+                             "double(cycle:24)")),
     *(f"{g} mv" for g in ("double(cycle:10)", "double(cycle:14)", "myc(cycle:12)", "myc(cycle:16)")),
-    *(f"{g} gp" for g in ("double(kminus:11)", "double(kminus:16)", "myc(cycle:20)", "double(cycle:20)")),
+    *(f"{g} gp" for g in ("double(kminus:11)", "double(kminus:13)", "double(kminus:16)", "myc(cycle:20)",
+                          "double(cycle:20)")),
 ]
 
 
