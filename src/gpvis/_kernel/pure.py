@@ -640,8 +640,8 @@ class _Tables(_Record):
                 first = (b & -b).bit_length() - 1
                 members[first] = members.get(first, 1 << first) | 1 << v
         chunks = []
-        for first in sorted(members):
-            bits = list(_bits(members[first]))
+        for cls in members.values():
+            bits = list(_bits(cls))
             chunks += [sum(1 << v for v in bits[i : i + 4]) for i in range(0, len(bits), 4)]
         chunks.sort(key=lambda m: m & -m)
         k, rows = len(chunks), self.rows

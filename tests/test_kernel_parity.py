@@ -255,7 +255,7 @@ def test_bounds_prove_order_64_doubles_on_the_compiled_kernel(fast):
         assert mask.bit_count() == 32 and fast.set_ok(g.n, g.adj, d, mask, kind)
 
 
-def test_gp_cover_parity_on_a_complete_graph_double(fast):
+def test_gp_cover_parity_on_the_double_of_k13_minus_an_edge(fast):
     """D(K13 - e) gp: both kernels take the same clique covers at depth 1,
     and so return the same set after the same one node."""
     g = parse_graph_spec("double(kminus:13)")
